@@ -11,6 +11,7 @@ n^2 log n queries, which is also optimal.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -26,6 +27,27 @@ DEFAULT_REJECTION_CAP = 10_000
 
 class RejectionCapExceeded(RuntimeError):
     """No sampled tree had a balanced edge within the restart budget."""
+
+
+class InfeasibleBalance(RejectionCapExceeded, ValueError):
+    """No tree on n vertices has a beta-balanced edge.
+
+    A parameter error, raised before any tree is drawn; it is also a
+    :class:`RejectionCapExceeded`, since no restart budget could succeed.
+    """
+
+
+def check_balance_feasible(n: int, beta) -> None:
+    """Raise :class:`InfeasibleBalance` unless some tree on n vertices has a beta-balanced edge.
+
+    Removing a tree edge splits off s and n - s vertices, and a path has
+    every split 1 <= s <= n - 1, so one exists iff ceil(beta n) <= floor(n/2).
+    """
+    frac = as_balance_threshold(beta)
+    if math.ceil(frac * n) > n // 2:
+        raise InfeasibleBalance(
+            f"no tree on {n} vertices has a {frac}-balanced edge: needs ceil({frac}*n) <= floor(n/2)"
+        )
 
 
 @dataclass(frozen=True)
@@ -62,10 +84,11 @@ def sample_hard_instance(
     """Draw one labeled connectivity instance.
 
     The label is the ground truth: 1 iff the emitted graph is the full
-    tree. Raises :class:`RejectionCapExceeded` when ``rejection_cap``
-    consecutive trees have no balanced edge (a sign that n is too small
-    for the chosen threshold).
+    tree. Raises :class:`InfeasibleBalance` up front when no tree on n
+    vertices has a balanced edge, and :class:`RejectionCapExceeded` when
+    ``rejection_cap`` consecutive trees have none.
     """
+    check_balance_feasible(n, beta)
     frac = as_balance_threshold(beta)
     gen = as_generator(rng)
     tree = None

@@ -8,7 +8,9 @@ Three procedures over a :class:`~noisyquery.oracles.BitOracle`:
   up/down walk, always advancing the currently most-promising index;
   an index is counted once its walk clears a retire barrier, and the
   run ends when even the best remaining walk is hopeless for the
-  current count.
+  current count. That schedule runs as level sweeps: at each level
+  every remaining index, in index order, walks until it falls one
+  level or retires, straight off the oracle's uniform buffer.
 * ``counting_two_sided``: orientation wrapper that first cheaply
   estimates whether ones or zeros are the minority and counts the
   minority side, which is what makes the cost symmetric in the answer.
@@ -16,13 +18,20 @@ Three procedures over a :class:`~noisyquery.oracles.BitOracle`:
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
-from .oracles import ComplementBitOracle
+from .oracles import BitOracle, ComplementBitOracle, unwrap_complement
 from .streams import as_generator
-from .walks import WalkPolicy, _check_delta, asymmetric_check_bit, check_bit, snapped_ceil
+from .walks import (
+    WalkPolicy,
+    _buffered_walks,
+    _check_delta,
+    _generic_walk,
+    asymmetric_check_bit,
+    check_bit,
+    snapped_ceil,
+)
 
 
 @dataclass(frozen=True)
@@ -73,6 +82,17 @@ def counting_one_sided(oracle, delta: float) -> CountResult:
 
     Cheap when ones are scarce: cost scales with log((#ones + 1)/delta)
     per index rather than log(n/delta).
+
+    Every index runs a +-1 walk on its answers, always advancing the
+    highest walk (lowest index on ties). An index is counted, and leaves,
+    when its walk reaches ``retire_at``; the run ends when the highest
+    walk is at or below ``-stop_at(count)``. That schedule is a sequence
+    of level sweeps: at the start of level L every remaining walk is at
+    L, and in increasing index order each runs alone until it falls to
+    L - 1 or retires, since it stays the highest walk until then. The
+    walks that fell are at L - 1 in index order, which is the next sweep.
+    ``stop_at`` only grows, so the stop rule can first hold when a sweep
+    starts.
     """
     _check_delta(delta, "delta")
     n = oracle.n
@@ -81,31 +101,37 @@ def counting_one_sided(oracle, delta: float) -> CountResult:
     log_ratio = oracle.noise.log_ratio
     retire_at = snapped_ceil(math.log(6.0 * n / delta) / log_ratio)
     start = oracle.ledger.total_queries
-    query = oracle.query
-    push = heapq.heappush
+    base, flip = unwrap_complement(oracle)
+    if isinstance(base, BitOracle):
+        bits = [bit ^ flip for bit in base.hidden]
+
+        def walks(keys, first, up):
+            return _buffered_walks(base, keys, bits, first, 1, up)
+
+    else:
+
+        def walks(keys, first, up):
+            for j in range(first, len(keys)):
+                if _generic_walk(oracle, keys[j], 1, up).decided_bit:
+                    return j
+            return len(keys)
+
     count = 0
     stop_at = snapped_ceil(math.log(6.0 * (count + 1) / delta) / log_ratio)
-    walk = [0] * n
-    # one live entry per active index, keyed (-walk value, index) so ties
-    # resolve to the lowest index
-    heap = [(0, i) for i in range(n)]
-    while heap:
-        neg_c, i = heap[0]
-        if -neg_c <= -stop_at:
-            break
-        heapq.heappop(heap)
-        if query(i):
-            c = walk[i] + 1
-            walk[i] = c
-            if c >= retire_at:
+    level = 0
+    active = list(range(n))
+    while active and level > -stop_at:
+        fell = []
+        j = 0
+        while j < len(active):
+            retired = walks(active, j, retire_at - level)
+            fell += active[j:retired]
+            if retired < len(active):
                 count += 1
                 stop_at = snapped_ceil(math.log(6.0 * (count + 1) / delta) / log_ratio)
-            else:
-                push(heap, (-c, i))
-        else:
-            c = walk[i] - 1
-            walk[i] = c
-            push(heap, (-c, i))
+            j = retired + 1
+        active = fell
+        level -= 1
     return CountResult(count, oracle.ledger.total_queries - start)
 
 

@@ -23,6 +23,7 @@ from typing import Sequence
 from .boolfn import MAX_ARITY, TruthTable, restriction_identity_residual
 from .connectivity import (
     HARD_BALANCE,
+    check_balance_feasible,
     components_of,
     naive_connectivity,
     naive_st_connectivity,
@@ -173,6 +174,7 @@ def validate_spec(spec: ExperimentSpec) -> None:
         _require(spec.ones is not None and 0 <= spec.ones <= spec.n, f"{kind} needs ones in [0, n]")
     if kind in ("connectivity", "st-connectivity"):
         _require(spec.n >= 2, f"{kind} needs n >= 2")
+        check_balance_feasible(spec.n, spec.beta or HARD_BALANCE)
     if kind == "influence":
         _require(spec.n is not None and 1 <= spec.n <= MAX_ARITY, f"influence needs 1 <= n <= {MAX_ARITY}")
         _require(spec.q is not None and 0.0 <= spec.q <= 1.0, "influence needs q in [0, 1]")

@@ -47,11 +47,6 @@ class NoiseModel:
         object.__setattr__(self, "dkl", (1.0 - 2.0 * p) * self.log_ratio)
 
 
-def make_noise_model(p: float) -> NoiseModel:
-    """Validated constructor for :class:`NoiseModel`."""
-    return NoiseModel(p)
-
-
 @dataclass
 class QueryLedger:
     """Monotone query counter, optionally broken down per queried key."""
@@ -75,7 +70,7 @@ class _BufferedChannel:
 
     def _init_channel(self, noise: NoiseModel, rng, track_per_index: bool) -> None:
         if not isinstance(noise, NoiseModel):
-            noise = make_noise_model(noise)
+            noise = NoiseModel(noise)
         self.noise = noise
         self._p = noise.p
         self._rng = as_generator(rng)
@@ -240,3 +235,12 @@ class ComplementBitOracle:
 
     def query(self, i: int) -> int:
         return 1 ^ self._inner.query(i)
+
+
+def unwrap_complement(oracle) -> tuple[object, int]:
+    """The oracle under any complement views, and 1 if they flip its answers."""
+    flip = 0
+    while isinstance(oracle, ComplementBitOracle):
+        oracle = oracle._inner
+        flip ^= 1
+    return oracle, flip

@@ -151,6 +151,58 @@ def _fast_walk(oracle: _BufferedChannel, key, a: int, b: int) -> WalkOutcome:
     return WalkOutcome(decided, steps)
 
 
+def _buffered_walks(oracle: _BufferedChannel, keys, bits, start: int, a: int, b: int) -> int:
+    """Walk ``keys[start:]`` in turn until one is declared 1.
+
+    Each walk starts at 0 and stops at -a (declared 0) or +b (declared
+    1). ``keys`` are ledger keys of the oracle, and ``bits[key]`` is the
+    bit that key's answers are noisy reads of: its hidden bit, or its
+    complement through a complement view. Like :func:`_fast_walk`, the
+    walks consume the same draws, in the same order, as per-step
+    query() calls, and each commits its steps to the ledger when it
+    stops. Returns the position of the key declared 1, or ``len(keys)``.
+    """
+    record = oracle.ledger.record
+    p = oracle._p
+    buf = oracle._buf
+    pos = oracle._pos
+    blen = len(buf)
+    # a draw u < p flips the answer, so the loop tracks e = d on a zero
+    # bit and e = -d on a one bit, with the barriers swapped to match
+    zero_bit = (b, -a)
+    one_bit = (a, -b)
+    try:
+        for j in range(start, len(keys)):
+            key = keys[j]
+            bit = bits[key]
+            hi, lo = one_bit if bit else zero_bit
+            e = 0
+            steps = 0
+            while True:
+                if pos == blen:
+                    oracle._refill()
+                    buf = oracle._buf
+                    blen = len(buf)
+                    pos = 0
+                u = buf[pos]
+                pos += 1
+                steps += 1
+                if u < p:
+                    e += 1
+                    if e == hi:
+                        break
+                else:
+                    e -= 1
+                    if e == lo:
+                        break
+            record(key, steps)
+            if (e == hi) != bit:
+                return j
+        return len(keys)
+    finally:
+        oracle._pos = pos
+
+
 def _generic_walk(oracle, key, a: int, b: int) -> WalkOutcome:
     d = 0
     steps = 0

@@ -10,6 +10,7 @@ import math
 import time
 from fractions import Fraction
 
+import pytest
 from scipy.stats import chi2
 
 from noisyquery import (
@@ -39,6 +40,8 @@ from noisyquery import (
     simulate_hitting,
     structure_scaling_report,
 )
+
+pytestmark = pytest.mark.acceptance
 
 SEED = 20240817
 

@@ -54,6 +54,13 @@ def test_validation_error_exit_code(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["connectivity", "st-connectivity"])
+def test_infeasible_balance_exit_code(kind, capsys):
+    code = main([kind, "--n", "3", "--beta", "0.49", "--p", "0.2", "--delta", "0.1", "--trials", "1"])
+    assert code == EXIT_INVALID
+    assert "balanced edge" in capsys.readouterr().err
+
+
 def test_assert_gate_passes(capsys):
     code = main(
         [

@@ -6,11 +6,13 @@ from scipy.stats import chi2
 
 from noisyquery import (
     EdgeOracle,
+    InfeasibleBalance,
     NoiseModel,
     QueryLedger,
     RejectionCapExceeded,
     UnionFind,
     WalkPolicy,
+    check_balance_feasible,
     components_of,
     derive_rng,
     hard_instance_from_text,
@@ -90,6 +92,25 @@ def test_hard_instance_rejection_cap():
     # n=11 with beta just under 1/2 is unsatisfiable: sides would need >= 5.39
     with pytest.raises(RejectionCapExceeded):
         sample_hard_instance(11, derive_rng(71, "cap2"), beta=Fraction(49, 100), rejection_cap=20)
+
+
+def test_infeasible_balance_fails_before_sampling():
+    # a cap no run could exhaust: the check must fire before any tree
+    for n, beta in ((1, Fraction(1, 21)), (3, Fraction(49, 100)), (11, Fraction(49, 100))):
+        with pytest.raises(InfeasibleBalance) as raised:
+            sample_hard_instance(n, derive_rng(71, "infeasible", n), beta=beta, rejection_cap=10**12)
+        assert isinstance(raised.value, ValueError)
+
+
+def test_balance_feasibility_matches_path_splits():
+    # a path has every split, so it has a balanced edge iff any tree does
+    for n in range(1, 40):
+        for beta in (Fraction(1, 21), Fraction(1, 3), Fraction(2, 5), Fraction(49, 100)):
+            if any(min(s, n - s) >= beta * n for s in range(1, n)):
+                check_balance_feasible(n, beta)
+            else:
+                with pytest.raises(InfeasibleBalance):
+                    check_balance_feasible(n, beta)
 
 
 def test_st_instance_terminals_uniform():

@@ -1,3 +1,5 @@
+import hashlib
+import heapq
 import math
 
 import pytest
@@ -5,11 +7,15 @@ import pytest
 from noisyquery import (
     BitOracle,
     ComplementBitOracle,
+    CountResult,
+    ExperimentSpec,
     WalkPolicy,
     asymmetric_check_bit,
     counting_one_sided,
     counting_two_sided,
     derive_rng,
+    reports_to_csv,
+    run_experiment,
     seed_sequence,
     snapped_ceil,
     theory_bound,
@@ -40,6 +46,36 @@ class RecordingOracle:
         answer = self.inner.query(i)
         self.log.append((i, answer))
         return answer
+
+
+def heap_counting(oracle, delta):
+    """Scalar reference for counting_one_sided: one query() per heap step.
+
+    Always advances the highest walk, lowest index on ties; an index
+    retires at ``retire_at`` and the run stops once the highest walk is
+    at or below -stop_at(count).
+    """
+    n = oracle.n
+    log_ratio = oracle.noise.log_ratio
+    retire_at = snapped_ceil(math.log(6.0 * n / delta) / log_ratio)
+    start = oracle.ledger.total_queries
+    count = 0
+    stop_at = snapped_ceil(math.log(6.0 * (count + 1) / delta) / log_ratio)
+    walk = [0] * n
+    heap = [(0, i) for i in range(n)]
+    while heap:
+        neg_c, i = heap[0]
+        if -neg_c <= -stop_at:
+            break
+        heapq.heappop(heap)
+        c = walk[i] + (1 if oracle.query(i) else -1)
+        walk[i] = c
+        if c >= retire_at:
+            count += 1
+            stop_at = snapped_ceil(math.log(6.0 * (count + 1) / delta) / log_ratio)
+        else:
+            heapq.heappush(heap, (-c, i))
+    return CountResult(count, oracle.ledger.total_queries - start)
 
 
 def hidden_with_ones(n, ones, rng):
@@ -247,3 +283,68 @@ def test_results_report_exact_query_deltas():
     before = oracle.ledger.total_queries
     result = counting_one_sided(oracle, 0.1)
     assert result.queries == oracle.ledger.total_queries - before
+
+
+def _random_counting_case(case):
+    rng = derive_rng(31, "sweep-case", case)
+    n = int(rng.integers(1, 41))
+    density = float(rng.random())
+    hidden = (rng.random(n) < density).astype(int).tolist()
+    p = float(rng.uniform(0.02, 0.45))
+    delta = float(rng.uniform(0.005, 0.6))
+    warmup = rng.integers(0, n, size=int(rng.integers(0, 200))).tolist()
+    probes = rng.integers(0, n, size=5).tolist()
+    return hidden, p, delta, warmup, probes
+
+
+@pytest.mark.parametrize("complement", [False, True])
+def test_sweep_matches_heap_reference(complement):
+    # the level sweep must be the heap schedule answer for answer: same
+    # count, same per-index costs, and the stream left at the same place
+    for case in range(150):
+        hidden, p, delta, warmup, probes = _random_counting_case(case)
+        oracles = [
+            BitOracle(hidden, p, seed_sequence(31, "sweep", case), track_per_index=True) for _ in range(2)
+        ]
+        views = [ComplementBitOracle(o) if complement else o for o in oracles]
+        for view in views:
+            for i in warmup:
+                view.query(i)
+        swept = counting_one_sided(views[0], delta)
+        reference = heap_counting(views[1], delta)
+        assert swept == reference, case
+        assert oracles[0].ledger == oracles[1].ledger, case
+        assert [views[0].query(i) for i in probes] == [views[1].query(i) for i in probes], case
+
+
+@pytest.mark.parametrize("complement", [False, True])
+def test_query_path_sweep_matches_heap_order(complement):
+    # an oracle without a uniform buffer is walked through query() in
+    # the heap's order
+    for case in range(40):
+        hidden, p, delta, _, _ = _random_counting_case(case)
+        proxies = [RecordingOracle(BitOracle(hidden, p, seed_sequence(37, "sweep-q", case))) for _ in range(2)]
+        views = [ComplementBitOracle(proxy) if complement else proxy for proxy in proxies]
+        assert counting_one_sided(views[0], delta) == heap_counting(views[1], delta), case
+        assert proxies[0].log == proxies[1].log, case
+
+
+# sha256 of reports_to_csv for the benchmark's counting specs, recorded
+# from the heap scheduler before it was replaced by level sweeps
+COUNTING_GOLDEN = {
+    (0, "counting"): "9be9d15fadf6bd2b6b1f4f88324b6c839582466d80204290c39041e66b822ea9",
+    (0, "counting2"): "3e254ff21285b1591b0810bf4dde609d03cfeb1b6fe5a58e03d15c797622e260",
+    (1, "counting"): "32d0f60ae68fbdbd65319cca9d49e7439d2198239cd526748d0021e52f89cc42",
+    (1, "counting2"): "12ee85a5a9addb2e94e2b4439c41a58b8baa8be1c3dc53aaebb3409fe997ac89",
+    (2, "counting"): "6434f2ad6c31e417d7123c36aefc2c4ffaa114a7719db4a7e3ceeca567e94d64",
+    (2, "counting2"): "f2579f8c9850544a0b4245a3579986735fb318f8494f5226162ff6ce16242262",
+}
+
+
+@pytest.mark.parametrize("seed,kind", sorted(COUNTING_GOLDEN))
+def test_counting_rows_golden(seed, kind):
+    ones = 10 if kind == "counting" else 1990
+    trials = 3 if kind == "counting" else 4
+    spec = ExperimentSpec(kind, n=2000, p=0.2, delta=0.05, ones=ones, trials=trials, seed=seed)
+    csv = reports_to_csv([run_experiment(spec)])
+    assert hashlib.sha256(csv.encode()).hexdigest() == COUNTING_GOLDEN[(seed, kind)]

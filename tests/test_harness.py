@@ -9,6 +9,8 @@ from scipy.stats import beta as beta_dist
 from noisyquery import (
     CSV_COLUMNS,
     ExperimentSpec,
+    RejectionCapExceeded,
+    harness,
     report_to_dict,
     reports_to_csv,
     reports_to_json,
@@ -164,6 +166,15 @@ def test_counting2_report_and_k_column():
     assert report.errors <= 4
 
 
+@pytest.mark.parametrize("kind", ["connectivity", "st-connectivity"])
+def test_validation_rejects_infeasible_balance(kind):
+    with pytest.raises(ValueError, match="balanced edge"):
+        validate_spec(ExperimentSpec(kind=kind, n=3, p=0.2, delta=0.1, beta=Fraction(49, 100), trials=1))
+    # n=2 at the default 1/21 has the single edge 1|1
+    validate_spec(ExperimentSpec(kind=kind, n=2, p=0.2, delta=0.1, trials=1))
+    assert run_experiment(ExperimentSpec(kind=kind, n=2, p=0.2, delta=0.1, trials=3, seed=5)).spec.n == 2
+
+
 def test_validation_rejects_bad_specs():
     with pytest.raises(ValueError):
         validate_spec(ExperimentSpec(kind="threshold", n=10, k=3, p=0.25, delta=0.1, trials=0, seed=0))
@@ -181,12 +192,14 @@ def test_validation_rejects_bad_specs():
         run_experiment(ExperimentSpec(kind="threshold", n=10, k=3, p=0.25, delta=1.5, trials=5, seed=0))
 
 
-def test_trial_failures_name_the_trial():
-    # beta just below 1/2 is unsatisfiable on 11 vertices, so the
-    # instance sampler exhausts its restart budget
-    spec = ExperimentSpec(
-        kind="connectivity", n=11, p=0.2, delta=0.1, trials=3, seed=98, beta=Fraction(49, 100)
-    )
+def test_trial_failures_name_the_trial(monkeypatch):
+    # a sampler that exhausts its restart budget inside a trial; specs
+    # that no tree can satisfy are already refused by validate_spec
+    def exhausted(n, rng, **kwargs):
+        raise RejectionCapExceeded(f"no balanced edge found on {n} vertices")
+
+    monkeypatch.setattr(harness, "sample_hard_instance", exhausted)
+    spec = ExperimentSpec(kind="connectivity", n=11, p=0.2, delta=0.1, trials=3, seed=98)
     with pytest.raises(RuntimeError, match="trial 0"):
         run_experiment(spec)
 

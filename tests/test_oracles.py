@@ -6,8 +6,8 @@ from noisyquery import (
     BitOracle,
     ComplementBitOracle,
     EdgeOracle,
+    NoiseModel,
     derive_rng,
-    make_noise_model,
     seed_sequence,
 )
 
@@ -18,31 +18,31 @@ def bernoulli_kl(a: float, b: float) -> float:
 
 
 def test_noise_model_values():
-    model = make_noise_model(0.25)
+    model = NoiseModel(0.25)
     assert model.dkl == pytest.approx(0.5 * math.log(3.0), rel=1e-12)
     assert model.dkl == pytest.approx(0.549306, abs=1e-6)
-    model = make_noise_model(0.1)
+    model = NoiseModel(0.1)
     assert model.dkl == pytest.approx(0.8 * math.log(9.0), rel=1e-12)
     assert model.dkl == pytest.approx(1.757780, abs=1e-6)
 
 
 @pytest.mark.parametrize("p", [0.01, 0.05, 0.1, 0.2, 0.25, 1 / 3, 0.4, 0.45, 0.49])
 def test_noise_model_matches_generic_kl(p):
-    model = make_noise_model(p)
+    model = NoiseModel(p)
     assert model.log_ratio > 0.0
     assert model.dkl > 0.0
     assert model.dkl == pytest.approx(bernoulli_kl(1.0 - p, p), rel=1e-12)
 
 
 def test_noise_model_vanishes_near_half():
-    model = make_noise_model(0.499)
+    model = NoiseModel(0.499)
     assert 0.0 < model.dkl < 1e-4
 
 
 @pytest.mark.parametrize("p", [0.0, 0.5, -0.1, 0.7, 1.0, float("nan"), float("inf"), None, "0.2"])
 def test_noise_model_rejects_bad_probability(p):
     with pytest.raises(ValueError):
-        make_noise_model(p)
+        NoiseModel(p)
 
 
 def test_bit_oracle_channel_frequency():
