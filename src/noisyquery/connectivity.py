@@ -16,10 +16,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
+import numpy as np
+
 from .streams import as_generator
 from .trees import Edge, LabeledTree, as_balance_threshold, balanced_edges, sample_ust
 from .unionfind import UnionFind
-from .walks import WalkPolicy, _check_delta, check_bit
+# check_bit is not called here but stays a module attribute: walk
+# instrumentation, such as perfbench's tracer, wraps it by this name
+from .walks import WalkPolicy, _check_delta, check_bit, walks  # noqa: F401
 
 HARD_BALANCE = Fraction(1, 21)
 DEFAULT_REJECTION_CAP = 10_000
@@ -142,6 +146,7 @@ def _reconstruct(oracle, delta: float) -> UnionFind:
     Per-pair error budget is delta / C(n,2), so by the union bound the
     whole reconstruction is exact with probability >= 1 - delta, and any
     connectivity predicate computed from it inherits that guarantee.
+    Every pair is walked in one :func:`~noisyquery.walks.walks` call.
     """
     _check_delta(delta, "delta")
     n = oracle.n
@@ -151,10 +156,10 @@ def _reconstruct(oracle, delta: float) -> UnionFind:
     pairs = n * (n - 1) // 2
     per_edge = delta / pairs
     policy = WalkPolicy.for_error_bounds(oracle.noise, per_edge, per_edge)
-    for u in range(n):
-        for v in range(u + 1, n):
-            if check_bit(oracle, (u, v), per_edge, policy=policy).decided_bit:
-                uf.union(u, v)
+    decided, _ = walks(oracle, np.arange(pairs), policy.down_threshold_a, policy.up_threshold_b)
+    us, vs = oracle._pairs(np.flatnonzero(decided))
+    for u, v in zip(us.tolist(), vs.tolist()):
+        uf.union(u, v)
     return uf
 
 

@@ -20,6 +20,8 @@ from itertools import repeat
 from statistics import NormalDist
 from typing import Sequence
 
+import numpy as np
+
 from .boolfn import MAX_ARITY, TruthTable, restriction_identity_residual
 from .connectivity import (
     HARD_BALANCE,
@@ -117,7 +119,10 @@ def wilson_interval(errors: int, trials: int, confidence: float = 0.95) -> tuple
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2.0 * trials)) / denom
     half = z * math.sqrt(phat * (1.0 - phat) / trials + z * z / (4.0 * trials * trials)) / denom
-    return (max(0.0, center - half), min(1.0, center + half))
+    # at 0 or all errors one bound is exactly 0 or 1; rounding must not move it
+    low = 0.0 if errors == 0 else max(0.0, center - half)
+    high = 1.0 if errors == trials else min(1.0, center + half)
+    return (low, high)
 
 
 def theory_bound(kind: str, *, n: int | None = None, k: int | None = None, delta: float, p: float) -> float:
@@ -190,9 +195,8 @@ def validate_spec(spec: ExperimentSpec) -> None:
 
 def _bit_oracle_for(spec: ExperimentSpec, trial: int, ones: int) -> tuple[BitOracle, int]:
     instance_rng = derive_rng(spec.seed, spec.kind, "instance", trial)
-    hidden = [0] * spec.n
-    for i in instance_rng.permutation(spec.n)[:ones].tolist():
-        hidden[i] = 1
+    hidden = np.zeros(spec.n, dtype=np.uint8)
+    hidden[instance_rng.permutation(spec.n)[:ones]] = 1
     oracle = BitOracle(hidden, NoiseModel(spec.p), seed_sequence(spec.seed, spec.kind, "noise", trial))
     return oracle, ones
 

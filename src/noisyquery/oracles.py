@@ -3,9 +3,20 @@
 A noisy oracle hides a bit vector (or the edge set of a graph) and
 answers point queries through a binary symmetric channel: each answer is
 the true bit flipped independently with probability ``p``. Every answer
-consumes exactly one uniform draw from the oracle's private stream and
-increments its ledger by one, so query counts and answer streams are
-reproducible functions of (seed, hidden input, p).
+adds one query to the oracle's ledger.
+
+Answers are counter-based, in the manner of Random123 (Salmon et al.,
+SC'11). The oracle holds a two-word stream key, and every key it hides
+(a bit index, or an unordered vertex pair) has a 64-bit counter that
+starts at base(i), a mix of the stream key with i, and advances by GAMMA
+with each answer. Answer j (from 1) about key i is flipped exactly when
+mix(base(i) + j * GAMMA) < floor(p * 2^64), where ``mix`` is SplitMix64's
+finaliser, a bijection on 64-bit words. Answers therefore depend only on
+(stream key, key, j), not on the order in which keys are queried, so a
+walk over many keys can compute all its answers at once
+(:func:`noisyquery.walks.walks`), bit for bit equal to repeated
+``query`` calls. Query counts and answers are reproducible functions of
+(stream key, hidden input, p).
 """
 
 from __future__ import annotations
@@ -16,10 +27,37 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .streams import as_generator
+from .streams import stream_key
 
-_CHUNK_START = 128
-_CHUNK_MAX = 16384
+GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+_MASK = (1 << 64) - 1
+
+
+def mix(z: int) -> int:
+    """SplitMix64's finaliser on one 64-bit word."""
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK
+    return z ^ (z >> 31)
+
+
+def mix_array(z: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
+    """:func:`mix` on every word of a uint64 array, in place.
+
+    ``tmp``, an array of the same shape, saves allocating a scratch one.
+    """
+    if tmp is None:
+        tmp = np.empty_like(z)
+    np.right_shift(z, 30, out=tmp)
+    z ^= tmp
+    z *= np.uint64(_MIX1)
+    np.right_shift(z, 27, out=tmp)
+    z ^= tmp
+    z *= np.uint64(_MIX2)
+    np.right_shift(z, 31, out=tmp)
+    z ^= tmp
+    return z
 
 
 @dataclass(frozen=True)
@@ -60,49 +98,52 @@ class QueryLedger:
             self.per_index[key] = self.per_index.get(key, 0) + count
 
 
-class _BufferedChannel:
-    """Shared machinery: buffered uniform draws, noise flip, ledger.
+class _CounterChannel:
+    """Shared machinery: counter-based answers, per-key counters, ledger.
 
-    Uniforms are drawn from the generator in growing blocks; consuming
-    them one by one yields exactly the same sequence as unbuffered
-    scalar draws, so buffering never changes an oracle's answer stream.
+    The hidden keys are numbered by slots 0..size-1. ``_bits[s]`` is the
+    hidden bit of slot s and ``_counters[s]`` the counter of its latest
+    answer: base(s) + j * GAMMA after j answers, modulo 2^64, where
+    base(s) = mix(key0 + (s + 1) * GAMMA) ^ key1. The next answer about
+    slot s is flipped when mix(_counters[s] + GAMMA) < ``_flip_below``.
     """
 
-    def _init_channel(self, noise: NoiseModel, rng, track_per_index: bool) -> None:
+    def _init_channel(self, noise: NoiseModel, rng, track_per_index: bool, bits: np.ndarray) -> None:
         if not isinstance(noise, NoiseModel):
             noise = NoiseModel(noise)
         self.noise = noise
-        self._p = noise.p
-        self._rng = as_generator(rng)
-        self._chunk = _CHUNK_START
-        self._buf: list[float] = []
-        self._pos = 0
+        key0, key1 = stream_key(rng)
+        # p * 2^64 is exact in binary floating point, so the flip chance is p to within 2^-64
+        self._flip_below = int(noise.p * 2.0**64)
+        self._bits = bits
+        bases = np.arange(1, bits.size + 1, dtype=np.uint64) * np.uint64(GAMMA) + np.uint64(key0)
+        self._counters = mix_array(bases) ^ np.uint64(key1)
         self.ledger = QueryLedger(per_index={} if track_per_index else None)
 
-    def _refill(self) -> None:
-        chunk = self._chunk
-        if chunk < _CHUNK_MAX:
-            self._chunk = chunk * 2
-        self._buf = self._rng.random(chunk).tolist()
-        self._pos = 0
+    def _answer(self, slot: int) -> int:
+        """The next answer about ``slot``; the caller records it in the ledger."""
+        counter = (self._counters.item(slot) + GAMMA) & _MASK
+        self._counters[slot] = counter
+        return self._bits.item(slot) ^ (mix(counter) < self._flip_below)
 
-    def _next_uniform(self) -> float:
-        pos = self._pos
-        buf = self._buf
-        if pos == len(buf):
-            self._refill()
-            buf = self._buf
-            pos = 0
-        self._pos = pos + 1
-        return buf[pos]
+    def _charge(self, slots: np.ndarray, steps: np.ndarray) -> None:
+        """Count ``steps[i]`` more answers about ``slots[i]``; slots are distinct."""
+        self._counters[slots] += steps.astype(np.uint64) * np.uint64(GAMMA)
+        ledger = self.ledger
+        if ledger.per_index is None:
+            ledger.total_queries += int(steps.sum())
+        else:
+            for key, count in zip(self._ledger_keys(slots), steps.tolist()):
+                ledger.record(key, count)
 
 
-class BitOracle(_BufferedChannel):
+class BitOracle(_CounterChannel):
     """Noisy point-query access to a hidden bit vector.
 
     The hidden vector is fixed at construction. ``query(i)`` returns
     ``hidden[i]`` with probability 1-p and its complement otherwise,
-    independently across calls, and adds one query to the ledger.
+    independently across calls, and adds one query to the ledger. Bit i
+    is slot i.
     """
 
     def __init__(
@@ -113,48 +154,47 @@ class BitOracle(_BufferedChannel):
         *,
         track_per_index: bool = False,
     ) -> None:
-        bits = [int(b) for b in hidden]
-        if any(b not in (0, 1) for b in bits):
+        bits = np.asarray(hidden)
+        if bits.ndim != 1 or not ((bits == 0) | (bits == 1)).all():
             raise ValueError("hidden input must consist of 0/1 bits")
-        self._hidden = bits
-        self._n = len(bits)
-        self._init_channel(noise, rng, track_per_index)
+        self._init_channel(noise, rng, track_per_index, bits.astype(np.uint8))
 
     @property
     def n(self) -> int:
-        return self._n
+        return self._bits.size
 
     @property
     def hidden(self) -> tuple[int, ...]:
-        return tuple(self._hidden)
+        return tuple(self._bits.tolist())
 
     def true_ones(self) -> int:
         """Ground-truth number of ones (for harness scoring, not algorithms)."""
-        return sum(self._hidden)
+        return int(self._bits.sum())
 
-    def _hidden_bit(self, i) -> int:
+    def _slot(self, i) -> int:
         if not isinstance(i, (int, np.integer)):
             raise IndexError(f"bit index must be an integer, got {i!r}")
-        if not 0 <= i < self._n:
-            raise IndexError(f"bit index {i} out of range [0, {self._n})")
-        return self._hidden[i]
-
-    def _ledger_key(self, i) -> int:
+        if not 0 <= i < self._bits.size:
+            raise IndexError(f"bit index {i} out of range [0, {self._bits.size})")
         return int(i)
+
+    def _ledger_keys(self, slots: np.ndarray) -> list[int]:
+        return slots.tolist()
 
     def query(self, i: int) -> int:
         """One noisy read of bit ``i`` (0-based)."""
-        bit = self._hidden_bit(i)
-        u = self._next_uniform()
-        self.ledger.record(int(i))
-        return bit ^ (u < self._p)
+        slot = self._slot(i)
+        answer = self._answer(slot)
+        self.ledger.record(slot)
+        return answer
 
 
-class EdgeOracle(_BufferedChannel):
+class EdgeOracle(_CounterChannel):
     """Noisy membership queries over the edge set of a hidden graph on [n].
 
     Queries address unordered pairs: ``query((u, v))`` and
-    ``query((v, u))`` hit the same hidden edge.
+    ``query((v, u))`` hit the same hidden edge. The pairs u < v are the
+    slots, numbered in the order of ``numpy.triu_indices(n, 1)``.
     """
 
     def __init__(
@@ -169,11 +209,11 @@ class EdgeOracle(_BufferedChannel):
         if n < 1:
             raise ValueError(f"vertex count must be >= 1, got {n}")
         self._n = int(n)
-        normalized = set()
-        for u, v in edges:
-            normalized.add(self._normalize(u, v))
-        self._edges = frozenset(normalized)
-        self._init_channel(noise, rng, track_per_index)
+        self._edges = frozenset(self._normalize(u, v) for u, v in edges)
+        bits = np.zeros(self._n * (self._n - 1) // 2, dtype=np.uint8)
+        for u, v in self._edges:
+            bits[self._pair_slot(u, v)] = 1
+        self._init_channel(noise, rng, track_per_index, bits)
 
     def _normalize(self, u, v) -> tuple[int, int]:
         u = int(u)
@@ -184,6 +224,10 @@ class EdgeOracle(_BufferedChannel):
             raise IndexError(f"vertex pair ({u}, {v}) out of range [0, {self._n})")
         return (u, v) if u < v else (v, u)
 
+    def _pair_slot(self, u: int, v: int) -> int:
+        # pairs (0,1), (0,2), ..., (0,n-1), (1,2), ...: row u starts after u rows of n-1, n-2, ... pairs
+        return u * (2 * self._n - u - 1) // 2 + v - u - 1
+
     @property
     def n(self) -> int:
         return self._n
@@ -192,21 +236,26 @@ class EdgeOracle(_BufferedChannel):
     def edges(self) -> frozenset[tuple[int, int]]:
         return self._edges
 
-    def _hidden_bit(self, key) -> int:
+    def _slot(self, key) -> int:
         u, v = key
-        return 1 if self._normalize(u, v) in self._edges else 0
+        return self._pair_slot(*self._normalize(u, v))
 
-    def _ledger_key(self, key) -> tuple[int, int]:
-        return self._normalize(*key)
+    def _pairs(self, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Endpoint arrays (u, v), u < v, of the pairs at ``slots``."""
+        us, vs = np.triu_indices(self._n, 1)
+        return us[slots], vs[slots]
+
+    def _ledger_keys(self, slots: np.ndarray) -> list[tuple[int, int]]:
+        us, vs = self._pairs(slots)
+        return list(zip(us.tolist(), vs.tolist()))
 
     def query(self, key: tuple[int, int]) -> int:
         """One noisy membership test of the unordered pair ``key``."""
         u, v = key
         pair = self._normalize(u, v)
-        bit = 1 if pair in self._edges else 0
-        w = self._next_uniform()
+        answer = self._answer(self._pair_slot(*pair))
         self.ledger.record(pair)
-        return bit ^ (w < self._p)
+        return answer
 
 
 class ComplementBitOracle:

@@ -1,8 +1,9 @@
 """Deterministic random stream derivation.
 
-Every random consumer in this package (oracles, instance samplers,
+Every random consumer in this package (instance samplers,
 algorithm-internal randomness) gets its own generator derived from a
-master seed plus a tuple of tags. Streams with distinct tags are
+master seed plus a tuple of tags; oracles get a two-word stream key for
+their counter-based answers (:func:`stream_key`). Streams with distinct tags are
 statistically independent and do not depend on the order in which they
 are created, so trials can run on any number of workers and still
 reproduce bit-for-bit.
@@ -10,31 +11,40 @@ reproduce bit-for-bit.
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
+
+_TAG_NONNEGATIVE = 1
+_TAG_NEGATIVE = 2
+_TAG_STR = 3
 
 
 def _entropy_words(part: int | str) -> list[int]:
     """Map a tag to 32-bit words suitable for SeedSequence entropy.
 
-    Strings are hashed with sha256 so the mapping is stable across
-    processes and platforms (the builtin ``hash`` is salted per process).
+    Every tag starts with a header word, 4 * length + type: the type
+    tells non-negative ints, negative ints and strings apart, and the
+    length counts the payload's 32-bit words for ints (the magnitude,
+    least significant word first) and its UTF-8 bytes for strings. The
+    framing makes the encoding of a tag tuple injective: distinct tuples
+    give distinct word lists, and since no header is zero, no list is
+    another with zero words appended, which SeedSequence would not tell
+    apart. Nothing depends on the builtin ``hash``, which is salted per
+    process.
     """
     if isinstance(part, str):
-        digest = hashlib.sha256(part.encode("utf-8")).digest()
-        return [int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4)]
+        data = part.encode("utf-8")
+        padded = data + bytes(-len(data) % 4)
+        payload = [int.from_bytes(padded[i : i + 4], "little") for i in range(0, len(padded), 4)]
+        return [4 * len(data) + _TAG_STR, *payload]
     if isinstance(part, (int, np.integer)):
         value = int(part)
-        if value < 0:
-            # fold negatives away from the non-negative ints
-            value = (-value << 1) | 1
-        words = []
-        while True:
-            words.append(value & 0xFFFFFFFF)
+        kind = _TAG_NONNEGATIVE if value >= 0 else _TAG_NEGATIVE
+        value = abs(value)
+        payload = []
+        while value:
+            payload.append(value & 0xFFFFFFFF)
             value >>= 32
-            if not value:
-                return words
+        return [4 * len(payload) + kind, *payload]
     raise TypeError(f"stream tag must be int or str, got {type(part).__name__}")
 
 
@@ -50,7 +60,8 @@ def seed_sequence(*parts: int | str) -> np.random.SeedSequence:
     entropy: list[int] = []
     for part in parts:
         entropy.extend(_entropy_words(part))
-    return np.random.SeedSequence(entropy)
+    # an array is read several times faster than a list of Python ints
+    return np.random.SeedSequence(np.array(entropy, dtype=np.uint32))
 
 
 def derive_rng(*parts: int | str) -> np.random.Generator:
@@ -67,3 +78,20 @@ def as_generator(
     if isinstance(rng, (int, np.integer, np.random.SeedSequence)):
         return np.random.default_rng(rng)
     raise TypeError(f"expected Generator, SeedSequence or int, got {type(rng).__name__}")
+
+
+def stream_key(rng: np.random.Generator | np.random.SeedSequence | int) -> tuple[int, int]:
+    """Two 64-bit words naming a counter-based stream.
+
+    A SeedSequence (or an int seed, through one) yields its first two
+    state words; a Generator is asked for two uniform 64-bit words, which
+    advances it.
+    """
+    if isinstance(rng, np.random.Generator):
+        words = rng.integers(0, 1 << 64, size=2, dtype=np.uint64)
+    elif isinstance(rng, (int, np.integer, np.random.SeedSequence)):
+        seq = rng if isinstance(rng, np.random.SeedSequence) else np.random.SeedSequence(int(rng))
+        words = seq.generate_state(2, dtype=np.uint64)
+    else:
+        raise TypeError(f"expected Generator, SeedSequence or int, got {type(rng).__name__}")
+    return int(words[0]), int(words[1])

@@ -1,3 +1,5 @@
+import hypothesis
+from hypothesis import strategies as st
 import numpy as np
 import pytest
 
@@ -164,6 +166,15 @@ def test_hex_round_trip():
         table = TruthTable.random(arity, derive_rng(47, "hex", arity))
         text = table.to_hex()
         assert TruthTable.from_hex(text, arity) == table
+
+
+@hypothesis.given(st.integers(0, 10).flatmap(lambda arity: st.lists(st.integers(0, 1), min_size=1 << arity, max_size=1 << arity)), st.data())
+def test_hex_round_trip_property(values, data):
+    table = TruthTable(values)
+    labels = data.draw(st.permutations(range(10, 10 + table.arity)))
+    relabelled = TruthTable(values, labels)
+    assert TruthTable.from_hex(table.to_hex(), table.arity) == table
+    assert TruthTable.from_hex(relabelled.to_hex(), table.arity, labels) == relabelled
 
 
 def test_hex_known_value():

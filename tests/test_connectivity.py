@@ -1,14 +1,18 @@
+import dataclasses
+import hashlib
 import math
 from fractions import Fraction
 
+import hypothesis
+from hypothesis import strategies as st
 import pytest
 from scipy.stats import chi2
 
 from noisyquery import (
     EdgeOracle,
+    ExperimentSpec,
     InfeasibleBalance,
     NoiseModel,
-    QueryLedger,
     RejectionCapExceeded,
     UnionFind,
     WalkPolicy,
@@ -20,31 +24,26 @@ from noisyquery import (
     is_connected_graph,
     naive_connectivity,
     naive_st_connectivity,
+    prufer_to_tree,
+    reports_to_csv,
+    run_experiment,
     sample_hard_instance,
     sample_st_instance,
     seed_sequence,
     theory_bound,
 )
+from noisyquery.connectivity import HardInstance
 
 
-class NoiselessEdgeOracle:
-    """Test double: same interface as EdgeOracle, answers never flipped."""
+class NoiselessEdgeOracle(EdgeOracle):
+    """Test double: an EdgeOracle whose channel never flips an answer.
+
+    Its noise model (p = 1/4) is consulted only for walk barriers.
+    """
 
     def __init__(self, n, edges):
-        self._n = n
-        self._edges = {tuple(sorted(e)) for e in edges}
-        self.noise = NoiseModel(0.25)  # consulted only for thresholds
-        self.ledger = QueryLedger()
-
-    @property
-    def n(self):
-        return self._n
-
-    def query(self, key):
-        u, v = key
-        pair = (u, v) if u < v else (v, u)
-        self.ledger.record(pair)
-        return 1 if pair in self._edges else 0
+        super().__init__(n, edges, NoiseModel(0.25), 0)
+        self._flip_below = 0
 
 
 def test_union_find_basics():
@@ -243,3 +242,40 @@ def test_hard_instance_deserialization_errors():
         hard_instance_from_text("n=3 label=0 removed=none\n1 2\n2 3\n")
     with pytest.raises(ValueError):
         hard_instance_from_text("label=1 removed=none\n1 2\n")
+
+
+@hypothesis.given(
+    st.integers(2, 40).flatmap(lambda n: st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2).map(
+        lambda seq: prufer_to_tree(seq, n)
+    )),
+    st.data(),
+)
+def test_hard_instance_text_round_trip_property(tree, data):
+    # any tree, kept whole (label 1) or less any one edge (label 0)
+    removed = data.draw(st.one_of(st.none(), st.sampled_from(tree.edges)))
+    graph = frozenset(e for e in tree.edges if e != removed)
+    instance = HardInstance(tree.n, graph, 1 if removed is None else 0, removed, tree)
+    assert hard_instance_from_text(hard_instance_to_text(instance)) == instance
+
+
+# sha256 of reports_to_csv for the benchmark's connectivity spec and a
+# small st-connectivity spec at seeds 0-2, recorded when answers became
+# counter-based; a refactor that keeps every realisation keeps these
+ROWS_GOLDEN = {
+    (0, "connectivity"): "f94d3b8af17b2ffad623ef0b7da7482ff371d122b79aba032233597ceb6ead6a",
+    (1, "connectivity"): "ebf6475fc07d77e2c5df4400a3b321dde321c8fafcce92c8d2b4e8ea0ee2f5a1",
+    (2, "connectivity"): "4a98e0379e949ded7dc3afa2e58170d6244e05b420142e003e3cf3fdfee53c84",
+    (0, "st-connectivity"): "5b620c544f06704756ac87bc2b08f96a541f2d714f8c41a69fa9228e1cbceab3",
+    (1, "st-connectivity"): "6a3382c95f6f7761d272f29c183d4046c867875dd09655fa3047762ed3ef8731",
+    (2, "st-connectivity"): "ee39acdd87cb750cffc12f14fcdfe28f2c3a1c2636f4d921b94c5d4dd97f2a0f",
+}
+GOLDEN_SPECS = {
+    "connectivity": ExperimentSpec("connectivity", n=50, p=0.2, delta=0.05, trials=40),
+    "st-connectivity": ExperimentSpec("st-connectivity", n=30, p=0.2, delta=0.1, trials=20),
+}
+
+
+@pytest.mark.parametrize("seed,kind", sorted(ROWS_GOLDEN))
+def test_connectivity_rows_golden(seed, kind):
+    csv = reports_to_csv([run_experiment(dataclasses.replace(GOLDEN_SPECS[kind], seed=seed))])
+    assert hashlib.sha256(csv.encode()).hexdigest() == ROWS_GOLDEN[(seed, kind)]

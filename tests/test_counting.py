@@ -1,7 +1,11 @@
+import dataclasses
 import hashlib
 import heapq
 import math
+from collections import Counter
 
+import hypothesis
+from hypothesis import strategies as st
 import pytest
 
 from noisyquery import (
@@ -21,6 +25,8 @@ from noisyquery import (
     theory_bound,
     threshold_count,
 )
+
+from conftest import query_walk
 
 
 class RecordingOracle:
@@ -161,25 +167,26 @@ def test_threshold_query_decomposition_replay():
 
 
 def test_counting_retirement_from_query_log():
-    # reconstruct every per-index walk from the query log: once a walk
-    # reaches the retire barrier the index must never be queried again,
-    # and the returned count must equal the number of retired indices
+    # replay every index's answers through query() on an identically
+    # seeded oracle: once a walk reaches the retire barrier the index must
+    # never be queried again, and the returned count must equal the number
+    # of retired indices
     n, p, delta = 60, 0.2, 0.1
     hidden = hidden_with_ones(n, 12, derive_rng(11, "retire-inst"))
-    inner = BitOracle(hidden, p, seed_sequence(11, "retire"))
-    proxy = RecordingOracle(inner)
-    result = counting_one_sided(proxy, delta)
+    oracle = BitOracle(hidden, p, seed_sequence(11, "retire"), track_per_index=True)
+    result = counting_one_sided(oracle, delta)
 
-    retire_at = snapped_ceil(math.log(6.0 * n / delta) / inner.noise.log_ratio)
-    walk = {}
-    retired_step = {}
-    for step, (i, answer) in enumerate(proxy.log):
-        assert i not in retired_step, f"index {i} queried after retiring"
-        walk[i] = walk.get(i, 0) + (1 if answer else -1)
-        if walk[i] >= retire_at:
-            retired_step[i] = step
-    assert result.value == len(retired_step)
-    assert result.queries == len(proxy.log)
+    replay = BitOracle(hidden, p, seed_sequence(11, "retire"))
+    retire_at = snapped_ceil(math.log(6.0 * n / delta) / replay.noise.log_ratio)
+    retired = 0
+    for i, answers in oracle.ledger.per_index.items():
+        walk = 0
+        for _ in range(answers):
+            assert walk < retire_at, f"index {i} queried after retiring"
+            walk += 1 if replay.query(i) else -1
+        retired += walk >= retire_at
+    assert result.value == retired
+    assert result.queries == replay.ledger.total_queries
 
 
 def test_counting_empty_active_returns_n():
@@ -319,32 +326,105 @@ def test_sweep_matches_heap_reference(complement):
 
 @pytest.mark.parametrize("complement", [False, True])
 def test_query_path_sweep_matches_heap_order(complement):
-    # an oracle without a uniform buffer is walked through query() in
-    # the heap's order
+    # the heap reference reads its answers one query() at a time, in heap
+    # order; answers depend only on (index, answer number), so the sweep's
+    # lockstep walks read the same answers: same count, and per index as
+    # many answers as the heap's query log holds
     for case in range(40):
         hidden, p, delta, _, _ = _random_counting_case(case)
-        proxies = [RecordingOracle(BitOracle(hidden, p, seed_sequence(37, "sweep-q", case))) for _ in range(2)]
-        views = [ComplementBitOracle(proxy) if complement else proxy for proxy in proxies]
-        assert counting_one_sided(views[0], delta) == heap_counting(views[1], delta), case
-        assert proxies[0].log == proxies[1].log, case
+        swept = BitOracle(hidden, p, seed_sequence(37, "sweep-q", case), track_per_index=True)
+        proxy = RecordingOracle(BitOracle(hidden, p, seed_sequence(37, "sweep-q", case)))
+        result = counting_one_sided(ComplementBitOracle(swept) if complement else swept, delta)
+        assert result == heap_counting(ComplementBitOracle(proxy) if complement else proxy, delta), case
+        assert swept.ledger.per_index == dict(Counter(i for i, _ in proxy.log)), case
 
 
-# sha256 of reports_to_csv for the benchmark's counting specs, recorded
-# from the heap scheduler before it was replaced by level sweeps
-COUNTING_GOLDEN = {
-    (0, "counting"): "9be9d15fadf6bd2b6b1f4f88324b6c839582466d80204290c39041e66b822ea9",
-    (0, "counting2"): "3e254ff21285b1591b0810bf4dde609d03cfeb1b6fe5a58e03d15c797622e260",
-    (1, "counting"): "32d0f60ae68fbdbd65319cca9d49e7439d2198239cd526748d0021e52f89cc42",
-    (1, "counting2"): "12ee85a5a9addb2e94e2b4439c41a58b8baa8be1c3dc53aaebb3409fe997ac89",
-    (2, "counting"): "6434f2ad6c31e417d7123c36aefc2c4ffaa114a7719db4a7e3ceeca567e94d64",
-    (2, "counting2"): "f2579f8c9850544a0b4245a3579986735fb318f8494f5226162ff6ce16242262",
+@hypothesis.given(
+    hidden=st.lists(st.integers(0, 1), min_size=1, max_size=60),
+    p=st.floats(0.02, 0.45),
+    delta=st.floats(0.005, 0.6),
+    seed=st.integers(0, 2**32),
+    complement=st.booleans(),
+    warmup=st.lists(st.integers(0, 59), max_size=100),
+)
+def test_sweep_matches_heap_reference_property(hidden, p, delta, seed, complement, warmup):
+    oracles = [BitOracle(hidden, p, seed_sequence(seed, "heap"), track_per_index=True) for _ in range(2)]
+    views = [ComplementBitOracle(o) if complement else o for o in oracles]
+    for view in views:
+        for i in warmup:
+            view.query(i % len(hidden))
+    assert counting_one_sided(views[0], delta) == heap_counting(views[1], delta)
+    assert oracles[0].ledger == oracles[1].ledger
+    assert oracles[0]._counters.tolist() == oracles[1]._counters.tolist()
+
+
+@hypothesis.example(n=2000, density=0.01, k_share=0.01, p=0.25, delta=0.01, seed=1, warmup=[1999])
+@hypothesis.given(
+    n=st.integers(1, 2000),
+    density=st.floats(0.0, 1.0),
+    k_share=st.floats(0.0, 1.0),
+    p=st.floats(0.02, 0.4),
+    delta=st.floats(0.001, 0.5),
+    seed=st.integers(0, 2**32),
+    warmup=st.lists(st.integers(0, 1999), max_size=30),
+)
+def test_threshold_charges_no_index_past_the_stop(n, density, k_share, p, delta, seed, warmup):
+    # against a scan that checks one index at a time through query() and
+    # stops at the k-th one: same answer, same answers read per index
+    hidden = (derive_rng(seed, "th-bits").random(n) < density).astype(int)
+    k = max(1, math.ceil(k_share * n))
+    oracles = [BitOracle(hidden, p, seed_sequence(seed, "th"), track_per_index=True) for _ in range(2)]
+    for oracle in oracles:
+        for i in warmup:
+            oracle.query(i % n)
+    result = threshold_count(oracles[0], k, delta)
+    policy = WalkPolicy.for_error_bounds(oracles[1].noise, delta / (2 * n), delta / (2 * k))
+    count = 0
+    for i in range(n):
+        count += query_walk(oracles[1], i, policy.down_threshold_a, policy.up_threshold_b)[0]
+        if count >= k:
+            break
+    assert result.value == count
+    assert oracles[0].ledger == oracles[1].ledger
+    assert oracles[0]._counters.tolist() == oracles[1]._counters.tolist()
+
+
+# sha256 of reports_to_csv for the benchmark's counting and threshold
+# specs at seeds 0-2, recorded when answers became counter-based (oracle
+# answers and stream derivation both changed then); a refactor that keeps
+# every realisation keeps these
+ROWS_GOLDEN = {
+    (0, "counting"): "e9592c75a16cb03c05b6d4bf4b94ebae6db588b97846380e5aea265f9a398e5c",
+    (1, "counting"): "925a0c8eb25fa725547e2fce58a8198be041d05632a613b93ba07a7d4de9fea4",
+    (2, "counting"): "cf12ab8c0b23c8cffd5c8c075385d1bf36a92cbf1f87e5e4c682d11223b99662",
+    (0, "counting2"): "58c6252bd815f1535b5a56c4063d37982e8abf02e2515e5bc5c93144992d8946",
+    (1, "counting2"): "5292730e3e09cc80a31b7a52a61e1aa847f20a208cc52493fa245e268ea538d6",
+    (2, "counting2"): "ec64aef8d1c4afd6f7b2ffc83e5cb26201282cd2dcffd0a248bb547dc0a4f072",
+    (0, "threshold"): "36a6129684473b03dd73f5f17d9a6fb08c1e3ebd3108ab2c1ecce57b1b81bf7d",
+    (1, "threshold"): "fd15756d1a3d69e1f729f56dc90248272509bf91eadb5739e3b6aecad124781a",
+    (2, "threshold"): "37ceee2ad287f03a4754ef5a29944653f97ba1e7426703fdd215bee4ee8e2c7f",
+    (0, "threshold-k990"): "0ed202657b12135fec3b18692c8afff4bc7ae3684544358d6fce02bcd5204171",
+    (1, "threshold-k990"): "51c12d96ee11e521827b3d07cc7e862cf2b4db83c05243d111846d76ec04ea4e",
+    (2, "threshold-k990"): "3064a121a74dd258afd3bf4ed4d249b4d79255f29032240b8adcc86127f9dc83",
+}
+GOLDEN_SPECS = {
+    "counting": ExperimentSpec("counting", n=2000, p=0.2, delta=0.05, ones=10, trials=3),
+    "counting2": ExperimentSpec("counting2", n=2000, p=0.2, delta=0.05, ones=1990, trials=4),
+    "threshold": ExperimentSpec("threshold", n=10**4, k=100, p=0.25, delta=0.01, trials=4),
+    "threshold-k990": ExperimentSpec("threshold", n=1000, k=990, p=0.25, delta=0.01, trials=20),
 }
 
 
-@pytest.mark.parametrize("seed,kind", sorted(COUNTING_GOLDEN))
+def rows_digest(spec, seed):
+    csv = reports_to_csv([run_experiment(dataclasses.replace(spec, seed=seed))])
+    return hashlib.sha256(csv.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("seed,kind", sorted(key for key in ROWS_GOLDEN if key[1].startswith("counting")))
 def test_counting_rows_golden(seed, kind):
-    ones = 10 if kind == "counting" else 1990
-    trials = 3 if kind == "counting" else 4
-    spec = ExperimentSpec(kind, n=2000, p=0.2, delta=0.05, ones=ones, trials=trials, seed=seed)
-    csv = reports_to_csv([run_experiment(spec)])
-    assert hashlib.sha256(csv.encode()).hexdigest() == COUNTING_GOLDEN[(seed, kind)]
+    assert rows_digest(GOLDEN_SPECS[kind], seed) == ROWS_GOLDEN[(seed, kind)]
+
+
+@pytest.mark.parametrize("seed,name", sorted(key for key in ROWS_GOLDEN if key[1].startswith("threshold")))
+def test_threshold_rows_golden(seed, name):
+    assert rows_digest(GOLDEN_SPECS[name], seed) == ROWS_GOLDEN[(seed, name)]

@@ -10,6 +10,8 @@ from noisyquery import (
     derive_rng,
     seed_sequence,
 )
+from noisyquery.oracles import GAMMA, mix
+from noisyquery.streams import stream_key
 
 
 def bernoulli_kl(a: float, b: float) -> float:
@@ -136,3 +138,19 @@ def test_complement_view_one_rate():
     calls = 10**5
     ones = sum(view.query(0) for _ in range(calls))
     assert abs(ones / calls - 0.7) < 0.005
+
+
+def test_answers_follow_the_documented_counter_mapping():
+    # answer j (from 1) about slot s is flipped iff
+    # mix(base(s) + j * GAMMA) < p * 2^64, base(s) = mix(key0 + (s + 1) * GAMMA) ^ key1,
+    # whatever order the slots are queried in
+    p, hidden = 0.3, [0, 1, 0]
+    oracle = BitOracle(hidden, p, seed_sequence(6, "mapping"))
+    key0, key1 = stream_key(seed_sequence(6, "mapping"))
+    mask = (1 << 64) - 1
+    answered = [0, 0, 0]
+    for slot in (2, 0, 2, 1, 1, 2, 0) * 20:
+        answered[slot] += 1
+        base = mix((key0 + (slot + 1) * GAMMA) & mask) ^ key1
+        flipped = mix((base + answered[slot] * GAMMA) & mask) < int(p * 2**64)
+        assert oracle.query(slot) == hidden[slot] ^ flipped

@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import hypothesis
+from hypothesis import strategies as st
 import pytest
 from scipy.stats import chi2
 
@@ -18,6 +20,15 @@ from noisyquery import (
     tree_to_prufer,
     tree_to_text,
 )
+
+
+def prufer_trees(max_n=40):
+    """Labeled trees on 1..max_n vertices, from their Prufer sequences."""
+    return st.integers(1, max_n).flatmap(
+        lambda n: st.lists(st.integers(0, n - 1), min_size=max(n - 2, 0), max_size=max(n - 2, 0)).map(
+            lambda seq: prufer_to_tree(seq, n)
+        )
+    )
 
 
 def path_tree(n):
@@ -223,3 +234,9 @@ def test_tree_text_round_trip():
         assert tree_from_text(tree_to_text(tree)) == tree
     with pytest.raises(ValueError):
         tree_from_text("1 2 3\n")
+
+
+@hypothesis.given(prufer_trees())
+def test_tree_text_round_trip_property(tree):
+    assert tree_from_text(tree_to_text(tree)) == tree
+    assert tree_from_text(tree_to_text(tree), tree.n) == tree

@@ -1,10 +1,15 @@
 import math
 from decimal import ROUND_CEILING, ROUND_HALF_EVEN, Decimal, getcontext
 
+import hypothesis
+from hypothesis import strategies as st
+import numpy as np
 import pytest
 
 from noisyquery import (
     BitOracle,
+    ComplementBitOracle,
+    EdgeOracle,
     NoiseModel,
     WalkOutcome,
     WalkPolicy,
@@ -18,6 +23,9 @@ from noisyquery import (
     simulate_hitting,
     snapped_ceil,
 )
+from noisyquery.walks import block_keys, commit_walks, walks
+
+from conftest import query_walk
 
 getcontext().prec = 60
 
@@ -111,7 +119,7 @@ def test_simulated_first_passage_matches_law(p, x):
 
 
 def test_fast_walk_consumes_stream_like_single_queries():
-    # the buffered walk must be answer-for-answer identical to a walk
+    # asymmetric_check_bit must be answer-for-answer identical to a walk
     # driven by public query() calls on an identically seeded oracle
     for hidden_bit in (0, 1):
         fast = BitOracle([hidden_bit], 0.3, seed_sequence(33, "fastpath", hidden_bit))
@@ -267,3 +275,99 @@ def test_simulate_validation():
         simulate_first_passage(0.6, 2, 10, 1)
     assert simulate_hitting(0.25, 0, 10, 1).fraction == 1.0
     assert simulate_first_passage(0.25, 0, 10, 1).mean == 0.0
+
+
+def _twin_bit_oracles(n, p, seed, complement, warmup):
+    # two identically seeded oracles (or complement views of them) with the
+    # same warm-up queries already answered
+    bases = [
+        BitOracle(derive_rng(seed, "bits").integers(0, 2, size=n), p, seed_sequence(seed, "noise"), track_per_index=True)
+        for _ in range(2)
+    ]
+    views = [ComplementBitOracle(base) if complement else base for base in bases]
+    for view in views:
+        for i in warmup:
+            view.query(i % n)
+    return bases, views
+
+
+@hypothesis.given(
+    n=st.integers(1, 300),
+    p=st.floats(0.02, 0.45),
+    a=st.integers(1, 30),
+    b=st.integers(1, 30),
+    seed=st.integers(0, 2**32),
+    complement=st.booleans(),
+    warmup=st.lists(st.integers(0, 299), max_size=80),
+    data=st.data(),
+)
+def test_kernel_matches_query_walks(n, p, a, b, seed, complement, warmup, data):
+    # same decisions and steps as walking each key through query(), and
+    # the same answer counts and ledger afterwards
+    bases, views = _twin_bit_oracles(n, p, seed, complement, warmup)
+    # a handful of keys walk one at a time, more in numpy blocks: draw both
+    size = data.draw(st.one_of(st.integers(1, min(n, 4)), st.integers(1, n)))
+    keys = data.draw(st.permutations(range(n)))[:size]
+    decided, steps = walks(views[0], keys, a, b)
+    assert list(zip(decided.tolist(), steps.tolist())) == [query_walk(views[1], k, a, b) for k in keys]
+    assert bases[0].ledger == bases[1].ledger
+    assert bases[0]._counters.tolist() == bases[1]._counters.tolist()
+
+
+def test_kernel_matches_query_walks_over_many_blocks():
+    # wide barriers make the widest blocks, of 260 keys, so 1200 keys take five
+    bases, views = _twin_bit_oracles(1200, 0.3, 5, False, range(0, 1200, 7))
+    keys = derive_rng(5, "keys").permutation(1200)
+    assert block_keys(0.3, 30, 30) == 260
+    decided, steps = walks(views[0], keys, 30, 30)
+    assert list(zip(decided.tolist(), steps.tolist())) == [query_walk(views[1], k, 30, 30) for k in keys.tolist()]
+    assert bases[0].ledger == bases[1].ledger
+
+
+@hypothesis.given(
+    n=st.integers(2, 12),
+    p=st.floats(0.02, 0.45),
+    a=st.integers(1, 10),
+    b=st.integers(1, 10),
+    seed=st.integers(0, 2**32),
+    data=st.data(),
+)
+def test_kernel_matches_query_walks_on_edges(n, p, a, b, seed, data):
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True))
+    slots = data.draw(st.lists(st.integers(0, len(pairs) - 1), unique=True, min_size=1))
+    oracles = [EdgeOracle(n, edges, p, seed_sequence(seed, "edges"), track_per_index=True) for _ in range(2)]
+    decided, steps = walks(oracles[0], slots, a, b)
+    # slots number the pairs u < v row by row; query() may name either order
+    reference = [query_walk(oracles[1], pairs[s][::-1], a, b) for s in slots]
+    assert list(zip(decided.tolist(), steps.tolist())) == reference
+    assert oracles[0].ledger == oracles[1].ledger
+
+
+def test_uncommitted_walks_change_nothing():
+    oracle = BitOracle([0, 1, 1, 0, 1], 0.3, seed_sequence(3, "dry"))
+    first = walks(oracle, range(5), 3, 4, commit=False)
+    assert oracle.ledger.total_queries == 0
+    second = walks(oracle, range(5), 3, 4, commit=False)
+    assert all(np.array_equal(x, y) for x, y in zip(first, second))
+    commit_walks(oracle, [1, 3], first[1][[1, 3]])
+    assert oracle.ledger.total_queries == int(first[1][1] + first[1][3])
+
+
+def test_walks_reject_keys_outside_the_oracle():
+    oracle = BitOracle([0, 1, 1], 0.3, 0)
+    for keys in ([3], [-1], [0, 1, 5]):
+        with pytest.raises(IndexError):
+            walks(oracle, keys, 2, 2)
+    assert oracle.ledger.total_queries == 0
+
+
+def test_walks_reject_oracles_without_counter_answers():
+    class QueryOnly:
+        noise = NoiseModel(0.2)
+
+        def query(self, key):
+            return 0
+
+    with pytest.raises(TypeError):
+        check_bit(QueryOnly(), 0, 0.1)
