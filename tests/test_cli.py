@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -143,3 +144,48 @@ def test_cli_rejects_unknown_command():
     with pytest.raises(SystemExit) as excinfo:
         main(["sort-things"])
     assert excinfo.value.code == 2
+
+
+# sha256 of the --out file of each subcommand in both formats; a refactor
+# of the CLI or the harness that keeps every realisation keeps these
+OUT_ARGS = {
+    "threshold": ["--n", "80", "--k", "4", "--p", "0.25", "--delta", "0.1", "--trials", "12", "--seed", "21"],
+    "counting": ["--n", "40", "--p", "0.2", "--delta", "0.1", "--ones", "4", "--trials", "10", "--seed", "22"],
+    "counting2": [
+        "--n", "40", "--p", "0.2", "--delta", "0.1", "--ones", "36", "--trials", "10", "--seed", "23",
+        "--asymptotic-presample",
+    ],
+    "connectivity": ["--n", "12", "--p", "0.2", "--delta", "0.2", "--trials", "8", "--seed", "24"],
+    "st-connectivity": [
+        "--n", "12", "--p", "0.2", "--delta", "0.2", "--beta", "1/5", "--trials", "8", "--seed", "25",
+    ],
+    "influence": ["--n", "5", "--q", "0.3", "--trials", "10", "--seed", "26"],
+    "walk-laws": ["--p", "0.25", "--x-max", "3", "--trials", "2000", "--seed", "27"],
+    "ust-stats": ["--n-grid", "16,32,64", "--samples", "10", "--seed", "28"],
+}
+OUT_GOLDEN = {
+    ("threshold", "csv"): "ac49486209ecd0b343f8acda5837f2f8b14d357d5d25ec7bd52a4dc8ff1cd0f3",
+    ("threshold", "json"): "a3c1b347b0427f6fa58a6921dd48ce7b99c0b57c6ed3797c6e8e582161f03062",
+    ("counting", "csv"): "43715174e9ab5e8096fe13e9f566b0bb77582c7731973db1e6daf4f41f7786d1",
+    ("counting", "json"): "2ea7a54c9950df7afe9d76bc7ca353e0e8457e40b7c4e9e8f2dde8ab72432a78",
+    ("counting2", "csv"): "48008c9156887a02e262e66c5655e2e0385a35f262f70719f8c4f673a6c22304",
+    ("counting2", "json"): "02c2ec840a6b72b3647e882e0b3d10699b49883d551766f673879c89637c2d53",
+    ("connectivity", "csv"): "5ebd474ce79336d772e00c8ad7551b0fa95f92eb6c628156d4e1bf307cf5708a",
+    ("connectivity", "json"): "98766b05ed62c7aa293236a459092d90deb9b3dd970b2cf1345e30d542e23526",
+    ("st-connectivity", "csv"): "a1c95901c7dab5285b96a98b3342344247c950be913c9e8a88ef548c1fe0ca10",
+    ("st-connectivity", "json"): "fe6a55bd8810f75c916a0949c320efe96fd5b6ef4ce738b1896467671a597445",
+    ("influence", "csv"): "20026151bc474479a41cf4a3609f38ae3ab09014534f73d1618e7ad3370ff696",
+    ("influence", "json"): "34686d28f1ae1074e64cb8a75a135cf9ac6780190ba0fb8b1e5085232d514c7a",
+    ("walk-laws", "csv"): "d08898f778fd3b3c9bc852028ff12a3aaa0069a633566299cf4ca8286377f699",
+    ("walk-laws", "json"): "fa415973c919472c3d25bd495a44d362afe17d7be14aadcead7fb793850e6548",
+    ("ust-stats", "csv"): "eb707525dd66458ac41df7f5cc32cc0b6f9488a6cc7b3bf439f08afef9b63fef",
+    ("ust-stats", "json"): "9c258d7938571fc31fccc77dd724a5b72f9687054ea6f22a3e43e9dfab992b52",
+}
+
+
+@pytest.mark.parametrize("command,fmt", sorted(OUT_GOLDEN))
+def test_out_file_golden(command, fmt, tmp_path, capsys):
+    out_file = tmp_path / f"out.{fmt}"
+    code = main([command, *OUT_ARGS[command], "--out", str(out_file), "--format", fmt])
+    assert code == EXIT_OK
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == OUT_GOLDEN[(command, fmt)]

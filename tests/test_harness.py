@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -228,3 +229,29 @@ def test_json_mirrors_csv_keys():
     assert tuple(payload[0].keys()) == CSV_COLUMNS
     assert payload[0]["beta"] is None
     assert payload[0]["errors"] == report.errors
+
+
+# sha256 of reports_to_csv for the kinds no other golden pins, at seeds
+# 0-2; a refactor that keeps every realisation keeps these
+ROWS_GOLDEN = {
+    (0, "walk-laws"): "b3aa3dd12d4cc6a4afb1bcb56a3e6e64cd9d679862b1891218e11bfacb7789cb",
+    (1, "walk-laws"): "0c3816d3fd96a7db8620160663277067590ee4a2eeadedda1290eb0b68542187",
+    (2, "walk-laws"): "a10144927450529026deb694b1f96aca7d3beb6c52334b19ada1590175d3caa8",
+    (0, "influence"): "424dc3815e31a0c9bcfeed6c4bcb6bd03ca77770c134c9e4669ebb5c58dafceb",
+    (1, "influence"): "38fa1c4a0ee5138e1f13a4376f2381629b7b32db89ed792128526f4689590510",
+    (2, "influence"): "f08d68961207b628030d23c4b38eb39a5265f5c20dcb6d661daa23990936fcb6",
+    (0, "threshold-ones"): "09100e94f0ccdef06fa6c1d46492e8d38988420c25a34472d9f2c0d7f7d1adde",
+    (1, "threshold-ones"): "00965af026fc20404fcc8d349bf0c0a9c02bb696e4e3829a8c7d2e1011e55771",
+    (2, "threshold-ones"): "e47da0244a402e80003fcfff5e8d909f1d693c6c58138f0165f6881da2a6dd6f",
+}
+GOLDEN_SPECS = {
+    "walk-laws": ExperimentSpec("walk-laws", p=0.25, k=3, trials=5000),
+    "influence": ExperimentSpec("influence", n=6, q=0.3, trials=20),
+    "threshold-ones": ExperimentSpec("threshold", n=300, k=8, p=0.25, delta=0.05, ones=12, trials=15),
+}
+
+
+@pytest.mark.parametrize("seed,name", sorted(ROWS_GOLDEN))
+def test_rows_golden(seed, name):
+    csv = reports_to_csv([run_experiment(dataclasses.replace(GOLDEN_SPECS[name], seed=seed))])
+    assert hashlib.sha256(csv.encode()).hexdigest() == ROWS_GOLDEN[(seed, name)]
