@@ -7,22 +7,25 @@ Exit codes: 0 success, 2 invalid arguments or parameters, 3 when
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import math
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 from .harness import (
+    KINDS,
     ExperimentReport,
     ExperimentSpec,
+    gate_failures,
     reports_to_csv,
     reports_to_json,
     run_experiment,
+    scaling_gate_failures,
     summarize,
+    validate_spec,
 )
 from .trees import ScalingReport, structure_scaling_report
-from .walks import hitting_probability
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -66,117 +69,43 @@ def build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    threshold = commands.add_parser("threshold", help="decide whether at least k of n bits are ones")
-    threshold.add_argument("--n", type=int, required=True)
-    threshold.add_argument("--k", type=int, required=True)
-    threshold.add_argument("--p", type=float, required=True)
-    threshold.add_argument("--delta", type=float, required=True)
-    threshold.add_argument(
-        "--ones",
-        type=int,
-        default=None,
-        help="fixed number of ones per instance (default: k-1 or k by fair coin)",
-    )
-    _add_common(threshold)
-    threshold.set_defaults(func=_cmd_simple, kind="threshold")
-
-    for name, helptext in (
-        ("counting", "count the ones exactly (one-sided algorithm)"),
-        ("counting2", "count the ones exactly (orientation wrapper)"),
-    ):
-        counting = commands.add_parser(name, help=helptext)
-        counting.add_argument("--n", type=int, required=True)
-        counting.add_argument("--p", type=float, required=True)
-        counting.add_argument("--delta", type=float, required=True)
-        counting.add_argument("--ones", type=int, required=True, help="true number of ones per instance")
-        if name == "counting2":
-            counting.add_argument(
-                "--asymptotic-presample",
-                action="store_true",
-                help="size the orientation presample as n^0.99 checks at error n^-100",
-            )
-        _add_common(counting)
-        counting.set_defaults(func=_cmd_simple, kind=name)
-
-    for name, helptext in (
-        ("connectivity", "decide connectivity of hard spanning-tree instances"),
-        ("st-connectivity", "decide s-t connectivity with uniform random terminals"),
-    ):
-        conn = commands.add_parser(name, help=helptext)
-        conn.add_argument("--n", type=int, required=True)
-        conn.add_argument("--p", type=float, required=True)
-        conn.add_argument("--delta", type=float, required=True)
-        conn.add_argument("--beta", type=_fraction, default=None, help="balance threshold (default 1/21)")
-        _add_common(conn)
-        conn.set_defaults(func=_cmd_simple, kind=name)
-
-    influence = commands.add_parser("influence", help="influence identities on random truth tables")
-    influence.add_argument("--n", type=int, required=True, help="arity of the random functions")
-    influence.add_argument("--q", type=float, required=True, help="bias of the product measure")
-    _add_common(influence, trials_default=100)
-    influence.set_defaults(func=_cmd_simple, kind="influence")
-
-    walk = commands.add_parser("walk-laws", help="gambler's-ruin hitting laws, one row per barrier")
-    walk.add_argument("--p", type=float, required=True)
-    walk.add_argument("--x-max", type=int, default=6, help="largest barrier distance (rows for 1..x-max)")
-    _add_common(walk, trials_default=10**6)
-    walk.set_defaults(func=_cmd_walk_laws, kind="walk-laws")
+    for kind in KINDS.values():
+        sub = commands.add_parser(kind.name, help=kind.help)
+        for param in kind.params:
+            flag = f"--{param.flag or param.field}"
+            if param.type is bool:
+                sub.add_argument(flag, action="store_true", help=param.help)
+                continue
+            required = not param.optional and param.cli_default is None
+            arg_type = _fraction if param.type is Fraction else param.type
+            sub.add_argument(flag, type=arg_type, required=required, default=param.cli_default, help=param.help)
+        _add_common(sub, trials_default=kind.trials_default)
+        sub.set_defaults(func=_cmd_kind, kind=kind.name)
 
     ust = commands.add_parser("ust-stats", help="balanced-edge scaling of uniform spanning trees")
-    ust.add_argument("--n-grid", type=_int_list, default=None, help=f"sizes (default {DEFAULT_UST_GRID})")
+    ust.add_argument("--n-grid", type=_int_list, default=DEFAULT_UST_GRID, help=f"sizes (default {DEFAULT_UST_GRID})")
     ust.add_argument("--samples", type=int, default=200, help="trees per size")
     ust.add_argument("--beta", type=_fraction, default=Fraction(1, 3))
     ust.add_argument("--seed", type=int, default=0)
     ust.add_argument("--out", type=Path, default=None)
     ust.add_argument("--format", choices=("csv", "json"), default="csv")
     ust.add_argument("--assert", dest="assert_gates", action="store_true")
-    ust.set_defaults(func=_cmd_ust_stats, kind="ust-stats")
+    ust.set_defaults(func=_cmd_ust_stats)
 
     return parser
 
 
-def _spec_from_args(args, kind: str, **overrides) -> ExperimentSpec:
-    fields = dict(
-        kind=kind,
-        n=getattr(args, "n", None),
-        k=getattr(args, "k", None),
-        p=getattr(args, "p", None),
-        delta=getattr(args, "delta", None),
-        beta=getattr(args, "beta", None),
-        q=getattr(args, "q", None),
-        trials=args.trials,
-        seed=args.seed,
-        ones=getattr(args, "ones", None),
-        asymptotic_presample=getattr(args, "asymptotic_presample", False),
-        jobs=getattr(args, "jobs", 1),
-    )
-    fields.update(overrides)
-    return ExperimentSpec(**fields)
-
-
-def _gate_failures(report: ExperimentReport) -> list[str]:
-    spec = report.spec
-    failures = []
-    if spec.kind == "influence":
-        if report.errors:
-            failures.append(f"influence: {report.errors} identity violations")
-        return failures
-    if spec.kind == "walk-laws":
-        law = hitting_probability(spec.p, spec.k)
-        slack = 3.0 * math.sqrt(law * (1.0 - law) / spec.trials)
-        if abs(report.error_rate - law) > slack:
-            failures.append(
-                f"walk-laws x={spec.k}: hit rate {report.error_rate:.6g} departs from {law:.6g} by more than 3 sigma"
-            )
-        if abs(report.ratio - 1.0) > 0.02:
-            failures.append(
-                f"walk-laws x={spec.k}: mean passage time off the exact law by {abs(report.ratio - 1) * 100:.2f}% (> 2%)"
-            )
-        return failures
-    gate = spec.delta + 3.0 * math.sqrt(spec.delta * (1.0 - spec.delta) / spec.trials)
-    if report.error_rate > gate:
-        failures.append(f"{spec.kind}: error rate {report.error_rate:.6g} exceeds delta+3sigma = {gate:.6g}")
-    return failures
+def _cmd_kind(args) -> int:
+    kind = KINDS[args.kind]
+    fields = {p.field: getattr(args, (p.flag or p.field).replace("-", "_")) for p in kind.params}
+    spec = ExperimentSpec(kind.name, trials=args.trials, seed=args.seed, jobs=args.jobs, **fields)
+    specs = [spec]
+    if kind.sweep_k:
+        validate_spec(spec)  # before the rows for k = 1, 2, ... start
+        specs = [dataclasses.replace(spec, k=x) for x in range(1, spec.k + 1)]
+    reports = [run_experiment(s) for s in specs]
+    _emit(reports, args)
+    return _finish([line for report in reports for line in gate_failures(report)], args)
 
 
 def _emit(reports: list[ExperimentReport], args) -> None:
@@ -188,27 +117,9 @@ def _emit(reports: list[ExperimentReport], args) -> None:
         print(f"wrote {args.out}")
 
 
-def _cmd_simple(args) -> int:
-    spec = _spec_from_args(args, args.kind)
-    reports = [run_experiment(spec)]
-    _emit(reports, args)
-    return _finish(reports, args)
-
-
-def _cmd_walk_laws(args) -> int:
-    if args.x_max < 1:
-        raise ValueError("x-max must be >= 1")
-    reports = [
-        run_experiment(_spec_from_args(args, "walk-laws", k=x)) for x in range(1, args.x_max + 1)
-    ]
-    _emit(reports, args)
-    return _finish(reports, args)
-
-
-def _finish(reports: list[ExperimentReport], args) -> int:
+def _finish(failures: list[str], args) -> int:
     if not args.assert_gates:
         return EXIT_OK
-    failures = [line for report in reports for line in _gate_failures(report)]
     for line in failures:
         print(f"GATE FAIL {line}", file=sys.stderr)
     return EXIT_GATE_FAILED if failures else EXIT_OK
@@ -217,27 +128,14 @@ def _finish(reports: list[ExperimentReport], args) -> int:
 def _scaling_csv(report: ScalingReport) -> str:
     lines = ["beta,n,samples,balanced_median,balanced_mean,s_sum_median,s_sum_mean"]
     for row in report.rows:
-        lines.append(
-            f"{report.beta},{row.n},{row.samples},{row.balanced_median!r},"
-            f"{row.balanced_mean!r},{row.s_sum_median!r},{row.s_sum_mean!r}"
-        )
+        lines.append(",".join([str(report.beta), *map(repr, dataclasses.astuple(row))]))
     return "\n".join(lines) + "\n"
 
 
 def _scaling_json(report: ScalingReport) -> str:
     payload = {
         "beta": str(report.beta),
-        "rows": [
-            {
-                "n": row.n,
-                "samples": row.samples,
-                "balanced_median": row.balanced_median,
-                "balanced_mean": row.balanced_mean,
-                "s_sum_median": row.s_sum_median,
-                "s_sum_mean": row.s_sum_mean,
-            }
-            for row in report.rows
-        ],
+        "rows": [dataclasses.asdict(row) for row in report.rows],
         "slopes": {
             "balanced_median": report.balanced_median_slope,
             "balanced_mean": report.balanced_mean_slope,
@@ -249,8 +147,7 @@ def _scaling_json(report: ScalingReport) -> str:
 
 
 def _cmd_ust_stats(args) -> int:
-    grid = args.n_grid if args.n_grid is not None else _int_list(DEFAULT_UST_GRID)
-    report = structure_scaling_report(grid, args.samples, args.beta, args.seed)
+    report = structure_scaling_report(args.n_grid, args.samples, args.beta, args.seed)
     for row in report.rows:
         print(
             f"n={row.n} samples={row.samples} balanced_median={row.balanced_median:g} "
@@ -264,17 +161,7 @@ def _cmd_ust_stats(args) -> int:
         text = _scaling_csv(report) if args.format == "csv" else _scaling_json(report)
         args.out.write_text(text)
         print(f"wrote {args.out}")
-    if args.assert_gates:
-        failures = []
-        if not 0.4 <= report.balanced_median_slope <= 0.6:
-            failures.append(f"balanced-edge slope {report.balanced_median_slope:.4f} outside 0.5 +/- 0.1")
-        if not 1.4 <= report.s_sum_median_slope <= 1.6:
-            failures.append(f"split-size slope {report.s_sum_median_slope:.4f} outside 1.5 +/- 0.1")
-        for line in failures:
-            print(f"GATE FAIL ust-stats: {line}", file=sys.stderr)
-        if failures:
-            return EXIT_GATE_FAILED
-    return EXIT_OK
+    return _finish([f"ust-stats: {line}" for line in scaling_gate_failures(report)], args)
 
 
 def main(argv=None) -> int:

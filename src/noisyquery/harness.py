@@ -6,6 +6,10 @@ scores correctness against the known ground truth. All per-trial
 randomness derives from (master seed, experiment kind, trial index,
 role), so reports are reproducible bit-for-bit on any worker count and
 any execution order. Query statistics aggregate as exact integers.
+
+Each experiment kind is one :class:`Kind` record in ``KINDS``: the spec
+fields it reads with their rules and flags, its trial function (or
+vectorised runner), its theory comparator, its ``k`` column and its gate.
 """
 
 from __future__ import annotations
@@ -14,11 +18,11 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import repeat
 from statistics import NormalDist
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -35,18 +39,8 @@ from .connectivity import (
 from .counting import counting_one_sided, counting_two_sided, threshold_count
 from .oracles import BitOracle, EdgeOracle, NoiseModel
 from .streams import derive_rng, seed_sequence
-from .walks import expected_hitting_time, simulate_first_passage, simulate_hitting
-
-ALGORITHM_KINDS = (
-    "threshold",
-    "counting",
-    "counting2",
-    "connectivity",
-    "st-connectivity",
-    "influence",
-    "walk-laws",
-)
-KINDS = ALGORITHM_KINDS + ("ust-stats",)
+from .trees import ScalingReport
+from .walks import expected_hitting_time, hitting_probability, simulate_first_passage, simulate_hitting
 
 CSV_COLUMNS = (
     "experiment",
@@ -161,33 +155,102 @@ def _require(condition: bool, message: str) -> None:
         raise ValueError(message)
 
 
-def validate_spec(spec: ExperimentSpec) -> None:
-    _require(spec.kind in KINDS, f"unknown experiment kind {spec.kind!r}")
-    _require(isinstance(spec.seed, int), "seed must be an integer")
-    _require(isinstance(spec.trials, int) and spec.trials >= 1, "trials must be a positive integer")
-    _require(isinstance(spec.jobs, int) and spec.jobs >= 1, "jobs must be a positive integer")
-    kind = spec.kind
-    if kind in ("threshold", "counting", "counting2", "connectivity", "st-connectivity"):
-        _require(spec.n is not None and spec.n >= 1, f"{kind} needs n >= 1")
-        _require(spec.p is not None and 0.0 < spec.p < 0.5, f"{kind} needs p in (0, 1/2)")
-        _require(spec.delta is not None and 0.0 < spec.delta < 1.0, f"{kind} needs delta in (0, 1)")
-    if kind == "threshold":
-        _require(spec.k is not None and 1 <= spec.k <= spec.n, "threshold needs 1 <= k <= n")
-        if spec.ones is not None:
-            _require(0 <= spec.ones <= spec.n, "threshold ones recipe must lie in [0, n]")
-    if kind in ("counting", "counting2"):
-        _require(spec.ones is not None and 0 <= spec.ones <= spec.n, f"{kind} needs ones in [0, n]")
-    if kind in ("connectivity", "st-connectivity"):
-        _require(spec.n >= 2, f"{kind} needs n >= 2")
-        check_balance_feasible(spec.n, spec.beta or HARD_BALANCE)
-    if kind == "influence":
-        _require(spec.n is not None and 1 <= spec.n <= MAX_ARITY, f"influence needs 1 <= n <= {MAX_ARITY}")
-        _require(spec.q is not None and 0.0 <= spec.q <= 1.0, "influence needs q in [0, 1]")
-    if kind == "walk-laws":
-        _require(spec.p is not None and 0.0 < spec.p < 0.5, "walk-laws needs p in (0, 1/2)")
-        _require(spec.k is not None and spec.k >= 1, "walk-laws needs barrier distance k >= 1")
-    if kind == "ust-stats":
-        raise ValueError("ust-stats produces a scaling table; run it via run_scaling / the CLI")
+@dataclass(frozen=True)
+class Param:
+    """One spec field a kind reads: its rule, what None stands for, its flag.
+
+    ``ok(value, spec)`` says whether a value is valid, or raises a
+    ValueError of its own that says why not. None is invalid unless the
+    field is optional; then it stands for ``fallback``. A required field
+    with a ``cli_default`` is optional on the command line only.
+    """
+
+    field: str
+    type: Callable = float
+    rule: str = ""
+    ok: Callable[[object, ExperimentSpec], bool] = lambda value, spec: True
+    optional: bool = False
+    fallback: object = None
+    flag: str | None = None
+    cli_default: object = None
+    help: str | None = None
+
+    def of(self, spec: ExperimentSpec):
+        value = getattr(spec, self.field)
+        return self.fallback if value is None else value
+
+
+N = Param("n", int, "n >= 1", lambda v, s: v >= 1)
+K = Param("k", int, "1 <= k <= n", lambda v, s: 1 <= v <= s.n)
+P = Param("p", float, "p in (0, 1/2)", lambda v, s: 0.0 < v < 0.5)
+DELTA = Param("delta", float, "delta in (0, 1)", lambda v, s: 0.0 < v < 1.0)
+CONN_N = Param("n", int, "n >= 2", lambda v, s: v >= 2)
+BETA = Param(
+    "beta", Fraction, "a feasible balance threshold", lambda v, s: check_balance_feasible(s.n, v) is None,
+    optional=True, fallback=HARD_BALANCE, help="balance threshold (default 1/21)",
+)
+ONES = Param("ones", int, "ones in [0, n]", lambda v, s: 0 <= v <= s.n, help="true number of ones per instance")
+PINNED_ONES = replace(
+    ONES, optional=True, help="fixed number of ones per instance (default: k-1 or k by fair coin)"
+)
+PRESAMPLE = Param(
+    "asymptotic_presample", bool, optional=True, flag="asymptotic-presample",
+    help="size the orientation presample as n^0.99 checks at error n^-100",
+)
+ARITY = Param(
+    "n", int, f"1 <= n <= {MAX_ARITY}", lambda v, s: 1 <= v <= MAX_ARITY, help="arity of the random functions"
+)
+BIAS = Param("q", float, "q in [0, 1]", lambda v, s: 0.0 <= v <= 1.0, help="bias of the product measure")
+BARRIER = Param(
+    "k", int, "barrier distance k >= 1", lambda v, s: v >= 1, flag="x-max", cli_default=6,
+    help="largest barrier distance (rows for 1..x-max)",
+)
+
+
+# -- gates ---------------------------------------------------------------------
+
+
+def error_bound(delta: float, trials: int) -> float:
+    """Largest error rate the gate accepts: delta plus three binomial sigmas."""
+    return delta + 3.0 * math.sqrt(delta * (1.0 - delta) / trials)
+
+
+def _delta_gate(report: ExperimentReport) -> list[str]:
+    spec = report.spec
+    bound = error_bound(spec.delta, spec.trials)
+    if report.error_rate > bound:
+        return [f"{spec.kind}: error rate {report.error_rate:.6g} exceeds delta+3sigma = {bound:.6g}"]
+    return []
+
+
+def _influence_gate(report: ExperimentReport) -> list[str]:
+    return [f"influence: {report.errors} identity violations"] if report.errors else []
+
+
+def _walk_laws_gate(report: ExperimentReport) -> list[str]:
+    spec = report.spec
+    failures = []
+    law = hitting_probability(spec.p, spec.k)
+    slack = 3.0 * math.sqrt(law * (1.0 - law) / spec.trials)
+    if abs(report.error_rate - law) > slack:
+        failures.append(
+            f"walk-laws x={spec.k}: hit rate {report.error_rate:.6g} departs from {law:.6g} by more than 3 sigma"
+        )
+    if abs(report.ratio - 1.0) > 0.02:
+        failures.append(
+            f"walk-laws x={spec.k}: mean passage time off the exact law by {abs(report.ratio - 1) * 100:.2f}% (> 2%)"
+        )
+    return failures
+
+
+def scaling_gate_failures(report: ScalingReport) -> list[str]:
+    """The ust-stats gate: growth exponents 0.5 +/- 0.1 and 1.5 +/- 0.1."""
+    failures = []
+    if not 0.4 <= report.balanced_median_slope <= 0.6:
+        failures.append(f"balanced-edge slope {report.balanced_median_slope:.4f} outside 0.5 +/- 0.1")
+    if not 1.4 <= report.s_sum_median_slope <= 1.6:
+        failures.append(f"split-size slope {report.s_sum_median_slope:.4f} outside 1.5 +/- 0.1")
+    return failures
 
 
 # -- per-trial workers --------------------------------------------------------
@@ -231,7 +294,7 @@ def _conn_oracle(spec: ExperimentSpec, trial: int, graph) -> EdgeOracle:
 
 def _trial_connectivity(spec: ExperimentSpec, trial: int) -> tuple[bool, int]:
     instance_rng = derive_rng(spec.seed, spec.kind, "instance", trial)
-    instance = sample_hard_instance(spec.n, instance_rng, beta=spec.beta or HARD_BALANCE)
+    instance = sample_hard_instance(spec.n, instance_rng, beta=BETA.of(spec))
     oracle = _conn_oracle(spec, trial, instance.graph)
     answer = naive_connectivity(oracle, spec.delta)
     return answer == instance.connected, oracle.ledger.total_queries
@@ -239,7 +302,7 @@ def _trial_connectivity(spec: ExperimentSpec, trial: int) -> tuple[bool, int]:
 
 def _trial_st_connectivity(spec: ExperimentSpec, trial: int) -> tuple[bool, int]:
     instance_rng = derive_rng(spec.seed, spec.kind, "instance", trial)
-    st = sample_st_instance(spec.n, instance_rng, beta=spec.beta or HARD_BALANCE)
+    st = sample_st_instance(spec.n, instance_rng, beta=BETA.of(spec))
     truth = components_of(spec.n, st.instance.graph).connected(st.s, st.t)
     oracle = _conn_oracle(spec, trial, st.instance.graph)
     answer = naive_st_connectivity(oracle, st.s, st.t, spec.delta)
@@ -263,34 +326,23 @@ def _trial_influence(spec: ExperimentSpec, trial: int) -> tuple[bool, int]:
     return ok, 0
 
 
-_TRIAL_FUNCS = {
-    "threshold": _trial_threshold,
-    "counting": _trial_counting,
-    "counting2": _trial_counting2,
-    "connectivity": _trial_connectivity,
-    "st-connectivity": _trial_st_connectivity,
-    "influence": _trial_influence,
-}
-
-
-def run_trial(spec: ExperimentSpec, trial: int) -> tuple[bool, int]:
-    """Run a single trial; exposed for order-independence testing."""
-    try:
-        return _TRIAL_FUNCS[spec.kind](spec, trial)
-    except Exception as exc:
-        raise RuntimeError(f"{spec.kind} trial {trial} failed: {exc}") from exc
-
-
-def _theory_for(spec: ExperimentSpec) -> float:
-    if spec.kind == "threshold":
-        return theory_bound("threshold", n=spec.n, k=spec.k, delta=spec.delta, p=spec.p)
-    if spec.kind in ("counting", "counting2"):
-        return theory_bound("counting", n=spec.n, k=spec.ones, delta=spec.delta, p=spec.p)
-    if spec.kind in ("connectivity", "st-connectivity"):
-        return theory_bound("connectivity", n=spec.n, delta=spec.delta, p=spec.p)
-    if spec.kind == "walk-laws":
-        return expected_hitting_time(spec.p, spec.k)
-    return 0.0
+def _run_trials(spec: ExperimentSpec) -> tuple[int, float, float]:
+    """Errors, mean and stddev of queries over ``run_trial`` for every trial."""
+    if spec.jobs > 1:
+        chunk = max(1, spec.trials // (spec.jobs * 8))
+        with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
+            records = list(pool.map(run_trial, repeat(spec), range(spec.trials), chunksize=chunk))
+    else:
+        records = [run_trial(spec, t) for t in range(spec.trials)]
+    errors = sum(1 for correct, _ in records if not correct)
+    total = sum(q for _, q in records)
+    total_sq = sum(q * q for _, q in records)
+    if spec.trials > 1:
+        variance = (total_sq - total * total / spec.trials) / (spec.trials - 1)
+        stddev = math.sqrt(max(variance, 0.0))
+    else:
+        stddev = float("nan")
+    return errors, total / spec.trials, stddev
 
 
 def _run_walk_laws(spec: ExperimentSpec) -> tuple[int, float, float]:
@@ -306,30 +358,92 @@ def _run_walk_laws(spec: ExperimentSpec) -> tuple[int, float, float]:
     return hit.hits, passage.mean, passage.stddev
 
 
+# -- the registry --------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Kind:
+    """Everything one experiment kind means.
+
+    ``params`` are the spec fields it reads, in flag order; ``run`` gives
+    (errors, mean queries, stddev queries), by default over ``trial``;
+    ``theory`` is the comparator (0 for none) and ``k_column`` the field
+    in the ``k`` column. With ``sweep_k`` the command reports one row per
+    k from 1 up to the flag's value.
+    """
+
+    name: str
+    help: str
+    params: tuple[Param, ...]
+    theory: Callable[[ExperimentSpec], float]
+    gate: Callable[[ExperimentReport], list[str]]
+    trial: Callable[[ExperimentSpec, int], tuple[bool, int]] | None = None
+    run: Callable[[ExperimentSpec], tuple[int, float, float]] = _run_trials
+    k_column: str = "k"
+    trials_default: int = 1000
+    sweep_k: bool = False
+
+
+def _counting_theory(spec: ExperimentSpec) -> float:
+    return theory_bound("counting", n=spec.n, k=spec.ones, delta=spec.delta, p=spec.p)
+
+
+def _connectivity_theory(spec: ExperimentSpec) -> float:
+    return theory_bound("connectivity", n=spec.n, delta=spec.delta, p=spec.p)
+
+
+KINDS = {
+    kind.name: kind
+    for kind in (
+        Kind("threshold", "decide whether at least k of n bits are ones", (N, K, P, DELTA, PINNED_ONES),
+             lambda s: theory_bound("threshold", n=s.n, k=s.k, delta=s.delta, p=s.p), _delta_gate,
+             trial=_trial_threshold),
+        Kind("counting", "count the ones exactly (one-sided algorithm)", (N, P, DELTA, ONES),
+             _counting_theory, _delta_gate, trial=_trial_counting, k_column="ones"),
+        Kind("counting2", "count the ones exactly (orientation wrapper)", (N, P, DELTA, ONES, PRESAMPLE),
+             _counting_theory, _delta_gate, trial=_trial_counting2, k_column="ones"),
+        Kind("connectivity", "decide connectivity of hard spanning-tree instances", (CONN_N, P, DELTA, BETA),
+             _connectivity_theory, _delta_gate, trial=_trial_connectivity),
+        Kind("st-connectivity", "decide s-t connectivity with uniform random terminals", (CONN_N, P, DELTA, BETA),
+             _connectivity_theory, _delta_gate, trial=_trial_st_connectivity),
+        Kind("influence", "influence identities on random truth tables", (ARITY, BIAS),
+             lambda s: 0.0, _influence_gate, trial=_trial_influence, trials_default=100),
+        Kind("walk-laws", "gambler's-ruin hitting laws, one row per barrier", (P, BARRIER),
+             lambda s: expected_hitting_time(s.p, s.k), _walk_laws_gate, run=_run_walk_laws,
+             trials_default=10**6, sweep_k=True),
+    )
+}
+
+
+def validate_spec(spec: ExperimentSpec) -> None:
+    known = f"{', '.join(KINDS)}; ust-stats tables come from structure_scaling_report"
+    _require(spec.kind in KINDS, f"unknown experiment kind {spec.kind!r} (kinds: {known})")
+    _require(isinstance(spec.seed, int), "seed must be an integer")
+    _require(isinstance(spec.trials, int) and spec.trials >= 1, "trials must be a positive integer")
+    _require(isinstance(spec.jobs, int) and spec.jobs >= 1, "jobs must be a positive integer")
+    for param in KINDS[spec.kind].params:
+        value = param.of(spec)
+        if value is None and param.optional:
+            continue
+        _require(value is not None and param.ok(value, spec), f"{spec.kind} needs {param.rule}")
+
+
+def run_trial(spec: ExperimentSpec, trial: int) -> tuple[bool, int]:
+    """Run a single trial; exposed for order-independence testing."""
+    try:
+        return KINDS[spec.kind].trial(spec, trial)
+    except Exception as exc:
+        raise RuntimeError(f"{spec.kind} trial {trial} failed: {exc}") from exc
+
+
 def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     """Execute every trial of ``spec`` and aggregate one report."""
     validate_spec(spec)
+    kind = KINDS[spec.kind]
     start = time.perf_counter()
-    if spec.kind == "walk-laws":
-        errors, mean_queries, stddev_queries = _run_walk_laws(spec)
-    else:
-        if spec.jobs > 1:
-            chunk = max(1, spec.trials // (spec.jobs * 8))
-            with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
-                records = list(pool.map(run_trial, repeat(spec), range(spec.trials), chunksize=chunk))
-        else:
-            records = [run_trial(spec, t) for t in range(spec.trials)]
-        errors = sum(1 for correct, _ in records if not correct)
-        total = sum(q for _, q in records)
-        total_sq = sum(q * q for _, q in records)
-        mean_queries = total / spec.trials
-        if spec.trials > 1:
-            variance = (total_sq - total * total / spec.trials) / (spec.trials - 1)
-            stddev_queries = math.sqrt(max(variance, 0.0))
-        else:
-            stddev_queries = float("nan")
+    errors, mean_queries, stddev_queries = kind.run(spec)
     ci_low, ci_high = wilson_interval(errors, spec.trials)
-    theory = _theory_for(spec)
+    theory = kind.theory(spec)
     ratio = mean_queries / theory if theory > 0 else float("nan")
     return ExperimentReport(
         spec=spec,
@@ -345,14 +459,12 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     )
 
 
+def gate_failures(report: ExperimentReport) -> list[str]:
+    """The kind's statistical gate: one line per failed bound, empty on a pass."""
+    return KINDS[report.spec.kind].gate(report)
+
+
 # -- report serialization ------------------------------------------------------
-
-
-def _report_k(report: ExperimentReport) -> int | None:
-    # counting experiments carry the true count in the k column
-    if report.spec.kind in ("counting", "counting2"):
-        return report.spec.ones
-    return report.spec.k
 
 
 def report_to_dict(report: ExperimentReport) -> dict:
@@ -361,7 +473,7 @@ def report_to_dict(report: ExperimentReport) -> dict:
     return {
         "experiment": spec.kind,
         "n": spec.n,
-        "k": _report_k(report),
+        "k": getattr(spec, KINDS[spec.kind].k_column),
         "p": spec.p,
         "delta": spec.delta,
         "beta": None if spec.beta is None else str(spec.beta),

@@ -339,8 +339,8 @@ def structure_scaling_report(
     """
     frac = as_balance_threshold(beta)
     sizes = [int(n) for n in n_grid]
-    if not sizes or any(n < 10 for n in sizes):
-        raise ValueError("size grid must be non-empty with every size >= 10")
+    if len(sizes) < 2 or any(n < 10 for n in sizes):
+        raise ValueError("size grid needs at least two sizes to fit a slope, every size >= 10")
     if any(b >= a for a, b in zip(sizes[1:], sizes)):
         raise ValueError("size grid must be strictly increasing")
     if samples < 1:

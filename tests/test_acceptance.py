@@ -40,6 +40,7 @@ from noisyquery import (
     simulate_hitting,
     structure_scaling_report,
 )
+from noisyquery.harness import error_bound, gate_failures, scaling_gate_failures
 
 pytestmark = pytest.mark.acceptance
 
@@ -100,8 +101,7 @@ def test_criterion_02_asymmetric_check_bit():
                 outcome = asymmetric_check_bit(oracle, 0, delta0, delta1, policy=policy)
                 errors += outcome.decided_bit != bit
                 steps += outcome.steps_used
-            relevant = delta0 if bit == 0 else delta1
-            gate = relevant + 3.0 * math.sqrt(relevant * (1.0 - relevant) / trials)
+            gate = error_bound(delta0 if bit == 0 else delta1, trials)
             rate = errors / trials
             if rate > gate:
                 failures.append(f"(d0={delta0}, d1={delta1}, bit={bit}): error {rate:.4g} > {gate:.4g}")
@@ -118,16 +118,13 @@ def test_criterion_03_threshold_count():
     started = time.perf_counter()
     spec = ExperimentSpec(kind="threshold", n=10**4, k=100, p=0.25, delta=0.01, trials=2000, seed=SEED)
     report = run_experiment(spec)
-    failures = []
-    gate = spec.delta + 3.0 * math.sqrt(spec.delta * (1.0 - spec.delta) / spec.trials)
-    if report.error_rate > gate:
-        failures.append(f"error rate {report.error_rate:.5f} > {gate:.5f}")
+    failures = gate_failures(report)
     if not 1.6e5 < report.theory_queries < 1.7e5:
         failures.append(f"theory bound {report.theory_queries:.4g} outside the expected 1.68e5 ballpark")
     if report.mean_queries > 1.5 * report.theory_queries:
         failures.append(f"mean queries {report.mean_queries:.4g} > 1.5 x theory {report.theory_queries:.4g}")
     notes = [
-        f"error_rate={report.error_rate:.5f} (gate {gate:.5f})",
+        f"error_rate={report.error_rate:.5f} (gate {error_bound(spec.delta, spec.trials):.5f})",
         f"mean_queries={report.mean_queries:.4g} vs theory {report.theory_queries:.4g} (ratio {report.ratio:.3f})",
     ]
     _finish("criterion 3 (threshold-count, algorithm 1)", failures, notes, started, budget_seconds=600)
@@ -136,14 +133,12 @@ def test_criterion_03_threshold_count():
 def test_criterion_04_counting():
     started = time.perf_counter()
     n, p, delta, trials = 2000, 0.2, 0.05, 1000
-    gate = delta + 3.0 * math.sqrt(delta * (1.0 - delta) / trials)
     failures = []
     notes = []
     for ones in (0, 10, 1000):
         spec = ExperimentSpec(kind="counting", n=n, p=p, delta=delta, trials=trials, seed=SEED, ones=ones)
         report = run_experiment(spec)
-        if report.error_rate > gate:
-            failures.append(f"ones={ones}: error rate {report.error_rate:.5f} > {gate:.5f}")
+        failures += [f"ones={ones}: {line}" for line in gate_failures(report)]
         notes.append(f"ones={ones}: err={report.error_rate:.4f}")
         if ones == 10 and report.mean_queries > 2.0 * report.theory_queries:
             failures.append(
@@ -153,8 +148,7 @@ def test_criterion_04_counting():
             notes.append(f"ones=10 ratio={report.ratio:.3f}")
     two_sided = ExperimentSpec(kind="counting2", n=n, p=p, delta=delta, trials=trials, seed=SEED, ones=1990)
     report = run_experiment(two_sided)
-    if report.error_rate > gate:
-        failures.append(f"two-sided ones=1990: error rate {report.error_rate:.5f} > {gate:.5f}")
+    failures += [f"two-sided ones=1990: {line}" for line in gate_failures(report)]
     notes.append(f"two-sided ones=1990: err={report.error_rate:.4f}")
     _finish("criterion 4 (counting, algorithm 2)", failures, notes, started, budget_seconds=600)
 
@@ -163,13 +157,13 @@ def test_criterion_05_naive_connectivity():
     started = time.perf_counter()
     spec = ExperimentSpec(kind="connectivity", n=50, p=0.2, delta=0.05, trials=1000, seed=SEED)
     report = run_experiment(spec)
-    failures = []
-    gate = spec.delta + 3.0 * math.sqrt(spec.delta * (1.0 - spec.delta) / spec.trials)
-    if report.error_rate > gate:
-        failures.append(f"error rate {report.error_rate:.5f} > {gate:.5f}")
+    failures = gate_failures(report)
     if not 0.3 <= report.ratio <= 1.5:
         failures.append(f"query ratio {report.ratio:.3f} outside [0.3, 1.5]")
-    notes = [f"error_rate={report.error_rate:.4f} (gate {gate:.4f})", f"ratio={report.ratio:.3f}"]
+    notes = [
+        f"error_rate={report.error_rate:.4f} (gate {error_bound(spec.delta, spec.trials):.4f})",
+        f"ratio={report.ratio:.3f}",
+    ]
     _finish("criterion 5 (naive connectivity)", failures, notes, started, budget_seconds=600)
 
 
@@ -200,13 +194,9 @@ def test_criterion_06_ust_uniformity_and_cayley():
 
 def test_criterion_07_structural_scaling_and_chain():
     started = time.perf_counter()
-    failures = []
     grid = [100, 200, 400, 800, 1600, 3200, 6400]
     report = structure_scaling_report(grid, 200, Fraction(1, 3), seed=SEED)
-    if not 0.4 <= report.balanced_median_slope <= 0.6:
-        failures.append(f"balanced-edge slope {report.balanced_median_slope:.4f} outside 0.5 +/- 0.1")
-    if not 1.4 <= report.s_sum_median_slope <= 1.6:
-        failures.append(f"split-size slope {report.s_sum_median_slope:.4f} outside 1.5 +/- 0.1")
+    failures = scaling_gate_failures(report)
     checked = 0
     for n in (10, 50, 200):
         for j in range(10**4):

@@ -1,10 +1,13 @@
+import argparse
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from noisyquery import CSV_COLUMNS
-from noisyquery.cli import EXIT_GATE_FAILED, EXIT_INVALID, EXIT_OK, main
+from noisyquery.cli import EXIT_GATE_FAILED, EXIT_INVALID, EXIT_OK, build_parser, main
+from noisyquery.harness import KINDS
 
 
 def test_threshold_subcommand_runs(capsys):
@@ -48,11 +51,15 @@ def test_walk_laws_writes_json(tmp_path):
 
 
 def test_validation_error_exit_code(capsys):
-    code = main(
-        ["threshold", "--n", "50", "--k", "3", "--p", "0.25", "--delta", "1.5", "--trials", "5", "--seed", "1"]
-    )
-    assert code == EXIT_INVALID
-    assert "error:" in capsys.readouterr().err
+    for argv in (
+        ["threshold", "--n", "50", "--k", "3", "--p", "0.25", "--delta", "1.5", "--trials", "5", "--seed", "1"],
+        ["connectivity", "--n", "5", "--p", "0.2", "--delta", "0.1", "--beta", "0", "--trials", "2"],
+        ["st-connectivity", "--n", "5", "--p", "0.2", "--delta", "0.1", "--beta", "0", "--trials", "2"],
+        ["ust-stats", "--n-grid", "16"],
+    ):
+        assert main(argv) == EXIT_INVALID, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("kind", ["connectivity", "st-connectivity"])
@@ -138,6 +145,17 @@ def test_ust_stats_json(tmp_path):
     assert payload["beta"] == "1/3"
     assert len(payload["rows"]) == 2
     assert "slopes" in payload
+
+
+def test_subcommands_are_the_registry_kinds():
+    # every kind gets its subcommand from the registry; ust-stats is the one
+    # command that is not a kind, and README's CLI block shows each of them
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(commands.choices) == set(KINDS) | {"ust-stats"}
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    shown = [line.split()[1] for line in block.splitlines() if line.startswith("noisyquery ")]
+    assert sorted(shown) == sorted(commands.choices)
 
 
 def test_cli_rejects_unknown_command():

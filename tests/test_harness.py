@@ -11,6 +11,7 @@ from noisyquery import (
     CSV_COLUMNS,
     ExperimentSpec,
     RejectionCapExceeded,
+    ScalingReport,
     harness,
     report_to_dict,
     reports_to_csv,
@@ -187,8 +188,12 @@ def test_validation_rejects_bad_specs():
         validate_spec(ExperimentSpec(kind="counting", n=10, p=0.25, delta=0.1, trials=5, seed=0))
     with pytest.raises(ValueError):
         validate_spec(ExperimentSpec(kind="nonsense", trials=5, seed=0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="structure_scaling_report"):
         validate_spec(ExperimentSpec(kind="ust-stats", trials=5, seed=0))
+    # beta=0 is a given threshold, not the default one
+    for kind in ("connectivity", "st-connectivity"):
+        with pytest.raises(ValueError, match="balance threshold"):
+            validate_spec(ExperimentSpec(kind=kind, n=5, p=0.2, delta=0.1, beta=Fraction(0), trials=2))
     with pytest.raises(ValueError):
         run_experiment(ExperimentSpec(kind="threshold", n=10, k=3, p=0.25, delta=1.5, trials=5, seed=0))
 
@@ -229,6 +234,52 @@ def test_json_mirrors_csv_keys():
     assert tuple(payload[0].keys()) == CSV_COLUMNS
     assert payload[0]["beta"] is None
     assert payload[0]["errors"] == report.errors
+
+
+def _report(spec, error_rate, ratio=1.0):
+    errors = round(error_rate * spec.trials)
+    return harness.ExperimentReport(spec, errors, error_rate, 0.0, 1.0, 0.0, 0.0, 1.0, ratio, 0.0)
+
+
+@pytest.mark.parametrize("kind", ["threshold", "counting", "counting2", "connectivity", "st-connectivity"])
+def test_error_rate_gate_edges(kind):
+    # delta + 3 sigma at delta=1/2 over 16 trials is 1/2 + 3/8, exact in binary
+    spec = ExperimentSpec(kind, n=40, k=3, p=0.25, delta=0.5, ones=3, trials=16)
+    assert harness.error_bound(0.5, 16) == 0.875
+    assert harness.gate_failures(_report(spec, 14 / 16)) == []
+    assert len(harness.gate_failures(_report(spec, 15 / 16))) == 1
+    assert len(harness.gate_failures(_report(spec, math.nextafter(0.875, 1.0)))) == 1
+
+
+def test_walk_laws_gate_edges():
+    # law (0.2/0.8)^1 = 1/4, and 3 sigma over 48 walks is 3 sqrt(3/16/48) = 3/16
+    spec = ExperimentSpec("walk-laws", p=0.2, k=1, trials=48)
+    for hits in (3, 21):
+        assert harness.gate_failures(_report(spec, hits / 48)) == []
+    for rate in (3 / 48 - 1e-9, 21 / 48 + 1e-9):
+        assert len(harness.gate_failures(_report(spec, rate))) == 1
+    for ratio in (0.9801, 1.0199):
+        assert harness.gate_failures(_report(spec, 12 / 48, ratio)) == []
+    for ratio in (0.9799, 1.0201):
+        assert len(harness.gate_failures(_report(spec, 12 / 48, ratio))) == 1
+
+
+def test_influence_gate():
+    spec = ExperimentSpec("influence", n=4, q=0.3, trials=10)
+    assert harness.gate_failures(_report(spec, 0.0)) == []
+    assert len(harness.gate_failures(_report(spec, 0.1))) == 1
+
+
+def test_scaling_gate_edges():
+    def failures(balanced, split):
+        report = ScalingReport(Fraction(1, 3), (), balanced, math.nan, split, math.nan)
+        return harness.scaling_gate_failures(report)
+
+    assert failures(0.4, 1.4) == failures(0.6, 1.6) == []
+    for balanced in (math.nextafter(0.4, 0.0), math.nextafter(0.6, 1.0), math.nan):
+        assert len(failures(balanced, 1.5)) == 1
+    for split in (math.nextafter(1.4, 0.0), math.nextafter(1.6, 2.0), math.nan):
+        assert len(failures(0.5, split)) == 1
 
 
 # sha256 of reports_to_csv for the kinds no other golden pins, at seeds

@@ -223,6 +223,12 @@ def test_scaling_report_validation():
         structure_scaling_report([20, 40], 0, Fraction(1, 3), 0)
 
 
+def test_scaling_report_needs_two_sizes():
+    # one size leaves the log-log slope undefined
+    with pytest.raises(ValueError, match="two sizes"):
+        structure_scaling_report([16], 10, Fraction(1, 3), 0)
+
+
 def test_tree_text_round_trip():
     tree = path_tree(4)
     text = tree_to_text(tree)
