@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import hypothesis
@@ -210,6 +211,22 @@ def test_scaling_report_small_grid():
     # deterministic for a fixed seed
     again = structure_scaling_report([16, 32, 64, 128], 40, Fraction(1, 3), seed=63)
     assert again == report
+
+
+# sha256 of repr(structure_scaling_report(...)) on the benchmark grid at
+# seeds 0-2; the ust-stats CLI golden covers only n <= 64
+SCALING_GRID = (100, 200, 400, 800, 1600, 3200, 6400)
+SCALING_GOLDEN = {
+    0: "1f86c8549b9513090a2cf5a7bf686cd30c21d3476d71f76cfc48082d083d03f8",
+    1: "cc8a25aed9b1d73923d100b00e86567971e489e382d1e6bbb9e7e84e02026772",
+    2: "215f099066bade5503d177a0ed536f8cb501df215e06b9e00c2338a627c512e4",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SCALING_GOLDEN))
+def test_scaling_report_golden(seed):
+    report = structure_scaling_report(SCALING_GRID, 4, Fraction(1, 3), seed)
+    assert hashlib.sha256(repr(report).encode()).hexdigest() == SCALING_GOLDEN[seed]
 
 
 def test_scaling_report_validation():
