@@ -18,7 +18,7 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from itertools import repeat
 from statistics import NormalDist
@@ -68,7 +68,7 @@ INFLUENCE_SPECIALIZATION_TOL = 1e-12
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Parameters of one experiment; unused fields stay None."""
+    """Parameters of one experiment; fields the kind does not read keep their defaults."""
 
     kind: str
     n: int | None = None
@@ -135,12 +135,12 @@ def theory_bound(kind: str, *, n: int | None = None, k: int | None = None, delta
             raise ValueError(f"threshold bound needs 1 <= k <= n, got k={k}, n={n}")
         effective = min(k, n - k + 1)
         return n * math.log(effective / delta) / noise.dkl
-    if kind in ("counting", "counting2"):
+    if kind == "counting":
         if n is None or k is None or not 0 <= k <= n:
             raise ValueError(f"counting bound needs 0 <= k <= n, got k={k}, n={n}")
         effective = min(k, n - k) + 1
         return n * math.log(effective / delta) / noise.dkl
-    if kind in ("connectivity", "st-connectivity"):
+    if kind == "connectivity":
         if n is None or n < 2:
             raise ValueError(f"connectivity bound needs n >= 2, got {n}")
         pairs = n * (n - 1) // 2
@@ -421,7 +421,11 @@ def validate_spec(spec: ExperimentSpec) -> None:
     _require(isinstance(spec.seed, int), "seed must be an integer")
     _require(isinstance(spec.trials, int) and spec.trials >= 1, "trials must be a positive integer")
     _require(isinstance(spec.jobs, int) and spec.jobs >= 1, "jobs must be a positive integer")
-    for param in KINDS[spec.kind].params:
+    params = KINDS[spec.kind].params
+    read = {param.field for param in params} | {"kind", "trials", "seed", "jobs"}
+    unread = [f.name for f in fields(ExperimentSpec) if f.name not in read and getattr(spec, f.name) != f.default]
+    _require(not unread, f"{spec.kind} does not read {', '.join(unread)}; leave them unset")
+    for param in params:
         value = param.of(spec)
         if value is None and param.optional:
             continue

@@ -1,15 +1,21 @@
 """Labeled trees: uniform sampling, enumeration, and balance analytics.
 
-``sample_ust`` draws a uniformly random spanning tree of the complete
-graph with Wilson's loop-erased random walk. The independent route to
-the same distribution is the Prufer correspondence (a uniform sequence
-in [n]^(n-2) maps bijectively to a labeled tree), which doubles as an
-exhaustive enumerator for small n.
+Two kernels do the tree work. ``_wilson`` draws a uniformly random
+spanning tree of the complete graph with Wilson's loop-erased random
+walk, as a parent array rooted at vertex 0 plus an order that puts every
+vertex after its parent. ``_splits`` turns that pair into subtree sizes
+in one children-first pass, which are the sides of the split each edge's
+removal leaves. ``sample_ust`` wraps the parent array in a
+:class:`LabeledTree`; ``balanced_edges`` recovers parents of any tree by
+BFS; ``structure_scaling_report`` goes from ``_wilson`` to ``_splits``
+without building a tree object at all.
 
-Balance analytics classify each tree edge by the sizes of the two
-components its removal leaves. Thresholds are compared in exact integer
-arithmetic, so a side of size s is "at least beta*n" iff
-s * denom(beta) >= numer(beta) * n.
+The independent route to the same distribution is the Prufer
+correspondence (a uniform sequence in [n]^(n-2) maps bijectively to a
+labeled tree), which doubles as an exhaustive enumerator for small n.
+
+Thresholds are compared in exact integer arithmetic, so a side of size
+s is "at least beta*n" iff s * denom(beta) >= numer(beta) * n.
 """
 
 from __future__ import annotations
@@ -64,33 +70,49 @@ class LabeledTree:
 
     def validate(self) -> None:
         """Raise ValueError unless this is a connected acyclic tree."""
-        if len(self.edges) != self.n - 1:
-            raise ValueError(f"tree on {self.n} vertices needs {self.n - 1} edges, got {len(self.edges)}")
-        uf = UnionFind(self.n)
-        for u, v in self.edges:
-            if not uf.union(u, v):
-                raise ValueError(f"edge ({u}, {v}) closes a cycle")
-        if uf.component_count != 1:
-            raise ValueError("edge set is not connected")
+        self._rooted()
+
+    def _rooted(self) -> tuple[list[int], list[int]]:
+        """BFS from vertex 0: ``(parent, order)`` in the form ``_wilson`` returns.
+
+        n-1 edges that reach every vertex form a tree, so this is also
+        the validity check; it raises ValueError otherwise.
+        """
+        n = self.n
+        if len(self.edges) != n - 1:
+            raise ValueError(f"tree on {n} vertices needs {n - 1} edges, got {len(self.edges)}")
+        adj = self.adjacency()
+        parent = [0] * n
+        order = [0]
+        seen = bytearray(n)
+        seen[0] = 1
+        for v in order:
+            for w in adj[v]:
+                if not seen[w]:
+                    seen[w] = 1
+                    parent[w] = v
+                    order.append(w)
+        if len(order) != n:
+            raise ValueError("edge set is not connected (it has n-1 edges, so it has a cycle)")
+        del order[0]
+        return parent, order
 
 
-def sample_ust(n: int, rng) -> LabeledTree:
-    """Uniform spanning tree of K_n via Wilson's algorithm.
+def _wilson(n: int, gen) -> tuple[list[int], list[int]]:
+    """Uniform spanning tree of K_n (n >= 1) via Wilson's algorithm, rooted at 0.
 
-    Exactly uniform over all n^(n-2) labeled trees for any fixed root;
-    we root at vertex 0.
+    Returns ``(parent, order)``: ``parent[v]`` is v's neighbour on its
+    path to vertex 0 (``parent[0]`` is 0), and ``order`` lists the other
+    n-1 vertices, each after its parent. Exactly uniform over all
+    n^(n-2) labeled trees.
     """
-    if n < 1:
-        raise ValueError(f"vertex count must be >= 1, got {n}")
-    gen = as_generator(rng)
-    if n == 1:
-        return LabeledTree(1, ())
-    if n == 2:
-        return LabeledTree(2, ((0, 1),))
+    parent = [0] * n
+    if n <= 2:
+        # one tree, no draw
+        return parent, list(range(1, n))
+    order: list[int] = []
     in_tree = bytearray(n)
     in_tree[0] = 1
-    next_hop = [0] * n
-    edges: list[Edge] = []
     # buffered draws in [0, n-2]; shifting past the current vertex makes
     # them uniform over the n-1 neighbors in K_n
     buf: list[int] = []
@@ -108,14 +130,49 @@ def sample_ust(n: int, rng) -> LabeledTree:
             pos += 1
             if step >= cur:
                 step += 1
-            next_hop[cur] = step
+            parent[cur] = step
             cur = step
+        # the loop-erased path joins the tree at its far end, so reversed
+        # it lists each vertex after its parent
+        path = []
         cur = start
         while not in_tree[cur]:
             in_tree[cur] = 1
-            edges.append((cur, next_hop[cur]))
-            cur = next_hop[cur]
-    return LabeledTree(n, tuple(edges))
+            path.append(cur)
+            cur = parent[cur]
+        path.reverse()
+        order += path
+    return parent, order
+
+
+def _splits(n: int, parent: Sequence[int], order: Sequence[int]) -> list[int]:
+    """Subtree sizes of the tree rooted at 0 that ``parent`` describes.
+
+    ``subtree[v]`` is the side of the split at edge (v, parent[v]) that
+    holds v; the other side has n - subtree[v] vertices. Raises
+    ValueError unless ``order`` is a permutation of the vertices 1..n-1
+    and the pass carries all n vertices to the root, which holds exactly
+    when the parents form a tree rooted at 0 and ``order`` puts each
+    vertex after its parent.
+    """
+    if len(order) != n - 1 or set(order) != set(range(1, n)):
+        raise ValueError(f"order must list each of the vertices 1..{n - 1} once")
+    if min(parent) < 0 or max(parent) >= n:
+        raise ValueError(f"parent out of vertex range [0, {n})")
+    subtree = [1] * n
+    for v in reversed(order):
+        subtree[parent[v]] += subtree[v]
+    if subtree[0] != n:
+        raise ValueError("parents do not form a tree rooted at 0, or order lists a child before its parent")
+    return subtree
+
+
+def sample_ust(n: int, rng) -> LabeledTree:
+    """Uniform spanning tree of K_n via Wilson's algorithm (see ``_wilson``)."""
+    if n < 1:
+        raise ValueError(f"vertex count must be >= 1, got {n}")
+    parent, order = _wilson(n, as_generator(rng))
+    return LabeledTree(n, tuple((v, parent[v]) for v in order))
 
 
 def prufer_to_tree(seq: Sequence[int], n: int) -> LabeledTree:
@@ -230,30 +287,15 @@ def balanced_edges(tree: LabeledTree, beta) -> BalancedEdgeReport:
     edge to its smaller-side size.
     """
     frac = as_balance_threshold(beta)
-    tree.validate()
     n = tree.n
-    if n == 1:
-        return BalancedEdgeReport(frac, (), {}, 0)
-    adj = tree.adjacency()
-    parent = [-1] * n
-    order = [0]
-    seen = bytearray(n)
-    seen[0] = 1
-    for v in order:
-        for w in adj[v]:
-            if not seen[w]:
-                seen[w] = 1
-                parent[w] = v
-                order.append(w)
-    subtree = [1] * n
-    for v in reversed(order[1:]):
-        subtree[parent[v]] += subtree[v]
+    parent, order = tree._rooted()
+    subtree = _splits(n, parent, order)
     num = frac.numerator
     den = frac.denominator
     balanced: list[Edge] = []
     s_values: dict[Edge, int] = {}
     s_sum = 0
-    for v in order[1:]:
+    for v in order:
         side = subtree[v]
         other = n - side
         edge = (v, parent[v]) if v < parent[v] else (parent[v], v)
@@ -345,15 +387,24 @@ def structure_scaling_report(
         raise ValueError("size grid must be strictly increasing")
     if samples < 1:
         raise ValueError("need at least one sample per size")
+    num = frac.numerator
+    den = frac.denominator
     rows = []
     for n in sizes:
         balanced_counts = []
         s_sums = []
         for j in range(samples):
-            tree = sample_ust(n, derive_rng(seed, "ust-scaling", n, j))
-            report = balanced_edges(tree, frac)
-            balanced_counts.append(len(report.balanced_edges))
-            s_sums.append(report.s_sum)
+            parent, order = _wilson(n, derive_rng(seed, "ust-scaling", n, j))
+            subtree = _splits(n, parent, order)
+            balanced = s_sum = 0
+            for v in order:
+                side = subtree[v]
+                other = n - side
+                s_sum += side if side < other else other
+                if side * den >= num * n and other * den >= num * n:
+                    balanced += 1
+            balanced_counts.append(balanced)
+            s_sums.append(s_sum)
         rows.append(
             ScalingRow(
                 n=n,

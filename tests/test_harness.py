@@ -86,6 +86,13 @@ def test_theory_bound_values():
         theory_bound("threshold", n=10, k=11, delta=0.1, p=0.25)
 
 
+@pytest.mark.parametrize("kind", ["counting2", "st-connectivity"])
+def test_theory_bound_takes_law_names_only(kind):
+    # the kinds share the counting and connectivity laws through the registry
+    with pytest.raises(ValueError, match="no theory bound"):
+        theory_bound(kind, n=30, k=3, delta=0.1, p=0.25)
+
+
 def test_theory_bound_monotonicity():
     base = dict(k=20, delta=0.05, p=0.25)
     values = [theory_bound("threshold", n=n, **base) for n in (100, 200, 400, 1000)]
@@ -196,6 +203,18 @@ def test_validation_rejects_bad_specs():
             validate_spec(ExperimentSpec(kind=kind, n=5, p=0.2, delta=0.1, beta=Fraction(0), trials=2))
     with pytest.raises(ValueError):
         run_experiment(ExperimentSpec(kind="threshold", n=10, k=3, p=0.25, delta=1.5, trials=5, seed=0))
+    # a field the kind does not read is refused, not echoed into the row
+    with pytest.raises(ValueError, match="walk-laws does not read delta, q"):
+        validate_spec(ExperimentSpec("walk-laws", p=0.25, k=3, delta=0.1, q=0.5, trials=10))
+    with pytest.raises(ValueError, match="counting does not read k;"):
+        validate_spec(ExperimentSpec("counting", n=10, k=3, p=0.25, delta=0.1, ones=2, trials=5))
+    with pytest.raises(ValueError, match="does not read beta"):
+        validate_spec(ExperimentSpec("threshold", n=10, k=3, p=0.25, delta=0.1, beta=Fraction(1, 3), trials=5))
+    with pytest.raises(ValueError, match="does not read asymptotic_presample"):
+        validate_spec(ExperimentSpec("counting", n=10, p=0.25, delta=0.1, ones=2, asymptotic_presample=True, trials=5))
+    # defaults are not "given": every kind's own fields pass with the rest unset
+    validate_spec(ExperimentSpec("walk-laws", p=0.25, k=3, trials=10))
+    validate_spec(ExperimentSpec("counting2", n=10, p=0.25, delta=0.1, ones=2, asymptotic_presample=True, trials=5))
 
 
 def test_trial_failures_name_the_trial(monkeypatch):

@@ -21,6 +21,7 @@ from noisyquery import (
     tree_to_prufer,
     tree_to_text,
 )
+from noisyquery.trees import _splits, _wilson
 
 
 def prufer_trees(max_n=40):
@@ -263,3 +264,44 @@ def test_tree_text_round_trip():
 def test_tree_text_round_trip_property(tree):
     assert tree_from_text(tree_to_text(tree)) == tree
     assert tree_from_text(tree_to_text(tree), tree.n) == tree
+
+
+@hypothesis.given(st.integers(1, 300), st.integers(0, 2**32))
+def test_sample_ust_is_wilson_parents(n, seed):
+    parent, order = _wilson(n, derive_rng(seed, "wilson", n))
+    edges = tuple(sorted((min(v, parent[v]), max(v, parent[v])) for v in order))
+    assert sample_ust(n, derive_rng(seed, "wilson", n)).edges == edges
+
+
+@hypothesis.given(st.integers(10, 300), st.integers(0, 2**32))
+def test_scaling_path_matches_balanced_edges(n, seed):
+    # one tree per size, so each row's mean is that tree's count and sum
+    beta = Fraction(1, 3)
+    report = structure_scaling_report([n, n + 1], 1, beta, seed)
+    for size, row in zip((n, n + 1), report.rows):
+        reference = balanced_edges(sample_ust(size, derive_rng(seed, "ust-scaling", size, 0)), beta)
+        assert (row.balanced_mean, row.s_sum_mean) == (len(reference.balanced_edges), reference.s_sum)
+
+
+def test_splits_sizes_on_a_path():
+    # 0 - 1 - 2 - 3, rooted at 0
+    assert _splits(4, [0, 0, 1, 2], [1, 2, 3]) == [4, 3, 2, 1]
+    assert _splits(1, [0], []) == [1]
+
+
+@pytest.mark.parametrize(
+    "parent,order",
+    [
+        ([0, 2, 1], [1, 2]),  # 2-cycle 1 <-> 2, cut off from the root
+        ([0, 0, 1], [1]),  # vertex 2 missing from order
+        ([0, 0, 1], [1, 1]),  # vertex 1 twice, 2 missing: the pass alone would reach 3
+        ([0, 0, 1], [1, 2, 2]),  # a duplicate on top of a full order
+        ([0, 0, 1], [0, 1]),  # the root listed
+        ([0, 0, 1], [2, 1]),  # child 2 before its parent 1
+        ([0, 0, 3], [1, 2]),  # parent outside the vertex range
+        ([0, 0, -1], [1, 2]),  # negative parent, which list indexing would wrap
+    ],
+)
+def test_splits_rejects_non_trees(parent, order):
+    with pytest.raises(ValueError):
+        _splits(3, parent, order)
