@@ -212,7 +212,7 @@ def test_validation_rejects_bad_specs():
         validate_spec(ExperimentSpec("threshold", n=10, k=3, p=0.25, delta=0.1, beta=Fraction(1, 3), trials=5))
     with pytest.raises(ValueError, match="does not read asymptotic_presample"):
         validate_spec(ExperimentSpec("counting", n=10, p=0.25, delta=0.1, ones=2, asymptotic_presample=True, trials=5))
-    # defaults are not "given": every kind's own fields pass with the rest unset
+    # a kind's own fields pass while the others keep their defaults
     validate_spec(ExperimentSpec("walk-laws", p=0.25, k=3, trials=10))
     validate_spec(ExperimentSpec("counting2", n=10, p=0.25, delta=0.1, ones=2, asymptotic_presample=True, trials=5))
 
