@@ -7,23 +7,32 @@ tree (connected) or drop that edge (disconnected with two large
 components). Against this distribution the answer is information-dense:
 the naive reconstruct-everything solver needs on the order of
 n^2 log n queries, which is also optimal.
+
+Instances come straight from Wilson's parent array (``trees._wilson``)
+and its subtree sizes (``trees._splits``): no :class:`LabeledTree` is
+built unless ``base_tree`` is read, and the parent array answers s-t
+connectivity by which side of the cut each terminal lies on.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from fractions import Fraction
-from typing import Iterable
+from functools import cached_property
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .streams import as_generator
-from .trees import Edge, LabeledTree, as_balance_threshold, balanced_edges, sample_ust
+from .trees import Edge, LabeledTree, _splits, _wilson, as_balance_threshold
 from .unionfind import UnionFind
-# check_bit is not called here but stays a module attribute: walk
-# instrumentation, such as perfbench's tracer, wraps it by this name
-from .walks import WalkPolicy, _check_delta, check_bit, walks  # noqa: F401
+from .walks import WalkPolicy, _check_delta, walks
+
+# not called here but kept as module attributes: instrumentation such as
+# perfbench's tracer wraps them by these names
+from .trees import balanced_edges, sample_ust  # noqa: F401
+from .walks import check_bit  # noqa: F401
 
 HARD_BALANCE = Fraction(1, 21)
 DEFAULT_REJECTION_CAP = 10_000
@@ -56,17 +65,60 @@ def check_balance_feasible(n: int, beta) -> None:
 
 @dataclass(frozen=True)
 class HardInstance:
-    """Connectivity input: a tree, or a tree minus one balanced edge."""
+    """Connectivity input: a tree, or a tree minus one balanced edge.
+
+    ``tree``, the tree before the cut, and ``parent``, its parent array
+    rooted at vertex 0, may be passed if known; otherwise ``base_tree``
+    is built from ``graph`` and ``removed_edge`` when first read, and the
+    parents by BFS over it. Neither is part of equality.
+    """
 
     n: int
     graph: frozenset[Edge]
     label: int
     removed_edge: Edge | None
-    base_tree: LabeledTree
+    tree: InitVar[LabeledTree | None] = None
+    parent: InitVar[Sequence[int] | None] = None
+
+    def __post_init__(self, tree, parent) -> None:
+        # seed the cached properties: they live in the instance dict, which
+        # a frozen dataclass leaves writable
+        if tree is not None:
+            self.__dict__["base_tree"] = tree
+        if parent is not None:
+            self.__dict__["_parent"] = parent
 
     @property
     def connected(self) -> bool:
         return self.label == 1
+
+    @cached_property
+    def base_tree(self) -> LabeledTree:
+        cut = () if self.removed_edge is None else (self.removed_edge,)
+        return LabeledTree(self.n, (*self.graph, *cut))
+
+    @cached_property
+    def _parent(self) -> Sequence[int]:
+        return self.base_tree._rooted()[0]
+
+    def connects(self, s: int, t: int) -> bool:
+        """Whether ``graph`` joins vertices s and t.
+
+        A whole tree joins every pair; a cut tree joins s and t iff both
+        or neither lie in the subtree below the removed edge.
+        """
+        if self.removed_edge is None:
+            return True
+        parent = self._parent
+        u, v = self.removed_edge
+        below = v if parent[v] == u else u
+
+        def under(x: int) -> bool:
+            while x != below and x != 0:
+                x = parent[x]
+            return x == below
+
+        return under(s) == under(t)
 
 
 @dataclass(frozen=True)
@@ -93,13 +145,23 @@ def sample_hard_instance(
     ``rejection_cap`` consecutive trees have none.
     """
     check_balance_feasible(n, beta)
+    if n < 1:
+        raise ValueError(f"vertex count must be >= 1, got {n}")
     frac = as_balance_threshold(beta)
+    bar = frac.numerator * n
+    den = frac.denominator
     gen = as_generator(rng)
-    tree = None
-    candidates: tuple[Edge, ...] = ()
     for _ in range(rejection_cap):
-        tree = sample_ust(n, gen)
-        candidates = balanced_edges(tree, frac).balanced_edges
+        parent, order = _wilson(n, gen)
+        subtree = _splits(n, parent, order)
+        edges = [(v, parent[v]) if v < parent[v] else (parent[v], v) for v in order]
+        # the edge above v splits off subtree[v] vertices; candidates are
+        # listed sorted, as balanced_edges lists them
+        candidates = sorted(
+            edge
+            for v, edge in zip(order, edges)
+            if subtree[v] * den >= bar and (n - subtree[v]) * den >= bar
+        )
         if candidates:
             break
     else:
@@ -108,10 +170,8 @@ def sample_hard_instance(
         )
     chosen = candidates[int(gen.integers(0, len(candidates)))]
     label = int(gen.integers(0, 2))
-    if label == 1:
-        return HardInstance(n, frozenset(tree.edges), 1, None, tree)
-    graph = frozenset(e for e in tree.edges if e != chosen)
-    return HardInstance(n, graph, 0, chosen, tree)
+    removed = None if label == 1 else chosen
+    return HardInstance(n, frozenset(edges) - {removed}, label, removed, parent=parent)
 
 
 def sample_st_instance(

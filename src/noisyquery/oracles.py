@@ -209,10 +209,19 @@ class EdgeOracle(_CounterChannel):
         if n < 1:
             raise ValueError(f"vertex count must be >= 1, got {n}")
         self._n = int(n)
-        self._edges = frozenset(self._normalize(u, v) for u, v in edges)
+        pairs = np.array(list(edges), dtype=np.int64)
+        if pairs.size == 0:
+            pairs = pairs.reshape(0, 2)
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ValueError(f"edges must be vertex pairs, got an array of shape {pairs.shape}")
+        us = pairs.min(axis=1)
+        vs = pairs.max(axis=1)
+        bad = (us == vs) | (us < 0) | (vs >= self._n)
+        if bad.any():
+            # the first pair that query would refuse raises the same error
+            self._normalize(*pairs[bad.argmax()].tolist())
         bits = np.zeros(self._n * (self._n - 1) // 2, dtype=np.uint8)
-        for u, v in self._edges:
-            bits[self._pair_slot(u, v)] = 1
+        bits[self._pair_slot(us, vs)] = 1
         self._init_channel(noise, rng, track_per_index, bits)
 
     def _normalize(self, u, v) -> tuple[int, int]:
@@ -224,8 +233,9 @@ class EdgeOracle(_CounterChannel):
             raise IndexError(f"vertex pair ({u}, {v}) out of range [0, {self._n})")
         return (u, v) if u < v else (v, u)
 
-    def _pair_slot(self, u: int, v: int) -> int:
-        # pairs (0,1), (0,2), ..., (0,n-1), (1,2), ...: row u starts after u rows of n-1, n-2, ... pairs
+    def _pair_slot(self, u, v):
+        # pairs (0,1), (0,2), ..., (0,n-1), (1,2), ...: row u starts after u rows of n-1, n-2, ... pairs;
+        # u and v may be ints or integer arrays
         return u * (2 * self._n - u - 1) // 2 + v - u - 1
 
     @property
@@ -234,16 +244,24 @@ class EdgeOracle(_CounterChannel):
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
-        return self._edges
+        """The hidden edges, as pairs (u, v) with u < v."""
+        us, vs = self._pairs(np.flatnonzero(self._bits))
+        return frozenset(zip(us.tolist(), vs.tolist()))
 
     def _slot(self, key) -> int:
         u, v = key
         return self._pair_slot(*self._normalize(u, v))
 
     def _pairs(self, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Endpoint arrays (u, v), u < v, of the pairs at ``slots``."""
-        us, vs = np.triu_indices(self._n, 1)
-        return us[slots], vs[slots]
+        """Endpoint arrays (u, v), u < v, of the pairs at ``slots``.
+
+        u is the last row that starts at or before the slot, and v
+        follows from the slot's offset in that row.
+        """
+        rows = np.arange(self._n - 1)
+        starts = self._pair_slot(rows, rows + 1)
+        us = np.searchsorted(starts, slots, side="right") - 1
+        return us, slots - starts[us] + us + 1
 
     def _ledger_keys(self, slots: np.ndarray) -> list[tuple[int, int]]:
         us, vs = self._pairs(slots)

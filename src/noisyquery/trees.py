@@ -7,8 +7,9 @@ vertex after its parent. ``_splits`` turns that pair into subtree sizes
 in one children-first pass, which are the sides of the split each edge's
 removal leaves. ``sample_ust`` wraps the parent array in a
 :class:`LabeledTree`; ``balanced_edges`` recovers parents of any tree by
-BFS; ``structure_scaling_report`` goes from ``_wilson`` to ``_splits``
-without building a tree object at all.
+BFS; ``structure_scaling_report`` and the hard connectivity instances
+(``connectivity.sample_hard_instance``) go from ``_wilson`` to
+``_splits`` without building a tree object at all.
 
 The independent route to the same distribution is the Prufer
 correspondence (a uniform sequence in [n]^(n-2) maps bijectively to a

@@ -97,8 +97,8 @@ def expected_hitting_time(p: float, x: int) -> float:
     return x / (1.0 - 2.0 * p)
 
 
-# at most this many answers are computed at once, which bounds a block's
-# working set at a few hundred kilobytes
+# a block computes fewer than twice this many answers at once, which
+# bounds its working set at a few hundred kilobytes
 _BLOCK_ELEMENTS = 1 << 14
 # a block's levels, and twice its flip counts, fit int8 (see _walk_block)
 _MAX_WIDTH = 63
@@ -131,7 +131,8 @@ def block_width(p: float, a: int, b: int) -> int:
 
 
 def block_keys(p: float, a: int, b: int) -> int:
-    """How many keys one block walks at once."""
+    """Keys per block: :func:`walks` splits a call of ``size`` keys into
+    ``max(1, size // block_keys)`` near-equal blocks."""
     return max(1, _BLOCK_ELEMENTS // block_width(p, a, b))
 
 
@@ -150,8 +151,9 @@ def walks(oracle, keys, a: int, b: int, *, commit: bool = True) -> tuple[np.ndar
     nothing changes, and :func:`commit_walks` can charge any of them
     later.
 
-    All walking keys advance together in blocks of
-    :func:`block_width` steps, :func:`block_keys` keys at a time.
+    All walking keys advance together in blocks of :func:`block_width`
+    steps; a call of many keys is split into near-equal groups of fewer
+    than twice :func:`block_keys` keys each.
     """
     channel, flip = _channel(oracle)
     keys = np.asarray(keys, dtype=np.int64)
@@ -163,9 +165,11 @@ def walks(oracle, keys, a: int, b: int, *, commit: bool = True) -> tuple[np.ndar
         _walk_few(channel, flip, keys, a, b, decided, steps)
     else:
         width = block_width(channel.noise.p, a, b)
-        per_block = block_keys(channel.noise.p, a, b)
-        for lo in range(0, keys.size, per_block):
-            part = slice(lo, lo + per_block)
+        # near-equal blocks of at least block_keys keys each, so a short
+        # remainder joins the blocks instead of paying rounds of its own
+        blocks = max(1, keys.size // block_keys(channel.noise.p, a, b))
+        for i in range(blocks):
+            part = slice(keys.size * i // blocks, keys.size * (i + 1) // blocks)
             _walk_block(channel, flip, keys[part], a, b, width, decided[part], steps[part])
     if commit:
         channel._charge(keys, steps)

@@ -16,6 +16,7 @@ from noisyquery import (
     RejectionCapExceeded,
     UnionFind,
     WalkPolicy,
+    balanced_edges,
     check_balance_feasible,
     components_of,
     derive_rng,
@@ -29,6 +30,7 @@ from noisyquery import (
     run_experiment,
     sample_hard_instance,
     sample_st_instance,
+    sample_ust,
     seed_sequence,
     theory_bound,
 )
@@ -76,6 +78,61 @@ def test_hard_instance_label_matches_connectivity():
             assert len(sizes) == 2
             for size in sizes:
                 assert size * 21 >= n
+
+
+def tree_route_instance(n, gen, beta):
+    """The hard instance drawn through LabeledTree, as sample_hard_instance
+    once drew it: the same rejection loop, edge pick and label coin.
+    Returns (tree, graph, label, removed_edge, trees drawn)."""
+    draws = 0
+    candidates = ()
+    while not candidates:
+        tree = sample_ust(n, gen)
+        candidates = balanced_edges(tree, beta).balanced_edges
+        draws += 1
+    chosen = candidates[int(gen.integers(0, len(candidates)))]
+    label = int(gen.integers(0, 2))
+    removed = None if label == 1 else chosen
+    return tree, frozenset(e for e in tree.edges if e != removed), label, removed, draws
+
+
+def assert_same_as_tree_route(n, beta, stream):
+    new_gen, old_gen = derive_rng(*stream), derive_rng(*stream)
+    instance = sample_hard_instance(n, new_gen, beta=beta)
+    tree, graph, label, removed, draws = tree_route_instance(n, old_gen, beta)
+    assert (instance.graph, instance.label, instance.removed_edge) == (graph, label, removed)
+    assert instance.base_tree.edges == tree.edges
+    assert new_gen.bit_generator.state == old_gen.bit_generator.state
+    return draws
+
+
+@hypothesis.given(
+    st.one_of(st.integers(2, 12), st.integers(2, 300)),
+    st.sampled_from([Fraction(1, 21), Fraction(1, 5), Fraction(1, 3)]),
+    st.integers(0, 2**32),
+)
+def test_hard_instance_matches_tree_route(n, beta, seed):
+    assert_same_as_tree_route(n, beta, (seed, "hard-route", n))
+
+
+def test_hard_instance_matches_tree_route_through_redraws():
+    # at beta = 1/3 a star on 4..8 vertices has no balanced edge, so some
+    # of these streams redraw the tree, and must redraw it identically
+    draws = [assert_same_as_tree_route(n, Fraction(1, 3), (91, "redraw", n, j)) for n in range(4, 9) for j in range(10)]
+    assert max(draws) > 1
+
+
+@hypothesis.given(st.integers(2, 200), st.integers(0, 2**32))
+def test_cut_truth_matches_components(n, seed):
+    # the sampled instance answers from Wilson's parents, its text round
+    # trip from a BFS of its base tree
+    drawn = sample_st_instance(n, derive_rng(seed, "cut-truth", n))
+    parsed = hard_instance_from_text(hard_instance_to_text(drawn.instance))
+    components = components_of(n, drawn.instance.graph)
+    for instance in (drawn.instance, parsed):
+        for s in range(n):
+            assert instance.connects(s, drawn.t) == components.connected(s, drawn.t)
+        assert instance.connects(drawn.s, drawn.t) == components.connected(drawn.s, drawn.t)
 
 
 def test_hard_instance_coin_is_fair():
@@ -255,7 +312,12 @@ def test_hard_instance_text_round_trip_property(tree, data):
     removed = data.draw(st.one_of(st.none(), st.sampled_from(tree.edges)))
     graph = frozenset(e for e in tree.edges if e != removed)
     instance = HardInstance(tree.n, graph, 1 if removed is None else 0, removed, tree)
-    assert hard_instance_from_text(hard_instance_to_text(instance)) == instance
+    assert instance.base_tree is tree
+    parsed = hard_instance_from_text(hard_instance_to_text(instance))
+    assert parsed == instance
+    assert parsed.base_tree == tree
+    # built from the graph when not given
+    assert HardInstance(tree.n, graph, instance.label, removed).base_tree == tree
 
 
 # sha256 of reports_to_csv for the benchmark's connectivity spec and a

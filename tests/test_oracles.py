@@ -1,5 +1,9 @@
 import math
+from itertools import combinations
 
+import hypothesis
+from hypothesis import strategies as st
+import numpy as np
 import pytest
 
 from noisyquery import (
@@ -119,6 +123,56 @@ def test_edge_oracle_validation():
         EdgeOracle(0, [], 0.2, 0)
     with pytest.raises(ValueError):
         EdgeOracle(3, [(0, 0)], 0.2, 0)
+
+
+def per_edge_bits(n, edges):
+    """Reference construction: each pair checked and normalised in turn,
+    as query checks it; slots numbered as combinations lists the pairs."""
+    slot = {pair: s for s, pair in enumerate(combinations(range(n), 2))}
+    bits = [0] * len(slot)
+    for u, v in edges:
+        if u == v:
+            raise ValueError(f"self-loop ({u}, {v}) is not a valid query")
+        if not (0 <= u < n and 0 <= v < n):
+            raise IndexError(f"vertex pair ({u}, {v}) out of range [0, {n})")
+        bits[slot[min(u, v), max(u, v)]] = 1
+    return bits
+
+
+@hypothesis.given(st.integers(1, 30), st.data())
+def test_edge_oracle_matches_per_edge_construction(n, data):
+    # reversed and duplicated pairs, and perhaps one pair anywhere that is
+    # a self-loop or out of range
+    vertex = st.integers(0, n - 1)
+    edges = data.draw(st.lists(st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1])))
+    outside = st.sampled_from([-2, -1, n, n + 1])
+    odd = data.draw(st.none() | vertex.map(lambda v: (v, v)) | st.tuples(vertex, outside) | st.tuples(outside, vertex))
+    if odd is not None:
+        edges.insert(data.draw(st.integers(0, len(edges))), odd)
+    try:
+        bits = per_edge_bits(n, edges)
+    except (ValueError, IndexError) as expected:
+        with pytest.raises(type(expected)) as raised:
+            EdgeOracle(n, edges, 0.2, 0)
+        assert str(raised.value) == str(expected)
+        return
+    oracle = EdgeOracle(n, edges, 0.2, 0)
+    assert oracle._bits.tolist() == bits
+    assert oracle.edges == frozenset((min(u, v), max(u, v)) for u, v in edges)
+    us, vs = oracle._pairs(np.arange(len(bits)))
+    assert list(zip(us.tolist(), vs.tolist())) == list(combinations(range(n), 2))
+
+
+def test_edge_oracle_rejects_the_first_bad_pair():
+    # each error names the offending pair as given
+    with pytest.raises(ValueError, match=r"self-loop \(2, 2\)"):
+        EdgeOracle(3, [(0, 1), (2, 2), (0, 5)], 0.2, 0)
+    with pytest.raises(IndexError, match=r"vertex pair \(5, 0\) out of range"):
+        EdgeOracle(3, [(1, 0), (5, 0), (2, 2)], 0.2, 0)
+    with pytest.raises(IndexError, match=r"vertex pair \(1, -1\)"):
+        EdgeOracle(3, frozenset({(1, -1)}), 0.2, 0)
+    with pytest.raises(ValueError, match="vertex pairs"):
+        EdgeOracle(3, [(0, 1, 2)], 0.2, 0)
 
 
 def test_complement_view_flips_channel():

@@ -315,7 +315,8 @@ def test_kernel_matches_query_walks(n, p, a, b, seed, complement, warmup, data):
 
 
 def test_kernel_matches_query_walks_over_many_blocks():
-    # wide barriers make the widest blocks, of 260 keys, so 1200 keys take five
+    # wide barriers make the widest blocks, so the fewest keys per block
+    # (260): 1200 keys take four blocks of 300
     bases, views = _twin_bit_oracles(1200, 0.3, 5, False, range(0, 1200, 7))
     keys = derive_rng(5, "keys").permutation(1200)
     assert block_keys(0.3, 30, 30) == 260
