@@ -10,8 +10,7 @@ n^2 log n queries, which is also optimal.
 
 Instances come straight from Wilson's parent array (``trees._wilson``)
 and its subtree sizes (``trees._splits``): no :class:`LabeledTree` is
-built unless ``base_tree`` is read, and the parent array answers s-t
-connectivity by which side of the cut each terminal lies on.
+built unless ``base_tree`` is read.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ import math
 from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -67,10 +66,9 @@ def check_balance_feasible(n: int, beta) -> None:
 class HardInstance:
     """Connectivity input: a tree, or a tree minus one balanced edge.
 
-    ``tree``, the tree before the cut, and ``parent``, its parent array
-    rooted at vertex 0, may be passed if known; otherwise ``base_tree``
-    is built from ``graph`` and ``removed_edge`` when first read, and the
-    parents by BFS over it. Neither is part of equality.
+    ``tree``, the tree before the cut, may be passed if known; otherwise
+    ``base_tree`` is built from ``graph`` and ``removed_edge`` when first
+    read. It is not part of equality.
     """
 
     n: int
@@ -78,15 +76,12 @@ class HardInstance:
     label: int
     removed_edge: Edge | None
     tree: InitVar[LabeledTree | None] = None
-    parent: InitVar[Sequence[int] | None] = None
 
-    def __post_init__(self, tree, parent) -> None:
-        # seed the cached properties: they live in the instance dict, which
-        # a frozen dataclass leaves writable
+    def __post_init__(self, tree) -> None:
+        # seed the cached property: it lives in the instance dict, which a
+        # frozen dataclass leaves writable
         if tree is not None:
             self.__dict__["base_tree"] = tree
-        if parent is not None:
-            self.__dict__["_parent"] = parent
 
     @property
     def connected(self) -> bool:
@@ -96,29 +91,6 @@ class HardInstance:
     def base_tree(self) -> LabeledTree:
         cut = () if self.removed_edge is None else (self.removed_edge,)
         return LabeledTree(self.n, (*self.graph, *cut))
-
-    @cached_property
-    def _parent(self) -> Sequence[int]:
-        return self.base_tree._rooted()[0]
-
-    def connects(self, s: int, t: int) -> bool:
-        """Whether ``graph`` joins vertices s and t.
-
-        A whole tree joins every pair; a cut tree joins s and t iff both
-        or neither lie in the subtree below the removed edge.
-        """
-        if self.removed_edge is None:
-            return True
-        parent = self._parent
-        u, v = self.removed_edge
-        below = v if parent[v] == u else u
-
-        def under(x: int) -> bool:
-            while x != below and x != 0:
-                x = parent[x]
-            return x == below
-
-        return under(s) == under(t)
 
 
 @dataclass(frozen=True)
@@ -145,8 +117,6 @@ def sample_hard_instance(
     ``rejection_cap`` consecutive trees have none.
     """
     check_balance_feasible(n, beta)
-    if n < 1:
-        raise ValueError(f"vertex count must be >= 1, got {n}")
     frac = as_balance_threshold(beta)
     bar = frac.numerator * n
     den = frac.denominator
@@ -171,7 +141,7 @@ def sample_hard_instance(
     chosen = candidates[int(gen.integers(0, len(candidates)))]
     label = int(gen.integers(0, 2))
     removed = None if label == 1 else chosen
-    return HardInstance(n, frozenset(edges) - {removed}, label, removed, parent=parent)
+    return HardInstance(n, frozenset(edges) - {removed}, label, removed)
 
 
 def sample_st_instance(

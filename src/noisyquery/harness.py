@@ -30,6 +30,7 @@ from .boolfn import MAX_ARITY, TruthTable, restriction_identity_residual
 from .connectivity import (
     HARD_BALANCE,
     check_balance_feasible,
+    components_of,
     naive_connectivity,
     naive_st_connectivity,
     sample_hard_instance,
@@ -302,7 +303,7 @@ def _trial_connectivity(spec: ExperimentSpec, trial: int) -> tuple[bool, int]:
 def _trial_st_connectivity(spec: ExperimentSpec, trial: int) -> tuple[bool, int]:
     instance_rng = derive_rng(spec.seed, spec.kind, "instance", trial)
     st = sample_st_instance(spec.n, instance_rng, beta=BETA.of(spec))
-    truth = st.instance.connects(st.s, st.t)
+    truth = components_of(spec.n, st.instance.graph).connected(st.s, st.t)
     oracle = _conn_oracle(spec, trial, st.instance.graph)
     answer = naive_st_connectivity(oracle, st.s, st.t, spec.delta)
     return answer == truth, oracle.ledger.total_queries

@@ -218,8 +218,11 @@ class EdgeOracle(_CounterChannel):
         vs = pairs.max(axis=1)
         bad = (us == vs) | (us < 0) | (vs >= self._n)
         if bad.any():
-            # the first pair that query would refuse raises the same error
-            self._normalize(*pairs[bad.argmax()].tolist())
+            # the first bad pair raises query's own error; should the two
+            # checks ever disagree, the constructor still stops here
+            pair = pairs[bad.argmax()].tolist()
+            self._normalize(*pair)
+            raise AssertionError(f"vertex pair {tuple(pair)} failed the array check only")
         bits = np.zeros(self._n * (self._n - 1) // 2, dtype=np.uint8)
         bits[self._pair_slot(us, vs)] = 1
         self._init_channel(noise, rng, track_per_index, bits)

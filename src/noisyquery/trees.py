@@ -107,6 +107,8 @@ def _wilson(n: int, gen) -> tuple[list[int], list[int]]:
     n-1 vertices, each after its parent. Exactly uniform over all
     n^(n-2) labeled trees.
     """
+    if n < 1:
+        raise ValueError(f"vertex count must be >= 1, got {n}")
     parent = [0] * n
     if n <= 2:
         # one tree, no draw
@@ -170,8 +172,6 @@ def _splits(n: int, parent: Sequence[int], order: Sequence[int]) -> list[int]:
 
 def sample_ust(n: int, rng) -> LabeledTree:
     """Uniform spanning tree of K_n via Wilson's algorithm (see ``_wilson``)."""
-    if n < 1:
-        raise ValueError(f"vertex count must be >= 1, got {n}")
     parent, order = _wilson(n, as_generator(rng))
     return LabeledTree(n, tuple((v, parent[v]) for v in order))
 

@@ -122,19 +122,6 @@ def test_hard_instance_matches_tree_route_through_redraws():
     assert max(draws) > 1
 
 
-@hypothesis.given(st.integers(2, 200), st.integers(0, 2**32))
-def test_cut_truth_matches_components(n, seed):
-    # the sampled instance answers from Wilson's parents, its text round
-    # trip from a BFS of its base tree
-    drawn = sample_st_instance(n, derive_rng(seed, "cut-truth", n))
-    parsed = hard_instance_from_text(hard_instance_to_text(drawn.instance))
-    components = components_of(n, drawn.instance.graph)
-    for instance in (drawn.instance, parsed):
-        for s in range(n):
-            assert instance.connects(s, drawn.t) == components.connected(s, drawn.t)
-        assert instance.connects(drawn.s, drawn.t) == components.connected(drawn.s, drawn.t)
-
-
 def test_hard_instance_coin_is_fair():
     n, samples = 60, 2000
     rng = derive_rng(69, "coin")
