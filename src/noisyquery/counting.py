@@ -146,8 +146,6 @@ def counting_two_sided(
     delta: float,
     rng,
     *,
-    presample_size: int | None = None,
-    presample_error: float | None = None,
     asymptotic_presample: bool = False,
 ) -> CountResult:
     """Exact count whose cost depends on min(#ones, #zeros), not #ones.
@@ -170,21 +168,14 @@ def counting_two_sided(
     if n == 0:
         return CountResult(0, 0)
     if asymptotic_presample:
-        if presample_size is None:
-            presample_size = math.ceil(n**0.99)
-        if presample_error is None:
-            # exp(-100 ln n), floored at 1e-300 to stay a normal float;
-            # for n where the floor binds, the walk barrier differs by a
-            # constant and the wrapper's correctness is unaffected
-            presample_error = max(math.exp(-min(100.0 * math.log(max(n, 2)), 690.0)), 1e-300)
+        presample_size = math.ceil(n**0.99)
+        # exp(-100 ln n), floored at 1e-300 to stay a normal float;
+        # for n where the floor binds, the walk barrier differs by a
+        # constant and the wrapper's correctness is unaffected
+        presample_error = max(math.exp(-min(100.0 * math.log(max(n, 2)), 690.0)), 1e-300)
     else:
-        if presample_size is None:
-            presample_size = math.ceil(math.sqrt(n))
-        if presample_error is None:
-            presample_error = 1.0 / max(n, 2) ** 2
-    if not isinstance(presample_size, int) or presample_size < 1:
-        raise ValueError(f"presample size must be a positive integer, got {presample_size!r}")
-    _check_delta(presample_error, "presample_error")
+        presample_size = math.ceil(math.sqrt(n))
+        presample_error = 1.0 / max(n, 2) ** 2
 
     gen = as_generator(rng)
     start = oracle.ledger.total_queries

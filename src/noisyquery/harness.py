@@ -348,12 +348,12 @@ def _run_trials(spec: ExperimentSpec) -> tuple[int, float, float]:
 def _run_walk_laws(spec: ExperimentSpec) -> tuple[int, float, float]:
     """Vectorized runner: hit tallies toward +x, passage times to -x.
 
-    Uses one derived stream per law rather than per-trial streams; the
+    Uses one oracle stream per law rather than per-trial streams; the
     result is still a pure function of (seed, p, x, trials).
     """
-    hit = simulate_hitting(spec.p, spec.k, spec.trials, derive_rng(spec.seed, spec.kind, "hit", spec.k))
+    hit = simulate_hitting(spec.p, spec.k, spec.trials, seed_sequence(spec.seed, spec.kind, "hit", spec.k))
     passage = simulate_first_passage(
-        spec.p, spec.k, spec.trials, derive_rng(spec.seed, spec.kind, "passage", spec.k)
+        spec.p, spec.k, spec.trials, seed_sequence(spec.seed, spec.kind, "passage", spec.k)
     )
     return hit.hits, passage.mean, passage.stddev
 

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oracles import _MASK, GAMMA, NoiseModel, _CounterChannel, mix, mix_array, unwrap_complement
-from .streams import as_generator
+from .oracles import _MASK, GAMMA, BitOracle, NoiseModel, _CounterChannel, mix, mix_array, unwrap_complement
 
 
 def snapped_ceil(value: float, rel_tol: float = 1e-9) -> int:
@@ -111,6 +110,8 @@ _ROUND_ELEMENTS = 1 << 11
 # counter offsets GAMMA, 2 GAMMA, ... and step numbers 1, 2, ... of a block's rows
 _OFFSETS = (np.arange(1, _MAX_WIDTH + 1, dtype=np.uint64) * np.uint64(GAMMA))[:, None]
 _STEP_NUMBERS = np.arange(1, _MAX_WIDTH + 1, dtype=np.int8)[:, None]
+# an upper barrier no first-passage walk reaches
+_UNREACHABLE = 1 << 62
 
 
 def _channel(oracle) -> tuple[_CounterChannel, int]:
@@ -314,62 +315,42 @@ class PassageTally:
         return math.sqrt(max(var, 0.0))
 
 
-def simulate_hitting(p: float, x: int, walks: int, rng, *, precision: float = 1e-6) -> HitTally:
+def simulate_hitting(p: float, x: int, count: int, rng, *, precision: float = 1e-6) -> HitTally:
     """Monte Carlo estimate of the probability of ever reaching +x.
 
-    Walks step +1 w.p. p and -1 w.p. 1-p. A walk is abandoned as a
-    non-hit once it falls to x - ceil(log(1/precision)/log((1-p)/p)),
-    from where the chance of still reaching +x is below ``precision``;
-    the estimate is therefore biased low by at most ``precision``.
+    Runs :func:`walks` on ``count`` zero bits of a :class:`BitOracle`
+    keyed by ``rng``, so each walk steps +1 w.p. p and -1 w.p. 1-p. A
+    walk is abandoned as a non-hit once it falls to
+    x - ceil(log(1/precision)/log((1-p)/p)), from where the chance of
+    still reaching +x is below ``precision``; the estimate is therefore
+    biased low by at most ``precision``.
     """
     _check_walk_params(p, x)
-    if walks < 1:
+    if count < 1:
         raise ValueError("need at least one walk")
     if x == 0:
-        return HitTally(walks=walks, hits=walks)
-    gen = as_generator(rng)
+        return HitTally(walks=count, hits=count)
     noise = NoiseModel(p)
-    escape = x - snapped_ceil(math.log(1.0 / precision) / noise.log_ratio)
-    if escape >= 0:
+    far = snapped_ceil(math.log(1.0 / precision) / noise.log_ratio) - x
+    if far <= 0:
         # hitting probability below the truncation precision
-        return HitTally(walks=walks, hits=0)
-    pos = np.zeros(walks, dtype=np.int64)
-    hits = 0
-    while pos.size:
-        u = gen.random(pos.size)
-        pos += np.where(u < p, 1, -1)
-        hit = pos == x
-        done = hit | (pos == escape)
-        hits += int(hit.sum())
-        pos = pos[~done]
-    return HitTally(walks=walks, hits=hits)
+        return HitTally(walks=count, hits=0)
+    decided, _ = walks(BitOracle(np.zeros(count, dtype=np.uint8), noise, rng), np.arange(count), far, x)
+    return HitTally(walks=count, hits=int(decided.sum()))
 
 
-def simulate_first_passage(p: float, x: int, walks: int, rng) -> PassageTally:
+def simulate_first_passage(p: float, x: int, count: int, rng) -> PassageTally:
     """Monte Carlo first-passage times of the down-drift walk to -x.
 
-    The walk reaches -x almost surely, so no truncation is applied; step
-    counts are accumulated as exact integers.
+    Runs :func:`walks` on ``count`` zero bits of a :class:`BitOracle`
+    keyed by ``rng``, with the upper barrier out of reach, so no
+    truncation is applied; step counts are summed as exact integers.
     """
     _check_walk_params(p, x)
-    if walks < 1:
+    if count < 1:
         raise ValueError("need at least one walk")
     if x == 0:
-        return PassageTally(walks=walks, steps_total=0, steps_squared_total=0)
-    gen = as_generator(rng)
-    target = -int(x)
-    pos = np.zeros(walks, dtype=np.int64)
-    steps_total = 0
-    steps_squared = 0
-    step = 0
-    while pos.size:
-        step += 1
-        u = gen.random(pos.size)
-        pos += np.where(u < p, 1, -1)
-        done = pos == target
-        finished = int(done.sum())
-        if finished:
-            steps_total += step * finished
-            steps_squared += step * step * finished
-            pos = pos[~done]
-    return PassageTally(walks=walks, steps_total=steps_total, steps_squared_total=steps_squared)
+        return PassageTally(walks=count, steps_total=0, steps_squared_total=0)
+    oracle = BitOracle(np.zeros(count, dtype=np.uint8), NoiseModel(p), rng)
+    _, steps = walks(oracle, np.arange(count), x, _UNREACHABLE)
+    return PassageTally(walks=count, steps_total=int(steps.sum()), steps_squared_total=int(steps @ steps))

@@ -194,8 +194,8 @@ OUT_GOLDEN = {
     ("st-connectivity", "json"): "fe6a55bd8810f75c916a0949c320efe96fd5b6ef4ce738b1896467671a597445",
     ("influence", "csv"): "20026151bc474479a41cf4a3609f38ae3ab09014534f73d1618e7ad3370ff696",
     ("influence", "json"): "34686d28f1ae1074e64cb8a75a135cf9ac6780190ba0fb8b1e5085232d514c7a",
-    ("walk-laws", "csv"): "d08898f778fd3b3c9bc852028ff12a3aaa0069a633566299cf4ca8286377f699",
-    ("walk-laws", "json"): "fa415973c919472c3d25bd495a44d362afe17d7be14aadcead7fb793850e6548",
+    ("walk-laws", "csv"): "be922f723b127c95194cdb73ed37c404cfbfd1f3dba33b26a594d896668d23ec",
+    ("walk-laws", "json"): "65c7531f18e03bb477877a483bdfdfb6ce75d00e25042c79197d2a10f004f9ec",
     ("ust-stats", "csv"): "eb707525dd66458ac41df7f5cc32cc0b6f9488a6cc7b3bf439f08afef9b63fef",
     ("ust-stats", "json"): "9c258d7938571fc31fccc77dd724a5b72f9687054ea6f22a3e43e9dfab992b52",
 }

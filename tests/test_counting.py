@@ -259,7 +259,7 @@ def test_two_sided_zero_ones_matches_one_sided_up_to_presample():
     oracle_a = BitOracle([0] * n, p, seed_sequence(25, "zf"))
     direct = counting_one_sided(oracle_a, delta)
     oracle_b = BitOracle([0] * n, p, seed_sequence(25, "zf2"))
-    wrapped = counting_two_sided(oracle_b, delta, derive_rng(25, "zf-algo"), presample_size=12)
+    wrapped = counting_two_sided(oracle_b, delta, derive_rng(25, "zf-algo"))
     assert wrapped.value == direct.value == 0
     # presample cost rides on top of the one-sided run
     assert wrapped.queries > direct.queries * 0.5
@@ -276,10 +276,6 @@ def test_two_sided_asymptotic_presample_smoke():
 def test_two_sided_validation():
     oracle = BitOracle([0, 1], 0.2, 0)
     rng = derive_rng(0, "v")
-    with pytest.raises(ValueError):
-        counting_two_sided(oracle, 0.1, rng, presample_size=0)
-    with pytest.raises(ValueError):
-        counting_two_sided(oracle, 0.1, rng, presample_error=1.0)
     with pytest.raises(ValueError):
         counting_two_sided(oracle, 0.0, rng)
 

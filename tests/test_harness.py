@@ -304,9 +304,9 @@ def test_scaling_gate_edges():
 # sha256 of reports_to_csv for the kinds no other golden pins, at seeds
 # 0-2; a refactor that keeps every realisation keeps these
 ROWS_GOLDEN = {
-    (0, "walk-laws"): "b3aa3dd12d4cc6a4afb1bcb56a3e6e64cd9d679862b1891218e11bfacb7789cb",
-    (1, "walk-laws"): "0c3816d3fd96a7db8620160663277067590ee4a2eeadedda1290eb0b68542187",
-    (2, "walk-laws"): "a10144927450529026deb694b1f96aca7d3beb6c52334b19ada1590175d3caa8",
+    (0, "walk-laws"): "2a7741cb0e3ec845b7ad9d7eeacdb9fac059e1a808119cc3d8b2899190728247",
+    (1, "walk-laws"): "6dc6aa542036ca53413097446c58c3839d91bfd9de922c9c7f2f8d6a960c6648",
+    (2, "walk-laws"): "7a3e6da3d251df53c749cd807a4c8f6c315102a253cc433fbb29224d07108ab6",
     (0, "influence"): "424dc3815e31a0c9bcfeed6c4bcb6bd03ca77770c134c9e4669ebb5c58dafceb",
     (1, "influence"): "38fa1c4a0ee5138e1f13a4376f2381629b7b32db89ed792128526f4689590510",
     (2, "influence"): "f08d68961207b628030d23c4b38eb39a5265f5c20dcb6d661daa23990936fcb6",

@@ -118,6 +118,23 @@ def test_simulated_first_passage_matches_law(p, x):
     assert tally.stddev > 0.0
 
 
+@pytest.mark.parametrize("p,x", [(0.1, 2), (0.25, 1), (0.4, 3)])
+def test_simulated_laws_walk_the_kernel(p, x):
+    # the laws are tallies of the walk kernel on all-zero bits: a twin
+    # oracle from the same stream, walked key by key through query(),
+    # gives the same hits and the same step sums
+    count, precision = 200, 1e-6
+    far = snapped_ceil(math.log(1.0 / precision) / NoiseModel(p).log_ratio) - x
+    twin = BitOracle([0] * count, p, seed_sequence(41, "hit", int(p * 100), x))
+    hits = sum(query_walk(twin, i, far, x)[0] for i in range(count))
+    tally = simulate_hitting(p, x, count, seed_sequence(41, "hit", int(p * 100), x), precision=precision)
+    assert tally.hits == hits
+    twin = BitOracle([0] * count, p, seed_sequence(41, "passage", int(p * 100), x))
+    steps = [query_walk(twin, i, x, 1 << 62)[1] for i in range(count)]
+    passage = simulate_first_passage(p, x, count, seed_sequence(41, "passage", int(p * 100), x))
+    assert (passage.steps_total, passage.steps_squared_total) == (sum(steps), sum(s * s for s in steps))
+
+
 def test_fast_walk_consumes_stream_like_single_queries():
     # asymmetric_check_bit must be answer-for-answer identical to a walk
     # driven by public query() calls on an identically seeded oracle
