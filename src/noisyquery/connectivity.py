@@ -9,22 +9,21 @@ the naive reconstruct-everything solver needs on the order of
 n^2 log n queries, which is also optimal.
 
 Instances come straight from Wilson's parent array (``trees._wilson``)
-and its subtree sizes (``trees._splits``): no :class:`LabeledTree` is
-built unless ``base_tree`` is read.
+and its balanced edges (``trees._balance``): no :class:`LabeledTree` is
+built unless ``base_tree`` is read, and each read rebuilds it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable
 
 import numpy as np
 
 from .streams import as_generator
-from .trees import Edge, LabeledTree, _splits, _wilson, as_balance_threshold
+from .trees import Edge, LabeledTree, _balance, _wilson, as_balance_threshold
 from .unionfind import UnionFind
 from .walks import WalkPolicy, _check_delta, walks
 
@@ -66,28 +65,20 @@ def check_balance_feasible(n: int, beta) -> None:
 class HardInstance:
     """Connectivity input: a tree, or a tree minus one balanced edge.
 
-    ``tree``, the tree before the cut, may be passed if known; otherwise
-    ``base_tree`` is built from ``graph`` and ``removed_edge`` when first
-    read. It is not part of equality.
+    ``base_tree``, the tree before the cut, is rebuilt from ``graph`` and
+    ``removed_edge`` on each read.
     """
 
     n: int
     graph: frozenset[Edge]
     label: int
     removed_edge: Edge | None
-    tree: InitVar[LabeledTree | None] = None
-
-    def __post_init__(self, tree) -> None:
-        # seed the cached property: it lives in the instance dict, which a
-        # frozen dataclass leaves writable
-        if tree is not None:
-            self.__dict__["base_tree"] = tree
 
     @property
     def connected(self) -> bool:
         return self.label == 1
 
-    @cached_property
+    @property
     def base_tree(self) -> LabeledTree:
         cut = () if self.removed_edge is None else (self.removed_edge,)
         return LabeledTree(self.n, (*self.graph, *cut))
@@ -118,20 +109,10 @@ def sample_hard_instance(
     """
     check_balance_feasible(n, beta)
     frac = as_balance_threshold(beta)
-    bar = frac.numerator * n
-    den = frac.denominator
     gen = as_generator(rng)
     for _ in range(rejection_cap):
         parent, order = _wilson(n, gen)
-        subtree = _splits(n, parent, order)
-        edges = [(v, parent[v]) if v < parent[v] else (parent[v], v) for v in order]
-        # the edge above v splits off subtree[v] vertices; candidates are
-        # listed sorted, as balanced_edges lists them
-        candidates = sorted(
-            edge
-            for v, edge in zip(order, edges)
-            if subtree[v] * den >= bar and (n - subtree[v]) * den >= bar
-        )
+        _, candidates, _ = _balance(n, parent, order, frac)
         if candidates:
             break
     else:
@@ -141,7 +122,8 @@ def sample_hard_instance(
     chosen = candidates[int(gen.integers(0, len(candidates)))]
     label = int(gen.integers(0, 2))
     removed = None if label == 1 else chosen
-    return HardInstance(n, frozenset(edges) - {removed}, label, removed)
+    edges = frozenset((v, parent[v]) if v < parent[v] else (parent[v], v) for v in order)
+    return HardInstance(n, edges - {removed}, label, removed)
 
 
 def sample_st_instance(
@@ -253,4 +235,4 @@ def hard_instance_from_text(text: str) -> HardInstance:
             raise ValueError("connected instance cannot have a removed edge")
         base = LabeledTree(n, tuple(edges) + (removed,))
     base.validate()
-    return HardInstance(n, frozenset(edges), label, removed, base)
+    return HardInstance(n, frozenset(edges), label, removed)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
@@ -159,7 +160,8 @@ def _require(condition: bool, message: str) -> None:
 class Param:
     """One spec field a kind reads: its rule, what None stands for, its flag.
 
-    ``ok(value, spec)`` says whether a value is valid, or raises a
+    A value must be of the field's ``type`` (see :meth:`admits`), and
+    ``ok(value, spec)`` says whether it is valid, or raises a
     ValueError of its own that says why not. None is invalid unless the
     field is optional; then it stands for ``fallback``. A required field
     with a ``cli_default`` is optional on the command line only.
@@ -179,6 +181,13 @@ class Param:
         value = getattr(spec, self.field)
         return self.fallback if value is None else value
 
+    def admits(self, value) -> bool:
+        """Whether ``value`` is of this field's type: a bool only for bool
+        fields, an integer for int fields, a real number for the others."""
+        if isinstance(value, bool) or self.type is bool:
+            return isinstance(value, bool) and self.type is bool
+        return isinstance(value, numbers.Integral if self.type is int else numbers.Real)
+
 
 N = Param("n", int, "n >= 1", lambda v, s: v >= 1)
 K = Param("k", int, "1 <= k <= n", lambda v, s: 1 <= v <= s.n)
@@ -194,7 +203,7 @@ PINNED_ONES = replace(
     ONES, optional=True, help="fixed number of ones per instance (default: k-1 or k by fair coin)"
 )
 PRESAMPLE = Param(
-    "asymptotic_presample", bool, optional=True, flag="asymptotic-presample",
+    "asymptotic_presample", bool, "asymptotic_presample True or False", optional=True, flag="asymptotic-presample",
     help="size the orientation presample as n^0.99 checks at error n^-100",
 )
 ARITY = Param(
@@ -429,7 +438,9 @@ def validate_spec(spec: ExperimentSpec) -> None:
         value = param.of(spec)
         if value is None and param.optional:
             continue
-        _require(value is not None and param.ok(value, spec), f"{spec.kind} needs {param.rule}")
+        _require(
+            value is not None and param.admits(value) and param.ok(value, spec), f"{spec.kind} needs {param.rule}"
+        )
 
 
 def run_trial(spec: ExperimentSpec, trial: int) -> tuple[bool, int]:

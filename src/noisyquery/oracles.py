@@ -279,38 +279,21 @@ class EdgeOracle(_CounterChannel):
         return answer
 
 
-class ComplementBitOracle:
-    """View of a bit oracle with every answer flipped.
+class ComplementBitOracle(BitOracle):
+    """Bit oracle over the complement of another's hidden bits.
 
     Flipping a binary-symmetric-channel answer about bit b gives the
-    same channel about bit 1-b, so this view behaves exactly like an
-    oracle over the complemented hidden vector. Queries are recorded in
-    the underlying oracle's ledger.
+    same channel about bit 1-b, so the view's answers are the inner
+    oracle's flipped. It shares the inner oracle's answer counters and
+    ledger: its answers continue the inner's answer counts, and its
+    queries are recorded in the inner's ledger.
     """
 
     def __init__(self, inner: BitOracle) -> None:
-        self._inner = inner
-
-    @property
-    def n(self) -> int:
-        return self._inner.n
-
-    @property
-    def noise(self) -> NoiseModel:
-        return self._inner.noise
-
-    @property
-    def ledger(self) -> QueryLedger:
-        return self._inner.ledger
-
-    def query(self, i: int) -> int:
-        return 1 ^ self._inner.query(i)
-
-
-def unwrap_complement(oracle) -> tuple[object, int]:
-    """The oracle under any complement views, and 1 if they flip its answers."""
-    flip = 0
-    while isinstance(oracle, ComplementBitOracle):
-        oracle = oracle._inner
-        flip ^= 1
-    return oracle, flip
+        if not isinstance(inner, BitOracle):
+            raise TypeError(f"a complement view needs a BitOracle, got {type(inner).__name__}")
+        self.noise = inner.noise
+        self._flip_below = inner._flip_below
+        self._bits = inner._bits ^ 1
+        self._counters = inner._counters
+        self.ledger = inner.ledger

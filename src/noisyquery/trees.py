@@ -5,11 +5,13 @@ spanning tree of the complete graph with Wilson's loop-erased random
 walk, as a parent array rooted at vertex 0 plus an order that puts every
 vertex after its parent. ``_splits`` turns that pair into subtree sizes
 in one children-first pass, which are the sides of the split each edge's
-removal leaves. ``sample_ust`` wraps the parent array in a
+removal leaves. ``_balance`` on top of ``_splits`` is the one home of
+the balance rule: it returns the subtree sizes, the balanced edges and
+the sum of smaller sides. ``sample_ust`` wraps the parent array in a
 :class:`LabeledTree`; ``balanced_edges`` recovers parents of any tree by
 BFS; ``structure_scaling_report`` and the hard connectivity instances
 (``connectivity.sample_hard_instance``) go from ``_wilson`` to
-``_splits`` without building a tree object at all.
+``_balance`` without building a tree object at all.
 
 The independent route to the same distribution is the Prufer
 correspondence (a uniform sequence in [n]^(n-2) maps bijectively to a
@@ -170,6 +172,30 @@ def _splits(n: int, parent: Sequence[int], order: Sequence[int]) -> list[int]:
     return subtree
 
 
+def _balance(n: int, parent: Sequence[int], order: Sequence[int], frac: Fraction) -> tuple[list[int], list[Edge], int]:
+    """Split sizes, the frac-balanced edges and the sum of smaller sides.
+
+    Returns ``_splits``' subtree sizes, the edges whose removal leaves
+    at least frac*n vertices on both sides, sorted, and the sum over all
+    edges of the smaller side's size. Edge tuples are built for the
+    balanced edges only.
+    """
+    subtree = _splits(n, parent, order)
+    bar = frac.numerator * n
+    den = frac.denominator
+    balanced: list[Edge] = []
+    s_sum = 0
+    for v in order:
+        side = subtree[v]
+        other = n - side
+        s_sum += side if side < other else other
+        if side * den >= bar and other * den >= bar:
+            u = parent[v]
+            balanced.append((v, u) if v < u else (u, v))
+    balanced.sort()
+    return subtree, balanced, s_sum
+
+
 def sample_ust(n: int, rng) -> LabeledTree:
     """Uniform spanning tree of K_n via Wilson's algorithm (see ``_wilson``)."""
     parent, order = _wilson(n, as_generator(rng))
@@ -290,22 +316,10 @@ def balanced_edges(tree: LabeledTree, beta) -> BalancedEdgeReport:
     frac = as_balance_threshold(beta)
     n = tree.n
     parent, order = tree._rooted()
-    subtree = _splits(n, parent, order)
-    num = frac.numerator
-    den = frac.denominator
-    balanced: list[Edge] = []
-    s_values: dict[Edge, int] = {}
-    s_sum = 0
-    for v in order:
-        side = subtree[v]
-        other = n - side
-        edge = (v, parent[v]) if v < parent[v] else (parent[v], v)
-        smaller = side if side < other else other
-        s_values[edge] = smaller
-        s_sum += smaller
-        if side * den >= num * n and other * den >= num * n:
-            balanced.append(edge)
-    balanced.sort()
+    subtree, balanced, s_sum = _balance(n, parent, order, frac)
+    s_values = {
+        (v, parent[v]) if v < parent[v] else (parent[v], v): min(subtree[v], n - subtree[v]) for v in order
+    }
     return BalancedEdgeReport(frac, tuple(balanced), s_values, s_sum)
 
 
@@ -388,23 +402,14 @@ def structure_scaling_report(
         raise ValueError("size grid must be strictly increasing")
     if samples < 1:
         raise ValueError("need at least one sample per size")
-    num = frac.numerator
-    den = frac.denominator
     rows = []
     for n in sizes:
         balanced_counts = []
         s_sums = []
         for j in range(samples):
             parent, order = _wilson(n, derive_rng(seed, "ust-scaling", n, j))
-            subtree = _splits(n, parent, order)
-            balanced = s_sum = 0
-            for v in order:
-                side = subtree[v]
-                other = n - side
-                s_sum += side if side < other else other
-                if side * den >= num * n and other * den >= num * n:
-                    balanced += 1
-            balanced_counts.append(balanced)
+            _, balanced, s_sum = _balance(n, parent, order, frac)
+            balanced_counts.append(len(balanced))
             s_sums.append(s_sum)
         rows.append(
             ScalingRow(

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oracles import _MASK, GAMMA, BitOracle, NoiseModel, _CounterChannel, mix, mix_array, unwrap_complement
+from .oracles import _MASK, GAMMA, BitOracle, NoiseModel, _CounterChannel, mix, mix_array
 
 
 def snapped_ceil(value: float, rel_tol: float = 1e-9) -> int:
@@ -114,11 +114,10 @@ _STEP_NUMBERS = np.arange(1, _MAX_WIDTH + 1, dtype=np.int8)[:, None]
 _UNREACHABLE = 1 << 62
 
 
-def _channel(oracle) -> tuple[_CounterChannel, int]:
-    channel, flip = unwrap_complement(oracle)
-    if not isinstance(channel, _CounterChannel):
-        raise TypeError(f"walks need a BitOracle, an EdgeOracle or a complement view of one, got {type(oracle).__name__}")
-    return channel, flip
+def _channel(oracle) -> _CounterChannel:
+    if not isinstance(oracle, _CounterChannel):
+        raise TypeError(f"walks need a BitOracle or an EdgeOracle, got {type(oracle).__name__}")
+    return oracle
 
 
 def block_width(p: float, a: int, b: int) -> int:
@@ -146,24 +145,22 @@ def walks(oracle, keys, a: int, b: int, *, commit: bool = True) -> tuple[np.ndar
     answer 1 and -1 on an answer 0, and its answers continue the key's
     answer count, so the result equals walking the keys one by one
     through ``query`` calls, in any order. Returns the declared bits
-    (about the oracle as passed, so through a complement view the
-    complement) and the steps each walk took. With ``commit`` the steps
-    are added to the keys' answer counts and to the ledger; without it
-    nothing changes, and :func:`commit_walks` can charge any of them
-    later.
+    and the steps each walk took. With ``commit`` the steps are added to
+    the keys' answer counts and to the ledger; without it nothing
+    changes, and :func:`commit_walks` can charge any of them later.
 
     All walking keys advance together in blocks of :func:`block_width`
     steps; a call of many keys is split into near-equal groups of fewer
     than twice :func:`block_keys` keys each.
     """
-    channel, flip = _channel(oracle)
+    channel = _channel(oracle)
     keys = np.asarray(keys, dtype=np.int64)
     if keys.size and not 0 <= keys.min() <= keys.max() < channel._bits.size:
         raise IndexError(f"walk keys must be slots in [0, {channel._bits.size})")
     decided = np.empty(keys.size, dtype=np.int8)
     steps = np.empty(keys.size, dtype=np.int64)
     if keys.size <= _FEW_KEYS:
-        _walk_few(channel, flip, keys, a, b, decided, steps)
+        _walk_few(channel, keys, a, b, decided, steps)
     else:
         width = block_width(channel.noise.p, a, b)
         # near-equal blocks of at least block_keys keys each, so a short
@@ -171,7 +168,7 @@ def walks(oracle, keys, a: int, b: int, *, commit: bool = True) -> tuple[np.ndar
         blocks = max(1, keys.size // block_keys(channel.noise.p, a, b))
         for i in range(blocks):
             part = slice(keys.size * i // blocks, keys.size * (i + 1) // blocks)
-            _walk_block(channel, flip, keys[part], a, b, width, decided[part], steps[part])
+            _walk_block(channel, keys[part], a, b, width, decided[part], steps[part])
     if commit:
         channel._charge(keys, steps)
     return decided, steps
@@ -179,11 +176,10 @@ def walks(oracle, keys, a: int, b: int, *, commit: bool = True) -> tuple[np.ndar
 
 def commit_walks(oracle, keys, steps) -> None:
     """Charge walks that :func:`walks` ran with ``commit=False``."""
-    channel, _ = _channel(oracle)
-    channel._charge(np.asarray(keys, dtype=np.int64), np.asarray(steps, dtype=np.int64))
+    _channel(oracle)._charge(np.asarray(keys, dtype=np.int64), np.asarray(steps, dtype=np.int64))
 
 
-def _walk_few(channel, flip, keys, a, b, decided, steps) -> None:
+def _walk_few(channel, keys, a, b, decided, steps) -> None:
     # The same walks one key at a time in Python ints. Single-key walks
     # take this path: asymmetric_check_bit, which acceptance criterion 2
     # calls on 600,000 one-bit oracles, and the walk ending each
@@ -191,7 +187,7 @@ def _walk_few(channel, flip, keys, a, b, decided, steps) -> None:
     below = channel._flip_below
     for pos, slot in enumerate(keys.tolist()):
         counter = channel._counters.item(slot)
-        bit = channel._bits.item(slot) ^ flip
+        bit = channel._bits.item(slot)
         d = taken = 0
         while -a < d < b:
             counter = (counter + GAMMA) & _MASK
@@ -201,13 +197,13 @@ def _walk_few(channel, flip, keys, a, b, decided, steps) -> None:
         steps[pos] = taken
 
 
-def _walk_block(channel, flip, keys, a, b, width, decided, steps) -> None:
+def _walk_block(channel, keys, a, b, width, decided, steps) -> None:
     # Each walk is tracked by e = 2 * flips - steps, which is its level d
     # on a 0-bit and -d on a 1-bit; so its barriers in e are +b and -a on
     # a 0-bit and +a and -b on a 1-bit, and it declares 1 when it leaves
     # through the upper barrier on a 0-bit or the lower one on a 1-bit.
     counter = channel._counters[keys]
-    bits = channel._bits[keys] != flip
+    bits = channel._bits[keys].astype(bool)
     below = np.uint64(channel._flip_below)
     upper = np.where(bits, a, b)
     lower = np.where(bits, -b, -a)
@@ -273,8 +269,7 @@ def asymmetric_check_bit(
     else:
         _check_delta(delta0, "delta0")
         _check_delta(delta1, "delta1")
-    channel, _ = _channel(oracle)
-    decided, steps = walks(oracle, [channel._slot(key)], policy.down_threshold_a, policy.up_threshold_b)
+    decided, steps = walks(oracle, [_channel(oracle)._slot(key)], policy.down_threshold_a, policy.up_threshold_b)
     return WalkOutcome(int(decided[0]), int(steps[0]))
 
 

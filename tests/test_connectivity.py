@@ -298,13 +298,11 @@ def test_hard_instance_text_round_trip_property(tree, data):
     # any tree, kept whole (label 1) or less any one edge (label 0)
     removed = data.draw(st.one_of(st.none(), st.sampled_from(tree.edges)))
     graph = frozenset(e for e in tree.edges if e != removed)
-    instance = HardInstance(tree.n, graph, 1 if removed is None else 0, removed, tree)
-    assert instance.base_tree is tree
+    instance = HardInstance(tree.n, graph, 1 if removed is None else 0, removed)
+    assert instance.base_tree == tree
     parsed = hard_instance_from_text(hard_instance_to_text(instance))
     assert parsed == instance
     assert parsed.base_tree == tree
-    # built from the graph when not given
-    assert HardInstance(tree.n, graph, instance.label, removed).base_tree == tree
 
 
 # sha256 of reports_to_csv for the benchmark's connectivity spec and a

@@ -329,9 +329,10 @@ def test_query_path_sweep_matches_heap_order(complement):
     for case in range(40):
         hidden, p, delta, _, _ = _random_counting_case(case)
         swept = BitOracle(hidden, p, seed_sequence(37, "sweep-q", case), track_per_index=True)
-        proxy = RecordingOracle(BitOracle(hidden, p, seed_sequence(37, "sweep-q", case)))
+        heap = BitOracle(hidden, p, seed_sequence(37, "sweep-q", case))
+        proxy = RecordingOracle(ComplementBitOracle(heap) if complement else heap)
         result = counting_one_sided(ComplementBitOracle(swept) if complement else swept, delta)
-        assert result == heap_counting(ComplementBitOracle(proxy) if complement else proxy, delta), case
+        assert result == heap_counting(proxy, delta), case
         assert swept.ledger.per_index == dict(Counter(i for i, _ in proxy.log)), case
 
 

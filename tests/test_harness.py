@@ -212,6 +212,24 @@ def test_validation_rejects_bad_specs():
         validate_spec(ExperimentSpec("threshold", n=10, k=3, p=0.25, delta=0.1, beta=Fraction(1, 3), trials=5))
     with pytest.raises(ValueError, match="does not read asymptotic_presample"):
         validate_spec(ExperimentSpec("counting", n=10, p=0.25, delta=0.1, ones=2, asymptotic_presample=True, trials=5))
+    # each field must have its declared type, before any trial runs: an
+    # integer field takes no bool or float, a real one no bool or str
+    for spec, rule in (
+        (ExperimentSpec("counting", n=20.0, p=0.2, delta=0.1, ones=3, trials=2), "n >= 1"),
+        (ExperimentSpec("counting", n=20, p=0.2, delta=0.1, ones=True, trials=2), "ones in"),
+        (ExperimentSpec("counting", n=20, p="0.2", delta=0.1, ones=3, trials=2), "p in"),
+        (ExperimentSpec("counting", n=20, p=True, delta=0.1, ones=3, trials=2), "p in"),
+        (ExperimentSpec("threshold", n=10, k=3.0, p=0.25, delta=0.1, trials=2), "1 <= k <= n"),
+        (ExperimentSpec("connectivity", n=10.0, p=0.2, delta=0.1, trials=2), "n >= 2"),
+        (ExperimentSpec("walk-laws", p=0.25, k=2.0, trials=10), "barrier distance"),
+        (ExperimentSpec("influence", n=4.0, q=0.5, trials=2), "1 <= n <="),
+        (
+            ExperimentSpec("counting2", n=20, p=0.2, delta=0.1, ones=3, asymptotic_presample=1, trials=2),
+            "asymptotic_presample True or False",
+        ),
+    ):
+        with pytest.raises(ValueError, match=f"{spec.kind} needs {rule}"):
+            run_experiment(spec)
     # a kind's own fields pass while the others keep their defaults
     validate_spec(ExperimentSpec("walk-laws", p=0.25, k=3, trials=10))
     validate_spec(ExperimentSpec("counting2", n=10, p=0.25, delta=0.1, ones=2, asymptotic_presample=True, trials=5))

@@ -16,6 +16,9 @@ from noisyquery import (
 )
 from noisyquery.oracles import GAMMA, mix
 from noisyquery.streams import stream_key
+from noisyquery.walks import walks
+
+from conftest import query_walk
 
 
 def bernoulli_kl(a: float, b: float) -> float:
@@ -184,6 +187,51 @@ def test_complement_view_flips_channel():
     for i in (0, 1, 0, 1, 1, 0):
         assert view.query(i) == 1 ^ mirror.query(i)
     assert view.ledger.total_queries == 6
+
+
+class Flipped:
+    """Proxy that flips another oracle's answers; not itself an oracle."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def query(self, i):
+        return 1 ^ self.inner.query(i)
+
+
+def test_complement_view_needs_a_bit_oracle():
+    with pytest.raises(TypeError, match="needs a BitOracle, got EdgeOracle"):
+        ComplementBitOracle(EdgeOracle(3, [(0, 1)], 0.2, 0))
+    with pytest.raises(TypeError, match="needs a BitOracle, got Flipped"):
+        ComplementBitOracle(Flipped(BitOracle([1, 0], 0.2, 0)))
+
+
+def test_complement_view_shares_the_inner_answer_stream():
+    # the view's answers continue the inner oracle's answer counts, so
+    # queries to either and walks on the view, in any interleaving, read
+    # one stream: the inner's answers as a mirror oracle gives them, and
+    # the view's answers flipped
+    hidden = [1, 0, 0, 1, 1, 0, 1, 0, 0, 0, 1, 1]
+    inner = BitOracle(hidden, 0.3, seed_sequence(14, "comp-stream"), track_per_index=True)
+    view = ComplementBitOracle(inner)
+    mirror = BitOracle(hidden, 0.3, seed_sequence(14, "comp-stream"), track_per_index=True)
+    assert view._counters is inner._counters and view.ledger is inner.ledger
+    rng = derive_rng(14, "comp-order")
+    for _ in range(300):
+        i = int(rng.integers(0, len(hidden)))
+        move = int(rng.integers(0, 3))
+        if move == 0:
+            assert inner.query(i) == mirror.query(i)
+        elif move == 1:
+            assert view.query(i) == 1 ^ mirror.query(i)
+        else:
+            # one to all twelve keys: single keys and blocks both walk
+            keys = rng.permutation(len(hidden))[: int(rng.integers(1, len(hidden) + 1))]
+            decided, steps = walks(view, keys, 2, 3)
+            reference = [query_walk(Flipped(mirror), key, 2, 3) for key in keys.tolist()]
+            assert list(zip(decided.tolist(), steps.tolist())) == reference
+    assert inner.ledger == mirror.ledger
+    assert inner._counters.tolist() == mirror._counters.tolist()
 
 
 def test_complement_view_one_rate():

@@ -1,16 +1,19 @@
-"""The names perfbench's tracer swaps must exist in the package.
+"""The names perfbench uses must exist in the package.
 
 ``perfbench/tracing.py`` wraps each ``(module, name)`` of its
 ``BOUNDARIES`` tuple by ``getattr``, so a refactor that drops one of
-those module attributes breaks ``--trace 1``. The tuple is read with
-``ast``, so this test does not import perfbench.
+those module attributes breaks ``--trace 1``; ``perfbench/micro.py`` and
+``perfbench/workloads.py`` import names from ``noisyquery``, so one that
+goes away breaks the benchmark itself. Both are read with ``ast``, so
+this test does not import perfbench.
 """
 
 import ast
 import importlib
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def boundary_names():
@@ -32,3 +35,21 @@ def test_tracer_boundaries_resolve():
         if not hasattr(importlib.import_module(f"noisyquery.{module}"), name)
     ]
     assert not missing
+
+
+def imported_names(path):
+    """``(module, name)`` for each ``from noisyquery[.module] import name`` in a file."""
+    return [
+        (node.module, alias.name)
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == "noisyquery"
+        for alias in node.names
+    ]
+
+
+def test_benchmark_imports_resolve():
+    for script in ("micro.py", "workloads.py"):
+        names = imported_names(PERFBENCH / script)
+        assert names, script
+        missing = [f"{module}.{name}" for module, name in names if not hasattr(importlib.import_module(module), name)]
+        assert not missing, script

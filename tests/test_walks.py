@@ -226,31 +226,33 @@ def test_independent_streams_uncorrelated():
     assert abs(corr) < 0.05
 
 
-def test_error_monotone_in_thresholds_at_matched_seeds():
-    # same per-trial streams: lowering delta0 can only shrink the set of
-    # trials where a zero-bit is declared one, and symmetrically for delta1
-    p = 0.25
-    trials = 3000
-
-    def declare_one_count(delta0):
-        count = 0
-        for t in range(trials):
-            oracle = BitOracle([0], p, seed_sequence(13, "mono0", t))
-            count += asymmetric_check_bit(oracle, 0, delta0, 0.1).decided_bit
-        return count
-
-    counts = [declare_one_count(d0) for d0 in (0.4, 0.2, 0.1, 0.02, 0.005)]
-    assert counts == sorted(counts, reverse=True)
-
-    def declare_zero_count(delta1):
-        count = 0
-        for t in range(trials):
-            oracle = BitOracle([1], p, seed_sequence(13, "mono1", t))
-            count += asymmetric_check_bit(oracle, 0, 0.1, delta1).decided_bit == 0
-        return count
-
-    counts = [declare_zero_count(d1) for d1 in (0.4, 0.2, 0.1, 0.02, 0.005)]
-    assert counts == sorted(counts, reverse=True)
+@hypothesis.example(hidden=[0], p=0.25, delta=0.1, shrink=0.01, wrong=0, seed=0)
+@hypothesis.given(
+    hidden=st.lists(st.integers(0, 1), min_size=1, max_size=60),
+    p=st.floats(0.02, 0.45),
+    delta=st.floats(0.001, 0.5),
+    shrink=st.floats(1e-6, 1.0),
+    wrong=st.integers(0, 1),
+    seed=st.integers(0, 2**32),
+)
+def test_error_monotone_pathwise(hidden, p, delta, shrink, wrong, seed):
+    # twin oracles give both walks of a bit the same answers, so moving
+    # the wrong-side barrier of bits equal to `wrong` farther away
+    # (delta0 guards 0-bits, delta1 1-bits) keeps every correct verdict
+    # on those bits, at the same step: their errors can only fall
+    noise = NoiseModel(p)
+    deltas = [[delta, delta], [delta, delta]]
+    deltas[1][wrong] = delta * shrink
+    twins = [BitOracle(hidden, noise, seed_sequence(seed, "mono")) for _ in deltas]
+    runs = []
+    for oracle, (delta0, delta1) in zip(twins, deltas):
+        policy = WalkPolicy.for_error_bounds(noise, delta0, delta1)
+        runs.append(walks(oracle, np.arange(len(hidden)), policy.down_threshold_a, policy.up_threshold_b))
+    (near, near_steps), (far, far_steps) = runs
+    guarded = np.asarray(hidden) == wrong
+    kept = guarded & (near == wrong)
+    assert (far[kept] == wrong).all()
+    assert (far_steps[kept] == near_steps[kept]).all()
 
 
 def test_cost_depends_on_opposite_delta():
