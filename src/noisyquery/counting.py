@@ -8,8 +8,8 @@ Three procedures over a :class:`~noisyquery.oracles.BitOracle`:
   up/down walk, always advancing the currently most-promising index;
   an index is counted once its walk clears a retire barrier, and the
   run ends when even the best remaining walk is hopeless for the
-  current count. That schedule runs as level sweeps: at each level
-  every remaining index walks until it falls one level or retires.
+  current count. That schedule runs as stop-level extensions: each
+  remaining index walks down to the current count's stop level or retires.
 * ``counting_two_sided``: orientation wrapper that first cheaply
   estimates whether ones or zeros are the minority and counts the
   minority side, which is what makes the cost symmetric in the answer.
@@ -113,13 +113,14 @@ def counting_one_sided(oracle, delta: float) -> CountResult:
     Every index runs a +-1 walk on its answers, always advancing the
     highest walk (lowest index on ties). An index is counted, and leaves,
     when its walk reaches ``retire_at``; the run ends when the highest
-    walk is at or below ``-stop_at(count)``. That schedule is a sequence
-    of level sweeps: at the start of level L every remaining walk is at
-    L, and in increasing index order each runs alone until it falls to
-    L - 1 or retires, since it stays the highest walk until then. The
-    walks that fell are at L - 1 in index order, which is the next sweep.
-    ``stop_at`` only grows, so the stop rule can first hold when a sweep
-    starts. Each sweep is one :func:`~noisyquery.walks.walks` call.
+    walk is at or below ``-stop_at(count)``. Each
+    :func:`~noisyquery.walks.walks` call runs one stop-level extension:
+    every remaining walk goes from ``-reached`` (0 at first) to the first of
+    ``retire_at`` and ``-floor``, ``floor = stop_at(count)``. The heap's
+    level sweeps over that range give each walk the same answers and
+    barriers, since a walk stays the highest until it falls a level or
+    retires; and ``stop_at`` only grows, so at each level -s in the range
+    ``stop_at >= floor > s`` and the run cannot stop inside it.
     """
     _check_delta(delta, "delta")
     n = oracle.n
@@ -128,16 +129,14 @@ def counting_one_sided(oracle, delta: float) -> CountResult:
     log_ratio = oracle.noise.log_ratio
     retire_at = snapped_ceil(math.log(6.0 * n / delta) / log_ratio)
     start = oracle.ledger.total_queries
-    count = 0
-    stop_at = snapped_ceil(math.log(6.0 * (count + 1) / delta) / log_ratio)
-    level = 0
+    count = reached = 0
+    floor = snapped_ceil(math.log(6.0 * (count + 1) / delta) / log_ratio)
     active = np.arange(n)
-    while active.size and level > -stop_at:
-        retired, _ = walks(oracle, active, 1, retire_at - level)
+    while active.size and floor > reached:
+        retired, _ = walks(oracle, active, floor - reached, retire_at + reached)
         count += int(retired.sum())
-        stop_at = snapped_ceil(math.log(6.0 * (count + 1) / delta) / log_ratio)
         active = active[retired == 0]
-        level -= 1
+        reached, floor = floor, snapped_ceil(math.log(6.0 * (count + 1) / delta) / log_ratio)
     return CountResult(count, oracle.ledger.total_queries - start)
 
 

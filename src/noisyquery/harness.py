@@ -156,6 +156,11 @@ def _require(condition: bool, message: str) -> None:
         raise ValueError(message)
 
 
+def _is_int(value) -> bool:
+    # bool is an int subclass, but trials=True or seed=False is a slip, not a number
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Param:
     """One spec field a kind reads: its rule, what None stands for, its flag.
@@ -427,9 +432,9 @@ KINDS = {
 def validate_spec(spec: ExperimentSpec) -> None:
     known = f"{', '.join(KINDS)}; ust-stats tables come from structure_scaling_report"
     _require(spec.kind in KINDS, f"unknown experiment kind {spec.kind!r} (kinds: {known})")
-    _require(isinstance(spec.seed, int), "seed must be an integer")
-    _require(isinstance(spec.trials, int) and spec.trials >= 1, "trials must be a positive integer")
-    _require(isinstance(spec.jobs, int) and spec.jobs >= 1, "jobs must be a positive integer")
+    _require(_is_int(spec.seed), "seed must be an integer")
+    _require(_is_int(spec.trials) and spec.trials >= 1, "trials must be a positive integer")
+    _require(_is_int(spec.jobs) and spec.jobs >= 1, "jobs must be a positive integer")
     params = KINDS[spec.kind].params
     read = {param.field for param in params} | {"kind", "trials", "seed", "jobs"}
     unread = [f.name for f in fields(ExperimentSpec) if f.name not in read and getattr(spec, f.name) != f.default]

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import heapq
+import itertools
 import math
 from collections import Counter
 
@@ -20,11 +21,14 @@ from noisyquery import (
     derive_rng,
     reports_to_csv,
     run_experiment,
+    run_trial,
     seed_sequence,
     snapped_ceil,
     theory_bound,
     threshold_count,
 )
+from noisyquery import counting as counting_module
+from noisyquery.walks import walks
 
 from conftest import query_walk
 
@@ -302,8 +306,9 @@ def _random_counting_case(case):
 
 @pytest.mark.parametrize("complement", [False, True])
 def test_sweep_matches_heap_reference(complement):
-    # the level sweep must be the heap schedule answer for answer: same
-    # count, same per-index costs, and the stream left at the same place
+    # the stop-level extensions must be the heap schedule answer for
+    # answer: same count, same per-index costs, and the stream left at
+    # the same place
     for case in range(150):
         hidden, p, delta, warmup, probes = _random_counting_case(case)
         oracles = [
@@ -323,9 +328,9 @@ def test_sweep_matches_heap_reference(complement):
 @pytest.mark.parametrize("complement", [False, True])
 def test_query_path_sweep_matches_heap_order(complement):
     # the heap reference reads its answers one query() at a time, in heap
-    # order; answers depend only on (index, answer number), so the sweep's
-    # lockstep walks read the same answers: same count, and per index as
-    # many answers as the heap's query log holds
+    # order; answers depend only on (index, answer number), so the
+    # extensions' lockstep walks read the same answers: same count, and
+    # per index as many answers as the heap's query log holds
     for case in range(40):
         hidden, p, delta, _, _ = _random_counting_case(case)
         swept = BitOracle(hidden, p, seed_sequence(37, "sweep-q", case), track_per_index=True)
@@ -353,6 +358,62 @@ def test_sweep_matches_heap_reference_property(hidden, p, delta, seed, complemen
     assert counting_one_sided(views[0], delta) == heap_counting(views[1], delta)
     assert oracles[0].ledger == oracles[1].ledger
     assert oracles[0]._counters.tolist() == oracles[1]._counters.tolist()
+
+
+def record_walk_calls(monkeypatch):
+    """Wrap the kernel as counting calls it; returns the (a, b) of each call."""
+    calls = []
+
+    def recording(oracle, keys, a, b, **kwargs):
+        calls.append((a, b))
+        return walks(oracle, keys, a, b, **kwargs)
+
+    monkeypatch.setattr(counting_module, "walks", recording)
+    return calls
+
+
+def stop_levels(calls):
+    # call i runs from -reached to -floor, with b = retire_at + reached and
+    # reached = 0 on the first call
+    return [a + b - calls[0][1] for a, b in calls]
+
+
+def test_counting_walks_once_per_stop_level(monkeypatch):
+    # criterion 4's ones=10 spec: stop_at(0) = 4; the first walk retires
+    # the ones, which lifts stop_at to 6; the second retires nobody more
+    calls = record_walk_calls(monkeypatch)
+    spec = ExperimentSpec("counting", n=2000, p=0.2, delta=0.05, ones=10, trials=20, seed=20240817)
+    for trial in range(spec.trials):
+        calls.clear()
+        assert run_trial(spec, trial)[0], trial
+        assert stop_levels(calls) == [4, 6], trial
+
+
+@pytest.mark.parametrize("complement", [False, True])
+@pytest.mark.parametrize("n", [400, 2000])
+def test_sweep_matches_heap_reference_at_scale(monkeypatch, n, complement):
+    # the random cases above stay under 60 indices; here the count, and
+    # with it the heap's stop level, moves more than once inside one
+    # extension. A run makes at most one kernel call per stop level its
+    # count passes through.
+    calls = record_walk_calls(monkeypatch)
+    moved = 0
+    grid = itertools.product((0, n // 100, n // 2, n - 1), (0.1, 0.3), (0.05, 1e-6))
+    for i, (ones, p, delta) in enumerate(grid):
+        case = (ones, p, delta)
+        hidden = hidden_with_ones(n, ones, derive_rng(41, "scale-inst", n, ones))
+        oracles = [BitOracle(hidden, p, seed_sequence(41, "scale", n, i), track_per_index=True) for _ in range(2)]
+        views = [ComplementBitOracle(o) if complement else o for o in oracles]
+        calls.clear()
+        result = counting_one_sided(views[0], delta)
+        assert result == heap_counting(views[1], delta), case
+        assert oracles[0].ledger == oracles[1].ledger, case
+        assert oracles[0]._counters.tolist() == oracles[1]._counters.tolist(), case
+        log_ratio = views[0].noise.log_ratio
+        levels = {snapped_ceil(math.log(6.0 * (c + 1) / delta) / log_ratio) for c in range(result.value + 1)}
+        assert len(calls) <= len(levels), case
+        moved += len(levels) > 2
+    assert moved
 
 
 @hypothesis.example(n=2000, density=0.01, k_share=0.01, p=0.25, delta=0.01, seed=1, warmup=[1999])

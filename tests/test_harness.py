@@ -235,6 +235,15 @@ def test_validation_rejects_bad_specs():
     validate_spec(ExperimentSpec("counting2", n=10, p=0.25, delta=0.1, ones=2, asymptotic_presample=True, trials=5))
 
 
+@pytest.mark.parametrize("field,value", [("trials", True), ("seed", False), ("jobs", True)])
+def test_validation_rejects_bool_run_fields(field, value):
+    # bool is an int subclass; a bool here must not run and land in the row
+    spec = ExperimentSpec("counting", n=20, p=0.2, delta=0.1, ones=3, trials=1, seed=0)
+    validate_spec(spec)
+    with pytest.raises(ValueError, match=f"{field} must be"):
+        run_experiment(dataclasses.replace(spec, **{field: value}))
+
+
 def test_trial_failures_name_the_trial(monkeypatch):
     # a sampler that exhausts its restart budget inside a trial; specs
     # that no tree can satisfy are already refused by validate_spec
