@@ -3,7 +3,9 @@
 Three procedures over a :class:`~noisyquery.oracles.BitOracle`:
 
 * ``threshold_count``: decide whether at least k ones are present, via
-  one asymmetric bit check per index with early exit at k hits.
+  one asymmetric bit check per index with early exit at k hits. When
+  2k > n + 1 it scans the complement instead, for n - k + 1 zeros, so
+  the cost grows with min(k, n - k + 1) and not with k.
 * ``counting_one_sided``: exact count. Every index runs the same
   up/down walk, always advancing the currently most-promising index;
   an index is counted once its walk clears a retire barrier, and the
@@ -44,10 +46,11 @@ from .walks import (  # noqa: F401
 
 @dataclass(frozen=True)
 class ThresholdResult:
-    """min(k, true count) claim plus the number of queries spent.
+    """Threshold claim plus the number of queries spent.
 
-    ``value == k`` means "at least k ones"; any smaller value is a
-    claimed exact count.
+    ``value == k`` means "at least k ones". For 2k <= n + 1 a smaller
+    value is a claimed exact count; for 2k > n + 1 the only smaller value
+    is k - 1, meaning "fewer than k ones", not an exact count.
     """
 
     value: int
@@ -63,24 +66,43 @@ class CountResult:
 
 
 def threshold_count(oracle, k: int, delta: float) -> ThresholdResult:
-    """Return min(k, #ones) with error probability at most ``delta``.
+    """Decide whether at least k ones are present, with error probability
+    at most ``delta``.
 
-    Scans indices once, estimating each bit with error delta/2n on
-    zeros and delta/2k on ones, and stops as soon as k ones are
-    confirmed. The scan walks one block of indices at a time and charges
-    only the indices up to the one that ends it.
+    For 2k <= n + 1, scan for k ones and return min(k, #ones). For
+    2k > n + 1, scan the complement view for k' = n - k + 1 zeros with the
+    same delta. Confirming fewer than k' zeros means every index was
+    checked and at least k ones are present: return k. Otherwise return
+    k - 1, "fewer than k", not a count. Either way a bit the scan does not
+    count walks down to about log(2 min(k, n - k + 1)/delta)/log((1-p)/p),
+    so the cost follows min(k, n - k + 1), not k. The view shares the
+    oracle's counters and ledger, so ``queries`` is read off its ledger.
     """
     n = oracle.n
-    if not isinstance(k, int) or not 1 <= k <= n:
+    if isinstance(k, bool) or not isinstance(k, int) or not 1 <= k <= n:
         raise ValueError(f"threshold k must be an integer in [1, {n}], got {k!r}")
     _check_delta(delta, "delta")
+    start = oracle.ledger.total_queries
+    if 2 * k > n + 1:
+        zeros = _threshold_scan(ComplementBitOracle(oracle), n - k + 1, delta)
+        value = k if zeros < n - k + 1 else k - 1
+    else:
+        value = _threshold_scan(oracle, k, delta)
+    return ThresholdResult(value, oracle.ledger.total_queries - start)
+
+
+def _threshold_scan(oracle, k: int, delta: float) -> int:
+    """min(k, #ones): scan the indices in order, checking each bit with
+    error delta/2n on zeros and delta/2k on ones, and stop as soon as k
+    ones are confirmed. Walks one block of indices at a time and charges
+    only the indices up to the one that ends the scan."""
+    n = oracle.n
     delta0 = delta / (2.0 * n)
     delta1 = delta / (2.0 * k)
     policy = WalkPolicy.for_error_bounds(oracle.noise, delta0, delta1)
     a = policy.down_threshold_a
     b = policy.up_threshold_b
     chunk = block_keys(oracle.noise.p, a, b)
-    start = oracle.ledger.total_queries
     count = 0
     for lo in range(0, n, chunk):
         keys = np.arange(lo, min(lo + chunk, n))
@@ -101,7 +123,7 @@ def threshold_count(oracle, k: int, delta: float) -> ThresholdResult:
         count = int(ones[last]) - int(decided[last])
         count += asymmetric_check_bit(oracle, int(keys[last]), delta0, delta1, policy=policy).decided_bit
         break
-    return ThresholdResult(count, oracle.ledger.total_queries - start)
+    return count
 
 
 def counting_one_sided(oracle, delta: float) -> CountResult:

@@ -286,6 +286,9 @@ def _trial_threshold(spec: ExperimentSpec, trial: int) -> tuple[bool, int]:
         ones = spec.k - 1 + int(coin_rng.integers(0, 2))
     oracle, ones = _bit_oracle_for(spec, trial, ones)
     result = threshold_count(oracle, spec.k, spec.delta)
+    if 2 * spec.k > spec.n + 1:
+        # the complement scan answers "at least k" or "fewer than k", not a count
+        return (result.value == spec.k) == (ones >= spec.k), result.queries
     return result.value == min(spec.k, ones), result.queries
 
 

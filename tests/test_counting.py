@@ -14,6 +14,7 @@ from noisyquery import (
     ComplementBitOracle,
     CountResult,
     ExperimentSpec,
+    NoiseModel,
     WalkPolicy,
     asymmetric_check_bit,
     counting_one_sided,
@@ -28,6 +29,7 @@ from noisyquery import (
     threshold_count,
 )
 from noisyquery import counting as counting_module
+from noisyquery.harness import error_bound
 from noisyquery.walks import walks
 
 from conftest import query_walk
@@ -106,6 +108,19 @@ def test_exact_under_vanishing_noise(ones):
         assert counting_one_sided(c_oracle, delta).value == ones
 
 
+@pytest.mark.parametrize("ones", [0, 148, 149, 150, 200])
+def test_complement_exact_under_vanishing_noise(ones):
+    # 2k > n + 1: the scan runs on the complement, and a value below k
+    # means "fewer than k", so it is k - 1 whatever the count
+    n, p, delta, k = 200, 0.01, 0.01, 150
+    for trial in range(100):
+        hidden = hidden_with_ones(n, ones, derive_rng(101, "exact-inst", ones, trial))
+        oracle = BitOracle(hidden, p, seed_sequence(101, "exact-th", ones, trial))
+        result = threshold_count(oracle, k, delta)
+        assert result.value == (k if ones >= k else k - 1)
+        assert result.queries == oracle.ledger.total_queries
+
+
 def test_threshold_validation():
     oracle = BitOracle([0] * 10, 0.25, 0)
     with pytest.raises(ValueError):
@@ -114,6 +129,9 @@ def test_threshold_validation():
         threshold_count(oracle, 11, 0.1)
     with pytest.raises(ValueError):
         threshold_count(oracle, 3, 0.0)
+    # bool is an int subclass, but k=True is a slip, not a threshold
+    with pytest.raises(ValueError):
+        threshold_count(BitOracle([1, 0, 1], 0.1, 3), True, 0.1)
     with pytest.raises(ValueError):
         counting_one_sided(oracle, 1.0)
 
@@ -417,6 +435,8 @@ def test_sweep_matches_heap_reference_at_scale(monkeypatch, n, complement):
 
 
 @hypothesis.example(n=2000, density=0.01, k_share=0.01, p=0.25, delta=0.01, seed=1, warmup=[1999])
+@hypothesis.example(n=1000, density=0.99, k_share=0.99, p=0.25, delta=0.01, seed=2, warmup=[999])
+@hypothesis.example(n=1000, density=0.5, k_share=0.99, p=0.25, delta=0.01, seed=3, warmup=[])
 @hypothesis.given(
     n=st.integers(1, 2000),
     density=st.floats(0.0, 1.0),
@@ -428,7 +448,9 @@ def test_sweep_matches_heap_reference_at_scale(monkeypatch, n, complement):
 )
 def test_threshold_charges_no_index_past_the_stop(n, density, k_share, p, delta, seed, warmup):
     # against a scan that checks one index at a time through query() and
-    # stops at the k-th one: same answer, same answers read per index
+    # stops at the target-th one: same answer, same answers read per
+    # index. For 2k > n + 1 the scan reads the complement's answers and
+    # stops at the (n - k + 1)-th zero.
     hidden = (derive_rng(seed, "th-bits").random(n) < density).astype(int)
     k = max(1, math.ceil(k_share * n))
     oracles = [BitOracle(hidden, p, seed_sequence(seed, "th"), track_per_index=True) for _ in range(2)]
@@ -436,21 +458,73 @@ def test_threshold_charges_no_index_past_the_stop(n, density, k_share, p, delta,
         for i in warmup:
             oracle.query(i % n)
     result = threshold_count(oracles[0], k, delta)
-    policy = WalkPolicy.for_error_bounds(oracles[1].noise, delta / (2 * n), delta / (2 * k))
+    complement = 2 * k > n + 1
+    target = n - k + 1 if complement else k
+    view = ComplementBitOracle(oracles[1]) if complement else oracles[1]
+    policy = WalkPolicy.for_error_bounds(view.noise, delta / (2 * n), delta / (2 * target))
     count = 0
     for i in range(n):
-        count += query_walk(oracles[1], i, policy.down_threshold_a, policy.up_threshold_b)[0]
-        if count >= k:
+        count += query_walk(view, i, policy.down_threshold_a, policy.up_threshold_b)[0]
+        if count >= target:
             break
-    assert result.value == count
+    if complement:
+        assert result.value == (k if count < target else k - 1)
+    else:
+        assert result.value == count
+    assert result.queries == oracles[0].ledger.total_queries - len(warmup)
     assert oracles[0].ledger == oracles[1].ledger
     assert oracles[0]._counters.tolist() == oracles[1]._counters.tolist()
+
+
+@pytest.mark.parametrize("n", [50, 400])
+def test_threshold_cost_law_grid(n):
+    # On the hard pair (k - 1 or k ones), over k from 1 to n, errors stay
+    # within the delta gate and the mean cost within Wald's bound. A walk
+    # on a bit the scan reads as 0 takes a/(1-2p) steps in expectation at
+    # most, on a 1 b/(1-2p): the barriers are integers and steps are +-1,
+    # so it stops exactly on one, and Wald's identity gives
+    # E[steps] (1-2p) = a P(-a) - b P(+b) <= a, resp. b P(+b) - a P(-a) <= b.
+    # A scan walks a subset of the indices, so the sum over all of them
+    # bounds its expected cost. On the complement branch the scan reads
+    # the ones as 0s.
+    trials = 60
+    for i, (k, p, delta) in enumerate(itertools.product((1, math.ceil(n / 2), n - 1, n), (0.1, 0.3), (0.05, 1e-4))):
+        case = (n, k, p, delta)
+        report = run_experiment(ExperimentSpec("threshold", n=n, k=k, p=p, delta=delta, trials=trials, seed=43 + i))
+        assert report.error_rate <= error_bound(delta, trials), case
+        policy = WalkPolicy.for_error_bounds(NoiseModel(p), delta / (2 * n), delta / (2 * min(k, n - k + 1)))
+        read_as_one = [n - ones if 2 * k > n + 1 else ones for ones in (k - 1, k)]
+        a, b = policy.down_threshold_a, policy.up_threshold_b
+        wald = max((n - r) * a + r * b for r in read_as_one) / (1 - 2 * p)
+        assert report.mean_queries <= wald + 4.0 * report.stddev_queries / math.sqrt(trials), case
+
+
+def test_cost_ratio_falls_as_delta_shrinks():
+    # the o(1) of the laws: a zero's walk costs about barrier/(1-2p), and
+    # the barrier is the ceiling of log(c m/delta)/log((1-p)/p) against the
+    # law's log(m/delta)/log((1-p)/p) (threshold: c=2, m=k; counting: c=6,
+    # m=ones+1), so the ratio to theory falls toward 1 as delta shrinks.
+    # The measured fall from the largest to the smallest delta must be at
+    # least half of the fall that ratio predicts.
+    deltas = (1e-2, 1e-4, 1e-8, 1e-16)
+    for kind, c, m, fields, seed in (
+        ("threshold", 2, 20, dict(k=20, p=0.25), 47),
+        ("counting", 6, 11, dict(ones=10, p=0.2), 53),
+    ):
+        log_ratio = NoiseModel(fields["p"]).log_ratio
+        predicted = [snapped_ceil(math.log(c * m / d) / log_ratio) * log_ratio / math.log(m / d) for d in deltas]
+        ratios = [
+            run_experiment(ExperimentSpec(kind, n=2000, delta=d, trials=20, seed=seed, **fields)).ratio for d in deltas
+        ]
+        assert ratios[0] - ratios[-1] >= (predicted[0] - predicted[-1]) / 2, (kind, ratios, predicted)
 
 
 # sha256 of reports_to_csv for the benchmark's counting and threshold
 # specs at seeds 0-2, recorded when answers became counter-based (oracle
 # answers and stream derivation both changed then); a refactor that keeps
-# every realisation keeps these
+# every realisation keeps these. The threshold-k990 digests were
+# re-recorded when threshold_count began scanning the complement for
+# 2k > n + 1.
 ROWS_GOLDEN = {
     (0, "counting"): "e9592c75a16cb03c05b6d4bf4b94ebae6db588b97846380e5aea265f9a398e5c",
     (1, "counting"): "925a0c8eb25fa725547e2fce58a8198be041d05632a613b93ba07a7d4de9fea4",
@@ -461,9 +535,9 @@ ROWS_GOLDEN = {
     (0, "threshold"): "36a6129684473b03dd73f5f17d9a6fb08c1e3ebd3108ab2c1ecce57b1b81bf7d",
     (1, "threshold"): "fd15756d1a3d69e1f729f56dc90248272509bf91eadb5739e3b6aecad124781a",
     (2, "threshold"): "37ceee2ad287f03a4754ef5a29944653f97ba1e7426703fdd215bee4ee8e2c7f",
-    (0, "threshold-k990"): "0ed202657b12135fec3b18692c8afff4bc7ae3684544358d6fce02bcd5204171",
-    (1, "threshold-k990"): "51c12d96ee11e521827b3d07cc7e862cf2b4db83c05243d111846d76ec04ea4e",
-    (2, "threshold-k990"): "3064a121a74dd258afd3bf4ed4d249b4d79255f29032240b8adcc86127f9dc83",
+    (0, "threshold-k990"): "136a4151851fbc857fcd2c1b4b1b028c669adb28d4c2549a311a3afa213c3ecd",
+    (1, "threshold-k990"): "68b41e60d0cd69728c6f78b06fe072e46bd9d1cd48f4bc236cc27073797096b9",
+    (2, "threshold-k990"): "d8a1592e56d1fb9039139a42566d923850db7601a9257cdef2115a2d4dcc5bd4",
 }
 GOLDEN_SPECS = {
     "counting": ExperimentSpec("counting", n=2000, p=0.2, delta=0.05, ones=10, trials=3),

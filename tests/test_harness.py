@@ -12,6 +12,7 @@ from noisyquery import (
     ExperimentSpec,
     RejectionCapExceeded,
     ScalingReport,
+    ThresholdResult,
     harness,
     report_to_dict,
     reports_to_csv,
@@ -119,6 +120,22 @@ def test_trial_records_independent_of_order():
     shuffled_ts = list(range(COUNTING_SPEC.trials))[::-1]
     reversed_records = [run_trial(COUNTING_SPEC, t) for t in shuffled_ts]
     assert in_order == list(reversed(reversed_records))
+
+
+def test_threshold_scores_the_decision_on_the_complement_branch():
+    # 2k > n + 1: a value below k means "fewer than k", so ones pinned
+    # below k - 1 are scored by the decision, not by min(k, ones)
+    spec = ExperimentSpec("threshold", n=60, k=50, ones=10, p=0.01, delta=0.05, trials=20, seed=4)
+    assert run_experiment(spec).errors == 0
+
+
+@pytest.mark.parametrize("k,errors", [(30, 20), (31, 0)])
+def test_threshold_scoring_rule_follows_the_branch(monkeypatch, k, errors):
+    # an answer of k - 1 for 10 ones: a wrong count where 2k <= n + 1,
+    # the right decision where the complement is scanned
+    monkeypatch.setattr(harness, "threshold_count", lambda oracle, k, delta: ThresholdResult(k - 1, 0))
+    spec = ExperimentSpec("threshold", n=60, k=k, ones=10, p=0.01, delta=0.05, trials=20, seed=4)
+    assert run_experiment(spec).errors == errors
 
 
 def test_report_internal_consistency():
