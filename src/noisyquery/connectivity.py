@@ -25,7 +25,7 @@ import numpy as np
 from .streams import as_generator
 from .trees import Edge, LabeledTree, _balance, _wilson, as_balance_threshold
 from .unionfind import UnionFind
-from .walks import WalkPolicy, _check_delta, walks
+from .walks import _check_delta, barrier, walks
 
 # not called here but kept as module attributes: instrumentation such as
 # perfbench's tracer wraps them by these names
@@ -152,23 +152,29 @@ def is_connected_graph(n: int, edges: Iterable[Edge]) -> bool:
     return components_of(n, edges).component_count == 1
 
 
-def _reconstruct(oracle, delta: float) -> UnionFind:
-    """Estimate every potential edge, then union the declared ones.
+def pair_barriers(noise, n: int, delta: float) -> tuple[int, int]:
+    """Barriers (a, b) of the naive reconstruction on n >= 2 vertices.
 
-    Per-pair error budget is delta / C(n,2), so by the union bound the
-    whole reconstruction is exact with probability >= 1 - delta, and any
-    connectivity predicate computed from it inherits that guarantee.
-    Every pair is walked in one :func:`~noisyquery.walks.walks` call.
+    Both are barrier(C(n,2)): every pair's walk errs with probability at
+    most delta/C(n,2) on either bit, so by the union bound over the
+    C(n,2) pairs the whole graph is exact with probability >= 1 - delta.
+    """
+    both = barrier(noise, n * (n - 1) // 2, delta)
+    return both, both
+
+
+def _reconstruct(oracle, delta: float) -> UnionFind:
+    """Estimate every potential edge with the barriers of
+    :func:`pair_barriers`, then union the declared ones; any connectivity
+    predicate computed from the result inherits their guarantee. Every
+    pair is walked in one :func:`~noisyquery.walks.walks` call.
     """
     _check_delta(delta, "delta")
     n = oracle.n
     uf = UnionFind(n)
     if n == 1:
         return uf
-    pairs = n * (n - 1) // 2
-    per_edge = delta / pairs
-    policy = WalkPolicy.for_error_bounds(oracle.noise, per_edge, per_edge)
-    decided, _ = walks(oracle, np.arange(pairs), policy.down_threshold_a, policy.up_threshold_b)
+    decided, _ = walks(oracle, np.arange(n * (n - 1) // 2), *pair_barriers(oracle.noise, n, delta))
     us, vs = oracle._pairs(np.flatnonzero(decided))
     for u, v in zip(us.tolist(), vs.tolist()):
         uf.union(u, v)

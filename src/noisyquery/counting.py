@@ -36,10 +36,10 @@ from .walks import (  # noqa: F401
     WalkPolicy,
     _check_delta,
     asymmetric_check_bit,
+    barrier,
     block_keys,
     check_bit,
     commit_walks,
-    snapped_ceil,
     walks,
 )
 
@@ -91,17 +91,25 @@ def threshold_count(oracle, k: int, delta: float) -> ThresholdResult:
     return ThresholdResult(value, oracle.ledger.total_queries - start)
 
 
+def threshold_barriers(noise, n: int, k: int, delta: float) -> tuple[int, int]:
+    """Barriers (a, b) of a scan for k ones among n indices, with error <= delta.
+
+    (a, b) = (barrier(2k), barrier(2n)). The union bound splits delta in
+    two halves. A zero the scan reads climbs to +b with probability at
+    most delta/2n, and the scan reads at most n zeros. Only the first k
+    ones in scan order, or all of them when there are fewer, decide the
+    answer; each falls to -a with probability at most delta/2k.
+    """
+    return barrier(noise, 2 * k, delta), barrier(noise, 2 * n, delta)
+
+
 def _threshold_scan(oracle, k: int, delta: float) -> int:
     """min(k, #ones): scan the indices in order, checking each bit with
-    error delta/2n on zeros and delta/2k on ones, and stop as soon as k
+    the barriers of :func:`threshold_barriers`, and stop as soon as k
     ones are confirmed. Walks one block of indices at a time and charges
     only the indices up to the one that ends the scan."""
     n = oracle.n
-    delta0 = delta / (2.0 * n)
-    delta1 = delta / (2.0 * k)
-    policy = WalkPolicy.for_error_bounds(oracle.noise, delta0, delta1)
-    a = policy.down_threshold_a
-    b = policy.up_threshold_b
+    a, b = threshold_barriers(oracle.noise, n, k, delta)
     chunk = block_keys(oracle.noise.p, a, b)
     count = 0
     for lo in range(0, n, chunk):
@@ -116,14 +124,32 @@ def _threshold_scan(oracle, k: int, delta: float) -> int:
         last = int(reached[0]) if reached.size else keys.size - 1
         commit_walks(oracle, keys[:last], steps[:last])
         # Stopgap: the index that ends the scan is walked again, one key
-        # through asymmetric_check_bit, with the same answers and verdict.
-        # perfbench's tracer wraps that name and raises KeyError on a scan
-        # with no wrapped walk; once it wraps walks.walks instead, this
-        # becomes commit_walks(oracle, keys[: last + 1], steps[: last + 1]).
+        # through asymmetric_check_bit with the scan's barriers as its policy,
+        # so with the same answers and verdict. perfbench's tracer wraps that
+        # name and raises KeyError on a scan with no wrapped walk; once it wraps
+        # walks.walks, this is commit_walks(oracle, keys[: last + 1], steps[: last + 1]).
         count = int(ones[last]) - int(decided[last])
-        count += asymmetric_check_bit(oracle, int(keys[last]), delta0, delta1, policy=policy).decided_bit
+        count += asymmetric_check_bit(oracle, int(keys[last]), delta, delta, policy=WalkPolicy(a, b)).decided_bit
         break
     return count
+
+
+def counting_levels(noise, n: int, count: int, delta: float) -> tuple[int, int]:
+    """Stop level and retire barrier of :func:`counting_one_sided` at ``count``.
+
+    (stop, retire) = (barrier(6(count+1)), barrier(6n)). With r = (1-p)/p,
+    rho_c = r^-stop(c) <= delta/6(c+1) and r^-retire <= delta/6n. Given m
+    ones, the run errs only if a zero's walk climbs to retire, or the run
+    stops at some count c < m; then each of m - c uncounted ones has
+    fallen to -stop(c), and distinct indices walk independently. The
+    per-level error sum is
+
+        n r^-retire + sum_{c=0}^{m-1} C(m, m-c) rho_c^(m-c)
+            <= delta/6 + sum_{j>=1} (delta/6)^j < delta/6 + delta/5,
+
+    using C(m, j) <= (m-j+1)^j. The constant 6 leaves the rest of delta unspent.
+    """
+    return barrier(noise, 6 * (count + 1), delta), barrier(noise, 6 * n, delta)
 
 
 def counting_one_sided(oracle, delta: float) -> CountResult:
@@ -132,10 +158,10 @@ def counting_one_sided(oracle, delta: float) -> CountResult:
     Cheap when ones are scarce: cost scales with log((#ones + 1)/delta)
     per index rather than log(n/delta).
 
-    Every index runs a +-1 walk on its answers, always advancing the
-    highest walk (lowest index on ties). An index is counted, and leaves,
-    when its walk reaches ``retire_at``; the run ends when the highest
-    walk is at or below ``-stop_at(count)``. Each
+    Every index runs a +-1 walk on its answers, always advancing the highest
+    walk (lowest index on ties). An index is counted, and leaves, when its
+    walk reaches ``retire_at``; the run ends when the highest walk is at or
+    below ``-stop_at(count)``. Both come from :func:`counting_levels`. Each
     :func:`~noisyquery.walks.walks` call runs one stop-level extension:
     every remaining walk goes from ``-reached`` (0 at first) to the first of
     ``retire_at`` and ``-floor``, ``floor = stop_at(count)``. The heap's
@@ -148,17 +174,15 @@ def counting_one_sided(oracle, delta: float) -> CountResult:
     n = oracle.n
     if n == 0:
         return CountResult(0, 0)
-    log_ratio = oracle.noise.log_ratio
-    retire_at = snapped_ceil(math.log(6.0 * n / delta) / log_ratio)
     start = oracle.ledger.total_queries
     count = reached = 0
-    floor = snapped_ceil(math.log(6.0 * (count + 1) / delta) / log_ratio)
+    floor, retire_at = counting_levels(oracle.noise, n, count, delta)
     active = np.arange(n)
     while active.size and floor > reached:
         retired, _ = walks(oracle, active, floor - reached, retire_at + reached)
         count += int(retired.sum())
         active = active[retired == 0]
-        reached, floor = floor, snapped_ceil(math.log(6.0 * (count + 1) / delta) / log_ratio)
+        reached, floor = floor, counting_levels(oracle.noise, n, count, delta)[0]
     return CountResult(count, oracle.ledger.total_queries - start)
 
 

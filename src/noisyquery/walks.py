@@ -38,6 +38,17 @@ def snapped_ceil(value: float, rel_tol: float = 1e-9) -> int:
     return max(result, 1)
 
 
+def barrier(noise: NoiseModel, count: int, delta: float) -> int:
+    """Smallest barrier x with count * r^-x <= delta, r = (1-p)/p (up to the snap).
+
+    A walk drifting away from a barrier x steps off ever reaches it with
+    probability r^-x, so ``count`` such walks all stay clear of it with
+    probability >= 1 - delta. Computed as (log count - log delta)/log r,
+    which is finite for every delta in (0, 1), subnormals included.
+    """
+    return snapped_ceil((math.log(count) - math.log(delta)) / noise.log_ratio)
+
+
 @dataclass(frozen=True)
 class WalkPolicy:
     """Integer stopping barriers for the bit-estimation walk."""
@@ -53,15 +64,13 @@ class WalkPolicy:
     def for_error_bounds(cls, noise: NoiseModel, delta0: float, delta1: float) -> "WalkPolicy":
         """Barriers meeting false-1 rate <= delta0 and false-0 rate <= delta1.
 
-        a = ceil(log(1/delta1) / log((1-p)/p)) bounds the probability that
-        a 1-bit walk ever falls to -a; b = ceil(log(1/delta0) / ...) bounds
-        the probability that a 0-bit walk ever climbs to +b.
+        a = barrier(noise, 1, delta1) bounds the probability that a 1-bit
+        walk ever falls to -a; b = barrier(noise, 1, delta0) bounds the
+        probability that a 0-bit walk ever climbs to +b.
         """
         _check_delta(delta0, "delta0")
         _check_delta(delta1, "delta1")
-        a = snapped_ceil(math.log(1.0 / delta1) / noise.log_ratio)
-        b = snapped_ceil(math.log(1.0 / delta0) / noise.log_ratio)
-        return cls(a, b)
+        return cls(barrier(noise, 1, delta1), barrier(noise, 1, delta0))
 
 
 @dataclass(frozen=True)
@@ -326,7 +335,7 @@ def simulate_hitting(p: float, x: int, count: int, rng, *, precision: float = 1e
     if x == 0:
         return HitTally(walks=count, hits=count)
     noise = NoiseModel(p)
-    far = snapped_ceil(math.log(1.0 / precision) / noise.log_ratio) - x
+    far = barrier(noise, 1, precision) - x
     if far <= 0:
         # hitting probability below the truncation precision
         return HitTally(walks=count, hits=0)

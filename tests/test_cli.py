@@ -69,6 +69,25 @@ def test_infeasible_balance_exit_code(kind, capsys):
     assert "balanced edge" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("delta", ["1e-307", "1e-308", "1e-320", "5e-324"])
+@pytest.mark.parametrize(
+    "kind,flags",
+    [
+        ("threshold", ["--k", "2"]),
+        ("counting", ["--ones", "2"]),
+        ("counting2", ["--ones", "2"]),
+        ("connectivity", []),
+        ("st-connectivity", []),
+    ],
+)
+def test_tiny_delta_runs(kind, flags, delta, capsys):
+    # every delta in (0, 1) is valid, subnormals too: barriers come from
+    # log count - log delta, so no count/delta overflows to infinity
+    code = main([kind, "--n", "5", "--p", "0.2", "--delta", delta, "--trials", "2", *flags])
+    assert code == EXIT_OK
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_assert_gate_passes(capsys):
     code = main(
         [

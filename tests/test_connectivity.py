@@ -15,7 +15,6 @@ from noisyquery import (
     NoiseModel,
     RejectionCapExceeded,
     UnionFind,
-    WalkPolicy,
     balanced_edges,
     check_balance_feasible,
     components_of,
@@ -34,7 +33,7 @@ from noisyquery import (
     seed_sequence,
     theory_bound,
 )
-from noisyquery.connectivity import HardInstance
+from noisyquery.connectivity import HardInstance, pair_barriers
 
 
 class NoiselessEdgeOracle(EdgeOracle):
@@ -207,10 +206,15 @@ def test_naive_connectivity_noiseless_decomposition():
     edges = [(i, i + 1) for i in range(n - 1)]
     oracle = NoiselessEdgeOracle(n, edges)
     pairs = n * (n - 1) // 2
-    policy = WalkPolicy.for_error_bounds(oracle.noise, 0.05 / pairs, 0.05 / pairs)
+    a, b = pair_barriers(oracle.noise, n, 0.05)
     assert naive_connectivity(oracle, 0.05)
-    expected = len(edges) * policy.up_threshold_b + (pairs - len(edges)) * policy.down_threshold_a
+    expected = len(edges) * b + (pairs - len(edges)) * a
     assert oracle.ledger.total_queries == expected
+
+
+def test_pair_barriers_hand_values():
+    # C(50,2) = 1225 pairs at p = 0.2: log(1225/0.05)/log 4 = 7.29
+    assert pair_barriers(NoiseModel(0.2), 50, 0.05) == (8, 8)
 
 
 def test_naive_connectivity_error_rate_and_cost():

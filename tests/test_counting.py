@@ -24,11 +24,11 @@ from noisyquery import (
     run_experiment,
     run_trial,
     seed_sequence,
-    snapped_ceil,
     theory_bound,
     threshold_count,
 )
 from noisyquery import counting as counting_module
+from noisyquery.counting import counting_levels, threshold_barriers
 from noisyquery.harness import error_bound
 from noisyquery.walks import walks
 
@@ -68,11 +68,9 @@ def heap_counting(oracle, delta):
     at or below -stop_at(count).
     """
     n = oracle.n
-    log_ratio = oracle.noise.log_ratio
-    retire_at = snapped_ceil(math.log(6.0 * n / delta) / log_ratio)
     start = oracle.ledger.total_queries
     count = 0
-    stop_at = snapped_ceil(math.log(6.0 * (count + 1) / delta) / log_ratio)
+    stop_at, retire_at = counting_levels(oracle.noise, n, count, delta)
     walk = [0] * n
     heap = [(0, i) for i in range(n)]
     while heap:
@@ -84,7 +82,7 @@ def heap_counting(oracle, delta):
         walk[i] = c
         if c >= retire_at:
             count += 1
-            stop_at = snapped_ceil(math.log(6.0 * (count + 1) / delta) / log_ratio)
+            stop_at = counting_levels(oracle.noise, n, count, delta)[0]
         else:
             heapq.heappush(heap, (-c, i))
     return CountResult(count, oracle.ledger.total_queries - start)
@@ -168,6 +166,18 @@ def test_threshold_clips_at_k(ones, k, expected):
     assert hits / trials >= 0.95 - 3.0 * math.sqrt(delta * (1 - delta) / trials)
 
 
+def test_barrier_functions_hand_values():
+    # r = 3 at p = 0.25: log(2k/delta)/log 3 and log(2n/delta)/log 3
+    # give 9.01 and 13.2 for criterion 3, 7.005 and 11.1 for k=990's
+    # complement scan (k' = n - k + 1 = 11)
+    assert threshold_barriers(NoiseModel(0.25), 10**4, 100, 0.01) == (10, 14)
+    assert threshold_barriers(NoiseModel(0.25), 1000, 11, 0.01) == (8, 12)
+    # r = 4 at p = 0.2: log(6(c+1)/delta)/log 4 is 3.45 at c=0 and 5.18 at
+    # c=10; log(6n/delta)/log 4 is 8.94
+    assert counting_levels(NoiseModel(0.2), 2000, 0, 0.05) == (4, 9)
+    assert counting_levels(NoiseModel(0.2), 2000, 10, 0.05) == (6, 9)
+
+
 def test_threshold_query_decomposition_replay():
     # rerunning the per-index checks by hand on an identically seeded
     # oracle must reproduce the scan: same verdicts, same per-index costs
@@ -177,10 +187,10 @@ def test_threshold_query_decomposition_replay():
     result = threshold_count(oracle, k, delta)
 
     replay = BitOracle(hidden, p, seed_sequence(9, "replay"), track_per_index=True)
-    policy = WalkPolicy.for_error_bounds(replay.noise, delta / (2 * n), delta / (2 * k))
+    policy = WalkPolicy(*threshold_barriers(replay.noise, n, k, delta))
     count = 0
     for i in range(n):
-        count += asymmetric_check_bit(replay, i, delta / (2 * n), delta / (2 * k), policy=policy).decided_bit
+        count += asymmetric_check_bit(replay, i, delta, delta, policy=policy).decided_bit
         if count >= k:
             break
     assert result.value == (k if count >= k else count)
@@ -199,7 +209,7 @@ def test_counting_retirement_from_query_log():
     result = counting_one_sided(oracle, delta)
 
     replay = BitOracle(hidden, p, seed_sequence(11, "retire"))
-    retire_at = snapped_ceil(math.log(6.0 * n / delta) / replay.noise.log_ratio)
+    retire_at = counting_levels(replay.noise, n, 0, delta)[1]
     retired = 0
     for i, answers in oracle.ledger.per_index.items():
         walk = 0
@@ -427,8 +437,7 @@ def test_sweep_matches_heap_reference_at_scale(monkeypatch, n, complement):
         assert result == heap_counting(views[1], delta), case
         assert oracles[0].ledger == oracles[1].ledger, case
         assert oracles[0]._counters.tolist() == oracles[1]._counters.tolist(), case
-        log_ratio = views[0].noise.log_ratio
-        levels = {snapped_ceil(math.log(6.0 * (c + 1) / delta) / log_ratio) for c in range(result.value + 1)}
+        levels = {counting_levels(views[0].noise, n, c, delta)[0] for c in range(result.value + 1)}
         assert len(calls) <= len(levels), case
         moved += len(levels) > 2
     assert moved
@@ -461,10 +470,10 @@ def test_threshold_charges_no_index_past_the_stop(n, density, k_share, p, delta,
     complement = 2 * k > n + 1
     target = n - k + 1 if complement else k
     view = ComplementBitOracle(oracles[1]) if complement else oracles[1]
-    policy = WalkPolicy.for_error_bounds(view.noise, delta / (2 * n), delta / (2 * target))
+    a, b = threshold_barriers(view.noise, n, target, delta)
     count = 0
     for i in range(n):
-        count += query_walk(view, i, policy.down_threshold_a, policy.up_threshold_b)[0]
+        count += query_walk(view, i, a, b)[0]
         if count >= target:
             break
     if complement:
@@ -492,27 +501,26 @@ def test_threshold_cost_law_grid(n):
         case = (n, k, p, delta)
         report = run_experiment(ExperimentSpec("threshold", n=n, k=k, p=p, delta=delta, trials=trials, seed=43 + i))
         assert report.error_rate <= error_bound(delta, trials), case
-        policy = WalkPolicy.for_error_bounds(NoiseModel(p), delta / (2 * n), delta / (2 * min(k, n - k + 1)))
+        a, b = threshold_barriers(NoiseModel(p), n, min(k, n - k + 1), delta)
         read_as_one = [n - ones if 2 * k > n + 1 else ones for ones in (k - 1, k)]
-        a, b = policy.down_threshold_a, policy.up_threshold_b
         wald = max((n - r) * a + r * b for r in read_as_one) / (1 - 2 * p)
         assert report.mean_queries <= wald + 4.0 * report.stddev_queries / math.sqrt(trials), case
 
 
 def test_cost_ratio_falls_as_delta_shrinks():
     # the o(1) of the laws: a zero's walk costs about barrier/(1-2p), and
-    # the barrier is the ceiling of log(c m/delta)/log((1-p)/p) against the
+    # the barrier, about log(c m/delta)/log((1-p)/p), stands against the
     # law's log(m/delta)/log((1-p)/p) (threshold: c=2, m=k; counting: c=6,
     # m=ones+1), so the ratio to theory falls toward 1 as delta shrinks.
     # The measured fall from the largest to the smallest delta must be at
     # least half of the fall that ratio predicts.
     deltas = (1e-2, 1e-4, 1e-8, 1e-16)
-    for kind, c, m, fields, seed in (
-        ("threshold", 2, 20, dict(k=20, p=0.25), 47),
-        ("counting", 6, 11, dict(ones=10, p=0.2), 53),
+    for kind, zero_barrier, m, fields, seed in (
+        ("threshold", lambda noise, d: threshold_barriers(noise, 2000, 20, d)[0], 20, dict(k=20, p=0.25), 47),
+        ("counting", lambda noise, d: counting_levels(noise, 2000, 10, d)[0], 11, dict(ones=10, p=0.2), 53),
     ):
-        log_ratio = NoiseModel(fields["p"]).log_ratio
-        predicted = [snapped_ceil(math.log(c * m / d) / log_ratio) * log_ratio / math.log(m / d) for d in deltas]
+        noise = NoiseModel(fields["p"])
+        predicted = [zero_barrier(noise, d) * noise.log_ratio / math.log(m / d) for d in deltas]
         ratios = [
             run_experiment(ExperimentSpec(kind, n=2000, delta=d, trials=20, seed=seed, **fields)).ratio for d in deltas
         ]

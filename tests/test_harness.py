@@ -2,14 +2,18 @@ import dataclasses
 import hashlib
 import json
 import math
+import sys
 from fractions import Fraction
 
+import hypothesis
+from hypothesis import strategies as st
 import pytest
 from scipy.stats import beta as beta_dist
 
 from noisyquery import (
     CSV_COLUMNS,
     ExperimentSpec,
+    NoiseModel,
     RejectionCapExceeded,
     ScalingReport,
     ThresholdResult,
@@ -23,6 +27,9 @@ from noisyquery import (
     validate_spec,
     wilson_interval,
 )
+from noisyquery.connectivity import pair_barriers
+from noisyquery.counting import counting_levels, threshold_barriers
+from noisyquery.walks import barrier
 
 
 def clopper_pearson(errors, trials, confidence=0.95):
@@ -250,6 +257,65 @@ def test_validation_rejects_bad_specs():
     # a kind's own fields pass while the others keep their defaults
     validate_spec(ExperimentSpec("walk-laws", p=0.25, k=3, trials=10))
     validate_spec(ExperimentSpec("counting2", n=10, p=0.25, delta=0.1, ones=2, asymptotic_presample=True, trials=5))
+
+
+EDGE_DELTAS = (5e-324, 1e-320, sys.float_info.min, 1e-308, 1e-307, 1e-300, 0.999999, 0.0, 1.0, float("nan"))
+EDGE_PS = (5e-324, 1e-310, 1e-300, 1e-9, 0.01, 0.49, 0.4999, 0.4999999999, 0.49999999999999994, 0.0, 0.5)
+
+
+def barrier_cost(spec):
+    """keys * max(a, b) / (1 - 2p): about the most a trial of a valid
+    spec can cost, from its barriers."""
+    noise = NoiseModel(spec.p)
+    n, delta = spec.n, spec.delta
+    if spec.kind == "threshold":
+        keys, walls = n, threshold_barriers(noise, n, min(spec.k, n - spec.k + 1), delta)
+    elif spec.kind.startswith("counting"):
+        # the presample of counting2 walks at most n more keys, at error >= 1e-300
+        keys, walls = 2 * n, (*counting_levels(noise, n, n, delta), barrier(noise, 1, 1e-300))
+    else:
+        keys, walls = n * (n - 1) // 2, pair_barriers(noise, n, delta)
+    return keys * max(walls) / (1.0 - 2.0 * noise.p)
+
+
+@pytest.mark.parametrize("kind", ["threshold", "counting", "counting2", "connectivity", "st-connectivity"])
+@hypothesis.settings(max_examples=150, suppress_health_check=[hypothesis.HealthCheck.filter_too_much])
+@hypothesis.given(data=st.data())
+def test_every_spec_fails_validation_or_runs(kind, data):
+    # over each query kind's own fields, with n = 1 and 2, subnormal delta
+    # and p near 0 and 1/2: a spec is refused by validate_spec with a
+    # ValueError, or one trial of it returns. Specs whose barriers imply
+    # more than 1e5 queries are valid but too slow to run here.
+    reals = {
+        "p": st.one_of(st.sampled_from(EDGE_PS), st.floats(0.0, 0.5)),
+        "delta": st.one_of(st.sampled_from(EDGE_DELTAS), st.floats(0.0, 1.0)),
+    }
+    values = {}
+    for param in harness.KINDS[kind].params:
+        if param.field in reals:
+            strategy = reals[param.field]
+        elif param.field == "n":
+            strategy = st.sampled_from([1, 2, 3, 4, 5, 6, 0, -1])
+        elif param.type is int:
+            # k and ones, mostly in range for the n drawn before them
+            strategy = st.sampled_from([*range(max(values["n"], 0) + 1), -1, values["n"] + 1])
+        elif param.type is bool:
+            strategy = st.booleans()
+        else:
+            strategy = st.sampled_from([Fraction(1, 21), Fraction(1, 3), Fraction(0)])
+        if param.optional:
+            strategy = st.one_of(st.none(), strategy)
+        values[param.field] = data.draw(strategy, label=param.field)
+    spec = ExperimentSpec(kind, trials=1, seed=data.draw(st.integers(0, 2**32), label="seed"), **values)
+    try:
+        validate_spec(spec)
+    except ValueError as exc:
+        hypothesis.event(f"refused: {exc}")
+        return
+    hypothesis.assume(barrier_cost(spec) <= 1e5)
+    hypothesis.event("ran" + (" at subnormal delta" if spec.delta < sys.float_info.min else ""))
+    correct, queries = run_trial(spec, 0)
+    assert queries >= 0
 
 
 @pytest.mark.parametrize("field,value", [("trials", True), ("seed", False), ("jobs", True)])

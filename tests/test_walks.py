@@ -23,9 +23,9 @@ from noisyquery import (
     simulate_hitting,
     snapped_ceil,
 )
-from noisyquery.walks import block_keys, commit_walks, walks
+from noisyquery.walks import barrier, block_keys, commit_walks, walks
 
-from conftest import query_walk
+from conftest import exact_check, log_up_first, query_walk
 
 getcontext().prec = 60
 
@@ -71,6 +71,46 @@ def test_snapped_ceil_behavior():
     assert snapped_ceil(3.1) == 4
     assert snapped_ceil(0.2) == 1
     assert snapped_ceil(1e-12) == 1
+
+
+def test_barrier_hand_values():
+    # r = 4 at p = 0.2: (log 10 - log 5e-324)/log 4 = (2.3026 + 744.4401)/1.3863 = 538.66
+    assert barrier(NoiseModel(0.2), 10, 5e-324) == 539
+    # log(1/0.01)/log 3 = 4.19 at p = 0.25
+    assert barrier(NoiseModel(0.25), 1, 0.01) == 5
+
+
+@pytest.mark.parametrize("p", [0.01, 0.1, 0.25, 0.4, 0.49])
+def test_policy_meets_its_error_bounds_exactly(p):
+    # the exact gambler's-ruin error of each bit's walk is within its
+    # delta, down to the smallest subnormal; the slack covers the snap of
+    # snapped_ceil, which may round a value 1e-9 above an integer down
+    noise = NoiseModel(p)
+    deltas = (0.5, 0.05, 1e-3, 1e-16, 1e-300, 1e-308, 1e-320, 5e-324)
+    for delta0 in deltas:
+        for delta1 in deltas:
+            policy = WalkPolicy.for_error_bounds(noise, delta0, delta1)
+            a, b = policy.down_threshold_a, policy.up_threshold_b
+            for bit, delta in ((0, delta0), (1, delta1)):
+                log_error = log_up_first(p, a, b) if bit == 0 else log_up_first(p, b, a)
+                assert log_error <= math.log(delta) + math.log1p(1e-6), (p, delta0, delta1, bit)
+
+
+@pytest.mark.parametrize("delta0,delta1", [(0.05, 0.05), (0.01, 0.2), (0.2, 0.01)])
+def test_kernel_matches_the_exact_walk_law(delta0, delta1):
+    # criterion 2's delta pairs at p = 0.2: on 2e5 keys of each bit value
+    # the kernel's error rate and mean steps sit within 4 standard errors
+    # of the exact law
+    p, keys = 0.2, 200_000
+    policy = WalkPolicy.for_error_bounds(NoiseModel(p), delta0, delta1)
+    a, b = policy.down_threshold_a, policy.up_threshold_b
+    for bit in (0, 1):
+        oracle = BitOracle(np.full(keys, bit, dtype=np.uint8), p, seed_sequence(59, "exact", f"{delta0}-{delta1}", bit))
+        decided, steps = walks(oracle, np.arange(keys), a, b)
+        error, mean_steps = exact_check(p, a, b, bit)
+        rate = float(np.mean(decided != bit))
+        assert abs(rate - error) <= 4.0 * math.sqrt(error * (1.0 - error) / keys), (bit, rate, error)
+        assert abs(steps.mean() - mean_steps) <= 4.0 * steps.std(ddof=1) / math.sqrt(keys), (bit, mean_steps)
 
 
 def test_check_bit_single_step_regime():
@@ -124,7 +164,7 @@ def test_simulated_laws_walk_the_kernel(p, x):
     # oracle from the same stream, walked key by key through query(),
     # gives the same hits and the same step sums
     count, precision = 200, 1e-6
-    far = snapped_ceil(math.log(1.0 / precision) / NoiseModel(p).log_ratio) - x
+    far = barrier(NoiseModel(p), 1, precision) - x
     twin = BitOracle([0] * count, p, seed_sequence(41, "hit", int(p * 100), x))
     hits = sum(query_walk(twin, i, far, x)[0] for i in range(count))
     tally = simulate_hitting(p, x, count, seed_sequence(41, "hit", int(p * 100), x), precision=precision)
