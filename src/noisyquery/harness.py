@@ -270,12 +270,11 @@ def scaling_gate_failures(report: ScalingReport) -> list[str]:
 # -- per-trial workers --------------------------------------------------------
 
 
-def _bit_oracle_for(spec: ExperimentSpec, trial: int, ones: int) -> tuple[BitOracle, int]:
+def _bit_oracle_for(spec: ExperimentSpec, trial: int, ones: int) -> BitOracle:
     instance_rng = derive_rng(spec.seed, spec.kind, "instance", trial)
     hidden = np.zeros(spec.n, dtype=np.uint8)
     hidden[instance_rng.permutation(spec.n)[:ones]] = 1
-    oracle = BitOracle(hidden, NoiseModel(spec.p), seed_sequence(spec.seed, spec.kind, "noise", trial))
-    return oracle, ones
+    return BitOracle(hidden, NoiseModel(spec.p), seed_sequence(spec.seed, spec.kind, "noise", trial))
 
 
 def _trial_threshold(spec: ExperimentSpec, trial: int) -> tuple[bool, int]:
@@ -284,8 +283,7 @@ def _trial_threshold(spec: ExperimentSpec, trial: int) -> tuple[bool, int]:
         # the hard instance pair: k-1 or k ones with equal probability
         coin_rng = derive_rng(spec.seed, spec.kind, "pair-coin", trial)
         ones = spec.k - 1 + int(coin_rng.integers(0, 2))
-    oracle, ones = _bit_oracle_for(spec, trial, ones)
-    result = threshold_count(oracle, spec.k, spec.delta)
+    result = threshold_count(_bit_oracle_for(spec, trial, ones), spec.k, spec.delta)
     if 2 * spec.k > spec.n + 1:
         # the complement scan answers "at least k" or "fewer than k", not a count
         return (result.value == spec.k) == (ones >= spec.k), result.queries
@@ -293,16 +291,15 @@ def _trial_threshold(spec: ExperimentSpec, trial: int) -> tuple[bool, int]:
 
 
 def _trial_counting(spec: ExperimentSpec, trial: int) -> tuple[bool, int]:
-    oracle, ones = _bit_oracle_for(spec, trial, spec.ones)
-    result = counting_one_sided(oracle, spec.delta)
-    return result.value == ones, result.queries
+    result = counting_one_sided(_bit_oracle_for(spec, trial, spec.ones), spec.delta)
+    return result.value == spec.ones, result.queries
 
 
 def _trial_counting2(spec: ExperimentSpec, trial: int) -> tuple[bool, int]:
-    oracle, ones = _bit_oracle_for(spec, trial, spec.ones)
+    oracle = _bit_oracle_for(spec, trial, spec.ones)
     algo_rng = derive_rng(spec.seed, spec.kind, "presample", trial)
     result = counting_two_sided(oracle, spec.delta, algo_rng, asymptotic_presample=spec.asymptotic_presample)
-    return result.value == ones, result.queries
+    return result.value == spec.ones, result.queries
 
 
 def _conn_oracle(spec: ExperimentSpec, trial: int, graph) -> EdgeOracle:

@@ -3,7 +3,8 @@
 A noisy oracle hides a bit vector (or the edge set of a graph) and
 answers point queries through a binary symmetric channel: each answer is
 the true bit flipped independently with probability ``p``. Every answer
-adds one query to the oracle's ledger.
+adds one query to the oracle's ledger, which holds only the total; how
+many answers each key has had is its counter's advance (below).
 
 Answers are counter-based, in the manner of Random123 (Salmon et al.,
 SC'11). The oracle holds a two-word stream key, and every key it hides
@@ -87,28 +88,26 @@ class NoiseModel:
 
 @dataclass
 class QueryLedger:
-    """Monotone query counter, optionally broken down per queried key."""
+    """Monotone count of an oracle's answers, over all its keys."""
 
     total_queries: int = 0
-    per_index: dict | None = None
-
-    def record(self, key, count: int = 1) -> None:
-        self.total_queries += count
-        if self.per_index is not None:
-            self.per_index[key] = self.per_index.get(key, 0) + count
 
 
 class _CounterChannel:
     """Shared machinery: counter-based answers, per-key counters, ledger.
 
-    The hidden keys are numbered by slots 0..size-1. ``_bits[s]`` is the
-    hidden bit of slot s and ``_counters[s]`` the counter of its latest
-    answer: base(s) + j * GAMMA after j answers, modulo 2^64, where
+    The hidden keys are numbered by slots 0..size-1; a subclass's
+    ``_slot`` maps a key to its slot. ``_bits[s]`` is the hidden bit of
+    slot s and ``_counters[s]`` the counter of its latest answer:
+    base(s) + j * GAMMA after j answers, modulo 2^64, where
     base(s) = mix(key0 + (s + 1) * GAMMA) ^ key1. The next answer about
     slot s is flipped when mix(_counters[s] + GAMMA) < ``_flip_below``.
+    GAMMA is odd, so the counters are the one per-key record: j is
+    (_counters[s] - base(s)) * GAMMA^-1 modulo 2^64. The ledger holds
+    the total over all slots.
     """
 
-    def _init_channel(self, noise: NoiseModel, rng, track_per_index: bool, bits: np.ndarray) -> None:
+    def _init_channel(self, noise: NoiseModel, rng, bits: np.ndarray) -> None:
         if not isinstance(noise, NoiseModel):
             noise = NoiseModel(noise)
         self.noise = noise
@@ -118,23 +117,20 @@ class _CounterChannel:
         self._bits = bits
         bases = np.arange(1, bits.size + 1, dtype=np.uint64) * np.uint64(GAMMA) + np.uint64(key0)
         self._counters = mix_array(bases) ^ np.uint64(key1)
-        self.ledger = QueryLedger(per_index={} if track_per_index else None)
+        self.ledger = QueryLedger()
 
-    def _answer(self, slot: int) -> int:
-        """The next answer about ``slot``; the caller records it in the ledger."""
+    def query(self, key) -> int:
+        """One noisy answer about ``key``: a bit index, or a vertex pair in either order."""
+        slot = self._slot(key)
         counter = (self._counters.item(slot) + GAMMA) & _MASK
         self._counters[slot] = counter
+        self.ledger.total_queries += 1
         return self._bits.item(slot) ^ (mix(counter) < self._flip_below)
 
     def _charge(self, slots: np.ndarray, steps: np.ndarray) -> None:
         """Count ``steps[i]`` more answers about ``slots[i]``; slots are distinct."""
         self._counters[slots] += steps.astype(np.uint64) * np.uint64(GAMMA)
-        ledger = self.ledger
-        if ledger.per_index is None:
-            ledger.total_queries += int(steps.sum())
-        else:
-            for key, count in zip(self._ledger_keys(slots), steps.tolist()):
-                ledger.record(key, count)
+        self.ledger.total_queries += int(steps.sum())
 
 
 class BitOracle(_CounterChannel):
@@ -146,18 +142,11 @@ class BitOracle(_CounterChannel):
     is slot i.
     """
 
-    def __init__(
-        self,
-        hidden: Sequence[int] | np.ndarray,
-        noise: NoiseModel | float,
-        rng,
-        *,
-        track_per_index: bool = False,
-    ) -> None:
+    def __init__(self, hidden: Sequence[int] | np.ndarray, noise: NoiseModel | float, rng) -> None:
         bits = np.asarray(hidden)
         if bits.ndim != 1 or not ((bits == 0) | (bits == 1)).all():
             raise ValueError("hidden input must consist of 0/1 bits")
-        self._init_channel(noise, rng, track_per_index, bits.astype(np.uint8))
+        self._init_channel(noise, rng, bits.astype(np.uint8))
 
     @property
     def n(self) -> int:
@@ -167,26 +156,12 @@ class BitOracle(_CounterChannel):
     def hidden(self) -> tuple[int, ...]:
         return tuple(self._bits.tolist())
 
-    def true_ones(self) -> int:
-        """Ground-truth number of ones (for harness scoring, not algorithms)."""
-        return int(self._bits.sum())
-
     def _slot(self, i) -> int:
         if not isinstance(i, (int, np.integer)):
             raise IndexError(f"bit index must be an integer, got {i!r}")
         if not 0 <= i < self._bits.size:
             raise IndexError(f"bit index {i} out of range [0, {self._bits.size})")
         return int(i)
-
-    def _ledger_keys(self, slots: np.ndarray) -> list[int]:
-        return slots.tolist()
-
-    def query(self, i: int) -> int:
-        """One noisy read of bit ``i`` (0-based)."""
-        slot = self._slot(i)
-        answer = self._answer(slot)
-        self.ledger.record(slot)
-        return answer
 
 
 class EdgeOracle(_CounterChannel):
@@ -197,15 +172,7 @@ class EdgeOracle(_CounterChannel):
     slots, numbered in the order of ``numpy.triu_indices(n, 1)``.
     """
 
-    def __init__(
-        self,
-        n: int,
-        edges: Iterable[tuple[int, int]],
-        noise: NoiseModel | float,
-        rng,
-        *,
-        track_per_index: bool = False,
-    ) -> None:
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]], noise: NoiseModel | float, rng) -> None:
         if n < 1:
             raise ValueError(f"vertex count must be >= 1, got {n}")
         self._n = int(n)
@@ -225,7 +192,7 @@ class EdgeOracle(_CounterChannel):
             raise AssertionError(f"vertex pair {tuple(pair)} failed the array check only")
         bits = np.zeros(self._n * (self._n - 1) // 2, dtype=np.uint8)
         bits[self._pair_slot(us, vs)] = 1
-        self._init_channel(noise, rng, track_per_index, bits)
+        self._init_channel(noise, rng, bits)
 
     def _normalize(self, u, v) -> tuple[int, int]:
         u = int(u)
@@ -265,18 +232,6 @@ class EdgeOracle(_CounterChannel):
         starts = self._pair_slot(rows, rows + 1)
         us = np.searchsorted(starts, slots, side="right") - 1
         return us, slots - starts[us] + us + 1
-
-    def _ledger_keys(self, slots: np.ndarray) -> list[tuple[int, int]]:
-        us, vs = self._pairs(slots)
-        return list(zip(us.tolist(), vs.tolist()))
-
-    def query(self, key: tuple[int, int]) -> int:
-        """One noisy membership test of the unordered pair ``key``."""
-        u, v = key
-        pair = self._normalize(u, v)
-        answer = self._answer(self._pair_slot(*pair))
-        self.ledger.record(pair)
-        return answer
 
 
 class ComplementBitOracle(BitOracle):

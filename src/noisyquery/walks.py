@@ -189,10 +189,11 @@ def commit_walks(oracle, keys, steps) -> None:
 
 
 def _walk_few(channel, keys, a, b, decided, steps) -> None:
-    # The same walks one key at a time in Python ints. Single-key walks
-    # take this path: asymmetric_check_bit, which acceptance criterion 2
-    # calls on 600,000 one-bit oracles, and the walk ending each
-    # threshold scan.
+    # The same walks one key at a time in Python ints. Calls of a few
+    # keys take this path: asymmetric_check_bit, which acceptance
+    # criterion 2 calls on 600,000 one-bit oracles; the walk ending each
+    # threshold scan; and counting2's repeat presample rounds, which walk
+    # the indices drawn twice or more (usually 0-2 keys).
     below = channel._flip_below
     for pos, slot in enumerate(keys.tolist()):
         counter = channel._counters.item(slot)

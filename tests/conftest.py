@@ -1,4 +1,6 @@
-"""Test-wide settings, the scalar reference walk and its exact law.
+"""Test-wide settings, the scalar reference walk, its exact law, the
+exact threshold error built on it, and per-slot answer counts read off
+an oracle's counters.
 
 Property tests run under a derandomised hypothesis profile: the same
 examples on every run, no example database, no deadline, so the suite
@@ -8,6 +10,12 @@ gives the same result wherever it runs.
 import math
 
 from hypothesis import settings
+import numpy as np
+from scipy.stats import binom
+
+from noisyquery import NoiseModel
+from noisyquery.counting import threshold_barriers
+from noisyquery.oracles import GAMMA
 
 settings.register_profile("derandomised", max_examples=40, derandomize=True, database=None, deadline=None)
 settings.load_profile("derandomised")
@@ -44,3 +52,49 @@ def exact_check(p, a, b, bit):
     under flip probability p. A 0-bit's walk steps +1 w.p. p and errs at
     +b; a 1-bit's walk is its mirror, which errs at -a."""
     return exact_walk(p, a, b) if bit == 0 else exact_walk(p, b, a)
+
+
+# GAMMA is odd, so it has an inverse modulo 2^64
+GAMMA_INVERSE = pow(GAMMA, -1, 1 << 64)
+
+
+def answer_counts(oracle, fresh):
+    """Answers ``oracle`` has given per slot, as a list. ``fresh`` is an
+    unqueried oracle with the same stream: slot s's counter has moved
+    from fresh's by j * GAMMA after j answers, modulo 2^64."""
+    return ((oracle._counters - fresh._counters) * np.uint64(GAMMA_INVERSE)).tolist()
+
+
+def exact_threshold_error(n, k, p, delta, ones):
+    """Exact error of ``threshold_count(oracle, k, delta)`` on n bits with
+    ``ones`` ones, scored as the harness scores it.
+
+    Each index's verdict is independent given its bit, and a scan for t
+    ones with m ones present reports "at least t" exactly when the sum X
+    of its verdicts is: X = m - W + Z with W ~ Bin(m, e1) missed ones and
+    Z ~ Bin(n - m, e0) false ones, e0 and e1 from :func:`exact_check` at
+    the barriers of the branch's own target. For 2k <= n + 1 the scan
+    looks for t = k ones and the answer min(k, X) must equal min(k, ones).
+    For 2k > n + 1 it looks for t = n - k + 1 ones of the complement, with
+    m = n - ones, and only the decision is scored. Each tail is a direct
+    sum of pmf * cdf or pmf * sf terms, never 1 - x, so it keeps its
+    precision far below 1e-16.
+    """
+    complement = 2 * k > n + 1
+    target = n - k + 1 if complement else k
+    m = n - ones if complement else ones
+    a, b = threshold_barriers(NoiseModel(p), n, target, delta)
+    e0, e1 = exact_check(p, a, b, 0)[0], exact_check(p, a, b, 1)[0]
+    missed = np.arange(m + 1)
+    weights = binom.pmf(missed, m, e1)
+
+    def below(s):
+        # P(X < s) = P(Z < s - m + W)
+        return float(np.sum(weights * binom.cdf(s - m + missed - 1, n - m, e0)))
+
+    def at_least(s):
+        return float(np.sum(weights * binom.sf(s - m + missed - 1, n - m, e0)))
+
+    if complement:
+        return at_least(target) if m < target else below(target)
+    return below(target) if m >= target else below(m) + at_least(m + 1)

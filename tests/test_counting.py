@@ -32,7 +32,7 @@ from noisyquery.counting import counting_levels, threshold_barriers
 from noisyquery.harness import error_bound
 from noisyquery.walks import walks
 
-from conftest import query_walk
+from conftest import answer_counts, exact_threshold_error, query_walk
 
 
 class RecordingOracle:
@@ -136,11 +136,12 @@ def test_threshold_validation():
 
 def test_threshold_never_exceeds_k_and_early_exits():
     n, k = 120, 3
-    oracle = BitOracle([1] * n, 0.05, seed_sequence(3, "early"), track_per_index=True)
+    oracle = BitOracle([1] * n, 0.05, seed_sequence(3, "early"))
     result = threshold_count(oracle, k, 0.05)
     assert result.value == k
     # the scan confirmed k ones without touching the tail of the array
-    assert max(oracle.ledger.per_index) < 20
+    counts = answer_counts(oracle, BitOracle([1] * n, 0.05, seed_sequence(3, "early")))
+    assert any(counts[:20]) and not any(counts[20:])
     assert result.queries == oracle.ledger.total_queries
 
 
@@ -183,10 +184,10 @@ def test_threshold_query_decomposition_replay():
     # oracle must reproduce the scan: same verdicts, same per-index costs
     n, k, p, delta = 80, 6, 0.2, 0.05
     hidden = hidden_with_ones(n, 10, derive_rng(9, "replay-inst"))
-    oracle = BitOracle(hidden, p, seed_sequence(9, "replay"), track_per_index=True)
+    oracle = BitOracle(hidden, p, seed_sequence(9, "replay"))
     result = threshold_count(oracle, k, delta)
 
-    replay = BitOracle(hidden, p, seed_sequence(9, "replay"), track_per_index=True)
+    replay = BitOracle(hidden, p, seed_sequence(9, "replay"))
     policy = WalkPolicy(*threshold_barriers(replay.noise, n, k, delta))
     count = 0
     for i in range(n):
@@ -194,7 +195,7 @@ def test_threshold_query_decomposition_replay():
         if count >= k:
             break
     assert result.value == (k if count >= k else count)
-    assert oracle.ledger.per_index == replay.ledger.per_index
+    assert oracle._counters.tolist() == replay._counters.tolist()
     assert oracle.ledger.total_queries == replay.ledger.total_queries == result.queries
 
 
@@ -205,13 +206,13 @@ def test_counting_retirement_from_query_log():
     # of retired indices
     n, p, delta = 60, 0.2, 0.1
     hidden = hidden_with_ones(n, 12, derive_rng(11, "retire-inst"))
-    oracle = BitOracle(hidden, p, seed_sequence(11, "retire"), track_per_index=True)
+    oracle = BitOracle(hidden, p, seed_sequence(11, "retire"))
     result = counting_one_sided(oracle, delta)
 
     replay = BitOracle(hidden, p, seed_sequence(11, "retire"))
     retire_at = counting_levels(replay.noise, n, 0, delta)[1]
     retired = 0
-    for i, answers in oracle.ledger.per_index.items():
+    for i, answers in enumerate(answer_counts(oracle, replay)):
         walk = 0
         for _ in range(answers):
             assert walk < retire_at, f"index {i} queried after retiring"
@@ -339,9 +340,7 @@ def test_sweep_matches_heap_reference(complement):
     # the same place
     for case in range(150):
         hidden, p, delta, warmup, probes = _random_counting_case(case)
-        oracles = [
-            BitOracle(hidden, p, seed_sequence(31, "sweep", case), track_per_index=True) for _ in range(2)
-        ]
+        oracles = [BitOracle(hidden, p, seed_sequence(31, "sweep", case)) for _ in range(2)]
         views = [ComplementBitOracle(o) if complement else o for o in oracles]
         for view in views:
             for i in warmup:
@@ -350,6 +349,7 @@ def test_sweep_matches_heap_reference(complement):
         reference = heap_counting(views[1], delta)
         assert swept == reference, case
         assert oracles[0].ledger == oracles[1].ledger, case
+        assert oracles[0]._counters.tolist() == oracles[1]._counters.tolist(), case
         assert [views[0].query(i) for i in probes] == [views[1].query(i) for i in probes], case
 
 
@@ -361,12 +361,14 @@ def test_query_path_sweep_matches_heap_order(complement):
     # per index as many answers as the heap's query log holds
     for case in range(40):
         hidden, p, delta, _, _ = _random_counting_case(case)
-        swept = BitOracle(hidden, p, seed_sequence(37, "sweep-q", case), track_per_index=True)
+        swept = BitOracle(hidden, p, seed_sequence(37, "sweep-q", case))
         heap = BitOracle(hidden, p, seed_sequence(37, "sweep-q", case))
         proxy = RecordingOracle(ComplementBitOracle(heap) if complement else heap)
         result = counting_one_sided(ComplementBitOracle(swept) if complement else swept, delta)
         assert result == heap_counting(proxy, delta), case
-        assert swept.ledger.per_index == dict(Counter(i for i, _ in proxy.log)), case
+        tally = Counter(i for i, _ in proxy.log)
+        fresh = BitOracle(hidden, p, seed_sequence(37, "sweep-q", case))
+        assert answer_counts(swept, fresh) == [tally[i] for i in range(len(hidden))], case
 
 
 @hypothesis.given(
@@ -378,7 +380,7 @@ def test_query_path_sweep_matches_heap_order(complement):
     warmup=st.lists(st.integers(0, 59), max_size=100),
 )
 def test_sweep_matches_heap_reference_property(hidden, p, delta, seed, complement, warmup):
-    oracles = [BitOracle(hidden, p, seed_sequence(seed, "heap"), track_per_index=True) for _ in range(2)]
+    oracles = [BitOracle(hidden, p, seed_sequence(seed, "heap")) for _ in range(2)]
     views = [ComplementBitOracle(o) if complement else o for o in oracles]
     for view in views:
         for i in warmup:
@@ -430,7 +432,7 @@ def test_sweep_matches_heap_reference_at_scale(monkeypatch, n, complement):
     for i, (ones, p, delta) in enumerate(grid):
         case = (ones, p, delta)
         hidden = hidden_with_ones(n, ones, derive_rng(41, "scale-inst", n, ones))
-        oracles = [BitOracle(hidden, p, seed_sequence(41, "scale", n, i), track_per_index=True) for _ in range(2)]
+        oracles = [BitOracle(hidden, p, seed_sequence(41, "scale", n, i)) for _ in range(2)]
         views = [ComplementBitOracle(o) if complement else o for o in oracles]
         calls.clear()
         result = counting_one_sided(views[0], delta)
@@ -462,7 +464,7 @@ def test_threshold_charges_no_index_past_the_stop(n, density, k_share, p, delta,
     # stops at the (n - k + 1)-th zero.
     hidden = (derive_rng(seed, "th-bits").random(n) < density).astype(int)
     k = max(1, math.ceil(k_share * n))
-    oracles = [BitOracle(hidden, p, seed_sequence(seed, "th"), track_per_index=True) for _ in range(2)]
+    oracles = [BitOracle(hidden, p, seed_sequence(seed, "th")) for _ in range(2)]
     for oracle in oracles:
         for i in warmup:
             oracle.query(i % n)
@@ -483,6 +485,25 @@ def test_threshold_charges_no_index_past_the_stop(n, density, k_share, p, delta,
     assert result.queries == oracles[0].ledger.total_queries - len(warmup)
     assert oracles[0].ledger == oracles[1].ledger
     assert oracles[0]._counters.tolist() == oracles[1]._counters.tolist()
+
+
+def test_threshold_exact_error_within_delta():
+    # the exact error of both threshold branches on the hard pair (k - 1
+    # or k ones), n up to 1e6 and delta down to 1e-16; k = ceil(n/2) is an
+    # O(n) convolution, so it stops at n = 1e4
+    for n, p, delta in itertools.product((50, 400, 10**4, 10**6), (0.01, 0.1, 0.25, 0.45), (0.2, 0.05, 1e-4, 1e-16)):
+        ks = (1, 2, math.ceil(n / 2), n - 1, n) if n <= 10**4 else (1, 2, n - 1, n)
+        for k in ks:
+            for ones in (k - 1, k):
+                error = exact_threshold_error(n, k, p, delta, ones)
+                assert 0.0 < error <= delta, (n, k, p, delta, ones, error)
+
+
+def test_threshold_exact_error_at_criterion_3():
+    # criterion 3 (n=1e4, k=100, p=0.25, delta=0.01) at barriers (10, 14):
+    # at k - 1 ones the count must come out exact, at k ones reach k
+    assert exact_threshold_error(10**4, 100, 0.25, 0.01, 99) == pytest.approx(0.003736, rel=1e-3)
+    assert exact_threshold_error(10**4, 100, 0.25, 0.01, 100) == pytest.approx(0.001689, rel=1e-3)
 
 
 @pytest.mark.parametrize("n", [50, 400])

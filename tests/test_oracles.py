@@ -16,9 +16,9 @@ from noisyquery import (
 )
 from noisyquery.oracles import GAMMA, mix
 from noisyquery.streams import stream_key
-from noisyquery.walks import walks
+from noisyquery.walks import commit_walks, walks
 
-from conftest import query_walk
+from conftest import answer_counts, query_walk
 
 
 def bernoulli_kl(a: float, b: float) -> float:
@@ -64,13 +64,12 @@ def test_bit_oracle_channel_frequency():
 
 
 def test_bit_oracle_ledger_exact_and_per_index():
-    oracle = BitOracle([0, 1, 1, 0], 0.2, 3, track_per_index=True)
+    oracle = BitOracle([0, 1, 1, 0], 0.2, 3)
     pattern = [0, 1, 1, 2, 3, 3, 3, 1]
     for i in pattern:
         oracle.query(i)
     assert oracle.ledger.total_queries == len(pattern)
-    assert oracle.ledger.per_index == {0: 1, 1: 3, 2: 1, 3: 3}
-    assert sum(oracle.ledger.per_index.values()) == oracle.ledger.total_queries
+    assert answer_counts(oracle, BitOracle([0, 1, 1, 0], 0.2, 3)) == [1, 3, 1, 3]
 
 
 def test_bit_oracle_reproducible_streams():
@@ -105,11 +104,13 @@ def test_edge_oracle_frequencies():
 
 
 def test_edge_oracle_unordered_pairs():
-    oracle = EdgeOracle(3, [(2, 0)], 0.25, 1, track_per_index=True)
+    oracle = EdgeOracle(3, [(2, 0)], 0.25, 1)
     for _ in range(10):
         oracle.query((0, 2))
         oracle.query((2, 0))
-    assert oracle.ledger.per_index == {(0, 2): 20}
+    # slots (0, 1), (0, 2), (1, 2): both orders charge the one pair
+    assert answer_counts(oracle, EdgeOracle(3, [(2, 0)], 0.25, 1)) == [0, 20, 0]
+    assert oracle.ledger.total_queries == 20
     # identical streams queried in either vertex order give identical answers
     a = EdgeOracle(3, [(2, 0)], 0.25, seed_sequence(4, "sym"))
     b = EdgeOracle(3, [(2, 0)], 0.25, seed_sequence(4, "sym"))
@@ -212,9 +213,9 @@ def test_complement_view_shares_the_inner_answer_stream():
     # one stream: the inner's answers as a mirror oracle gives them, and
     # the view's answers flipped
     hidden = [1, 0, 0, 1, 1, 0, 1, 0, 0, 0, 1, 1]
-    inner = BitOracle(hidden, 0.3, seed_sequence(14, "comp-stream"), track_per_index=True)
+    inner = BitOracle(hidden, 0.3, seed_sequence(14, "comp-stream"))
     view = ComplementBitOracle(inner)
-    mirror = BitOracle(hidden, 0.3, seed_sequence(14, "comp-stream"), track_per_index=True)
+    mirror = BitOracle(hidden, 0.3, seed_sequence(14, "comp-stream"))
     assert view._counters is inner._counters and view.ledger is inner.ledger
     rng = derive_rng(14, "comp-order")
     for _ in range(300):
@@ -256,3 +257,66 @@ def test_answers_follow_the_documented_counter_mapping():
         base = mix((key0 + (slot + 1) * GAMMA) & mask) ^ key1
         flipped = mix((base + answered[slot] * GAMMA) & mask) < int(p * 2**64)
         assert oracle.query(slot) == hidden[slot] ^ flipped
+
+
+@pytest.mark.parametrize("kind", ["bits", "edges"])
+@hypothesis.given(
+    size=st.integers(1, 30),
+    seed=st.integers(0, 2**32),
+    moves=st.lists(
+        st.tuples(
+            st.sampled_from(["query", "walk", "dry walk", "commit", "view query", "view walk"]),
+            st.integers(0, 2**16),
+            st.integers(1, 6),
+            st.integers(1, 6),
+        ),
+        max_size=25,
+    ),
+)
+def test_answer_counts_tally_every_path_to_the_counters(kind, size, seed, moves):
+    # the counters are the one per-slot record of answers: after any mix
+    # of single queries, committed and uncommitted walks, late commits and
+    # queries and walks through a complement view, each slot's counter
+    # advance is the hand tally of its answers, and the advances sum to
+    # the ledger's total. ``pick`` chooses a move's slot, pair order, key
+    # count or pending walk.
+    rng = derive_rng(seed, "tally-instance")
+    noise = seed_sequence(seed, "tally")
+    if kind == "bits":
+        hidden = rng.integers(0, 2, size=size)
+        oracle, fresh = (BitOracle(hidden, 0.3, noise) for _ in range(2))
+        view = ComplementBitOracle(oracle)
+    else:
+        n = 2 + size % 7
+        pairs = list(combinations(range(n), 2))
+        edges = [pair for pair in pairs if rng.random() < 0.5]
+        oracle, fresh = (EdgeOracle(n, edges, 0.3, noise) for _ in range(2))
+        # an EdgeOracle has no complement view: its view moves use it directly
+        view = oracle
+        size = len(pairs)
+    tally = [0] * size
+    pending = []
+    for step, (move, pick, a, b) in enumerate(moves):
+        if move.endswith("query"):
+            slot = pick // 2 % size
+            # query() takes a vertex pair in either order
+            key = slot if kind == "bits" else pairs[slot][:: 1 if pick % 2 else -1]
+            (view if move == "view query" else oracle).query(key)
+            tally[slot] += 1
+        elif move.endswith("walk"):
+            # one key to every slot: a few keys walk one at a time, more in blocks
+            keys = derive_rng(seed, "tally-keys", step).permutation(size)[: 1 + pick % size].tolist()
+            _, steps = walks(view if move == "view walk" else oracle, keys, a, b, commit=move != "dry walk")
+            if move == "dry walk":
+                pending.append((keys, steps))
+            else:
+                for key, taken in zip(keys, steps.tolist()):
+                    tally[key] += taken
+        elif pending:
+            keys, steps = pending.pop(pick % len(pending))
+            commit_walks(oracle, keys, steps)
+            for key, taken in zip(keys, steps.tolist()):
+                tally[key] += taken
+        counts = answer_counts(oracle, fresh)
+        assert counts == tally, (step, move)
+        assert sum(counts) == oracle.ledger.total_queries, (step, move)

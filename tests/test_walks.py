@@ -340,8 +340,7 @@ def _twin_bit_oracles(n, p, seed, complement, warmup):
     # two identically seeded oracles (or complement views of them) with the
     # same warm-up queries already answered
     bases = [
-        BitOracle(derive_rng(seed, "bits").integers(0, 2, size=n), p, seed_sequence(seed, "noise"), track_per_index=True)
-        for _ in range(2)
+        BitOracle(derive_rng(seed, "bits").integers(0, 2, size=n), p, seed_sequence(seed, "noise")) for _ in range(2)
     ]
     views = [ComplementBitOracle(base) if complement else base for base in bases]
     for view in views:
@@ -382,6 +381,7 @@ def test_kernel_matches_query_walks_over_many_blocks():
     decided, steps = walks(views[0], keys, 30, 30)
     assert list(zip(decided.tolist(), steps.tolist())) == [query_walk(views[1], k, 30, 30) for k in keys.tolist()]
     assert bases[0].ledger == bases[1].ledger
+    assert bases[0]._counters.tolist() == bases[1]._counters.tolist()
 
 
 @hypothesis.given(
@@ -396,12 +396,13 @@ def test_kernel_matches_query_walks_on_edges(n, p, a, b, seed, data):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = data.draw(st.lists(st.sampled_from(pairs), unique=True))
     slots = data.draw(st.lists(st.integers(0, len(pairs) - 1), unique=True, min_size=1))
-    oracles = [EdgeOracle(n, edges, p, seed_sequence(seed, "edges"), track_per_index=True) for _ in range(2)]
+    oracles = [EdgeOracle(n, edges, p, seed_sequence(seed, "edges")) for _ in range(2)]
     decided, steps = walks(oracles[0], slots, a, b)
     # slots number the pairs u < v row by row; query() may name either order
     reference = [query_walk(oracles[1], pairs[s][::-1], a, b) for s in slots]
     assert list(zip(decided.tolist(), steps.tolist())) == reference
     assert oracles[0].ledger == oracles[1].ledger
+    assert oracles[0]._counters.tolist() == oracles[1]._counters.tolist()
 
 
 def test_uncommitted_walks_change_nothing():
