@@ -37,9 +37,9 @@ from .walks import (  # noqa: F401
     _check_delta,
     asymmetric_check_bit,
     barrier,
-    block_keys,
     check_bit,
     commit_walks,
+    walk_rounds,
     walks,
 )
 
@@ -106,32 +106,32 @@ def threshold_barriers(noise, n: int, k: int, delta: float) -> tuple[int, int]:
 def _threshold_scan(oracle, k: int, delta: float) -> int:
     """min(k, #ones): scan the indices in order, checking each bit with
     the barriers of :func:`threshold_barriers`, and stop as soon as k
-    ones are confirmed. Walks one block of indices at a time and charges
-    only the indices up to the one that ends the scan."""
+    ones are confirmed. Follows the walks of
+    :func:`~noisyquery.walks.walk_rounds` round by round over the ended
+    prefix of the indices, and charges only the indices up to the one
+    that ends the scan."""
     n = oracle.n
     a, b = threshold_barriers(oracle.noise, n, k, delta)
-    chunk = block_keys(oracle.noise.p, a, b)
-    count = 0
-    for lo in range(0, n, chunk):
-        keys = np.arange(lo, min(lo + chunk, n))
-        decided, steps = walks(oracle, keys, a, b, commit=False)
-        ones = count + np.cumsum(decided)
-        reached = np.flatnonzero(ones >= k)
-        if reached.size == 0 and keys[-1] < n - 1:
-            commit_walks(oracle, keys, steps)
-            count = int(ones[-1])
-            continue
-        last = int(reached[0]) if reached.size else keys.size - 1
-        commit_walks(oracle, keys[:last], steps[:last])
-        # Stopgap: the index that ends the scan is walked again, one key
-        # through asymmetric_check_bit with the scan's barriers as its policy,
-        # so with the same answers and verdict. perfbench's tracer wraps that
-        # name and raises KeyError on a scan with no wrapped walk; once it wraps
-        # walks.walks, this is commit_walks(oracle, keys[: last + 1], steps[: last + 1]).
-        count = int(ones[last]) - int(decided[last])
-        count += asymmetric_check_bit(oracle, int(keys[last]), delta, delta, policy=WalkPolicy(a, b)).decided_bit
-        break
-    return count
+    keys = np.arange(n)
+    decided = np.empty(n, dtype=np.int8)
+    steps = np.empty(n, dtype=np.int64)
+    count = scanned = 0
+    last = n - 1
+    for ended in walk_rounds(oracle, keys, a, b, decided, steps):
+        ones = np.flatnonzero(decided[scanned:ended])
+        if count + ones.size >= k:
+            last = scanned + int(ones[k - count - 1])
+            break
+        count += ones.size
+        scanned = ended
+    commit_walks(oracle, keys[:last], steps[:last])
+    # Stopgap: the index that ends the scan is walked again, one key
+    # through asymmetric_check_bit with the scan's barriers as its policy,
+    # so with the same answers and verdict. perfbench's tracer wraps that
+    # name and raises KeyError on a scan with no wrapped walk; once it wraps
+    # walks.walks, this is commit_walks(oracle, keys[: last + 1], steps[: last + 1]).
+    count = int(np.count_nonzero(decided[:last]))
+    return count + asymmetric_check_bit(oracle, last, delta, delta, policy=WalkPolicy(a, b)).decided_bit
 
 
 def counting_levels(noise, n: int, count: int, delta: float) -> tuple[int, int]:

@@ -127,6 +127,9 @@ def theory_bound(kind: str, *, n: int | None = None, k: int | None = None, delta
     counting (k = true count): n log((min(k, n-k)+1)/delta) / D_KL
     connectivity: C(n,2) log(C(n,2)/delta) / D_KL  (naive-solver comparator)
     check-bit: log(1/delta) / D_KL
+
+    Each log(c/delta) is computed as written while c/delta is finite,
+    and as log(c) - log(delta) once it overflows a double.
     """
     noise = NoiseModel(p)
     if not 0.0 < delta < 1.0:
@@ -135,20 +138,27 @@ def theory_bound(kind: str, *, n: int | None = None, k: int | None = None, delta
         if n is None or k is None or not 1 <= k <= n:
             raise ValueError(f"threshold bound needs 1 <= k <= n, got k={k}, n={n}")
         effective = min(k, n - k + 1)
-        return n * math.log(effective / delta) / noise.dkl
+        return n * _log_over(effective, delta) / noise.dkl
     if kind == "counting":
         if n is None or k is None or not 0 <= k <= n:
             raise ValueError(f"counting bound needs 0 <= k <= n, got k={k}, n={n}")
         effective = min(k, n - k) + 1
-        return n * math.log(effective / delta) / noise.dkl
+        return n * _log_over(effective, delta) / noise.dkl
     if kind == "connectivity":
         if n is None or n < 2:
             raise ValueError(f"connectivity bound needs n >= 2, got {n}")
         pairs = n * (n - 1) // 2
-        return pairs * math.log(pairs / delta) / noise.dkl
+        return pairs * _log_over(pairs, delta) / noise.dkl
     if kind == "check-bit":
-        return math.log(1.0 / delta) / noise.dkl
+        return _log_over(1.0, delta) / noise.dkl
     raise ValueError(f"no theory bound for kind {kind!r}")
+
+
+def _log_over(count: float, delta: float) -> float:
+    # log(count/delta) as the comparators have always formed it where the
+    # quotient is finite, so their rows keep every bit
+    ratio = count / delta
+    return math.log(ratio) if math.isfinite(ratio) else math.log(count) - math.log(delta)
 
 
 def _require(condition: bool, message: str) -> None:

@@ -82,7 +82,11 @@ class NoiseModel:
         if not math.isfinite(p) or not 0.0 < p < 0.5:
             raise ValueError(f"flipping probability must lie strictly in (0, 1/2), got {p}")
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "log_ratio", math.log((1.0 - p) / p))
+        # (1-p)/p as written wherever it is finite, so rows keep every
+        # bit; at subnormal p it overflows, and the logs stay finite
+        ratio = (1.0 - p) / p
+        log_ratio = math.log(ratio) if math.isfinite(ratio) else math.log1p(-p) - math.log(p)
+        object.__setattr__(self, "log_ratio", log_ratio)
         object.__setattr__(self, "dkl", (1.0 - 2.0 * p) * self.log_ratio)
 
 

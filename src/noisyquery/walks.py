@@ -11,6 +11,11 @@ Every walk runs in one kernel, :func:`walks`. Oracle answers are
 counter-based (see :mod:`noisyquery.oracles`), so the kernel computes
 the answers of many keys' walks at once with numpy, advancing all of
 them in lockstep, and gets exactly what per-key ``query`` calls would.
+Its one round loop, :func:`walk_rounds`, keeps an active set of walks
+that it tops up with the next keys as walks end, so the few numpy calls
+of a round are spread over about 2^14 answers, whatever the call's size.
+A caller can follow it round by round, as the threshold scan does to
+stop at the k-th confirmed one.
 """
 
 from __future__ import annotations
@@ -105,18 +110,22 @@ def expected_hitting_time(p: float, x: int) -> float:
     return x / (1.0 - 2.0 * p)
 
 
-# a block computes fewer than twice this many answers at once, which
-# bounds its working set at a few hundred kilobytes
+# a round computes at most this many answers, which bounds its working
+# set at a few hundred kilobytes. A round costs about 35 numpy calls plus
+# a few ns per answer, and at this size the two parts are about even; so
+# once no key waits to start, the slow walks left widen their rounds to
+# keep this many answers, up to _MAX_WIDTH steps, and pay fewer rounds.
 _BLOCK_ELEMENTS = 1 << 14
-# a block's levels, and twice its flip counts, fit int8 (see _walk_block)
+# a round's levels, and twice its flip counts, fit int8 (see walk_rounds)
 _MAX_WIDTH = 63
+# walk_rounds builds its walks' columns for this many full sets at a
+# time, a few megabytes at most, not for every key of a large call at once
+_TABLE_SETS = 16
 # up to this many keys walk one at a time in Python ints (see _walk_few):
 # on a 2-core Xeon with numpy 2.4, a one-to-four-key walk costs 10-50 us
-# there, against a floor of 70-85 us of numpy calls in _walk_block
+# there, against a floor of 70-85 us of numpy calls in walk_rounds
 _FEW_KEYS = 4
-# a round computes at least this many answers, widening its block if few walks are left
-_ROUND_ELEMENTS = 1 << 11
-# counter offsets GAMMA, 2 GAMMA, ... and step numbers 1, 2, ... of a block's rows
+# counter offsets GAMMA, 2 GAMMA, ... and step numbers 1, 2, ... of a round's rows
 _OFFSETS = (np.arange(1, _MAX_WIDTH + 1, dtype=np.uint64) * np.uint64(GAMMA))[:, None]
 _STEP_NUMBERS = np.arange(1, _MAX_WIDTH + 1, dtype=np.int8)[:, None]
 # an upper barrier no first-passage walk reaches
@@ -130,19 +139,13 @@ def _channel(oracle) -> _CounterChannel:
 
 
 def block_width(p: float, a: int, b: int) -> int:
-    """Steps per lockstep block: about the expected exit time of a walk.
+    """Steps per lockstep round: about the expected exit time of a walk.
 
     A walk drifts toward one barrier at speed 1-2p and most walks exit
     at the nearer one, so min(a, b)/(1-2p) steps finish most of them in
-    one block without computing many answers past their exit.
+    one round without computing many answers past their exit.
     """
     return min(_MAX_WIDTH, max(4, math.ceil(min(a, b) / (1.0 - 2.0 * p))))
-
-
-def block_keys(p: float, a: int, b: int) -> int:
-    """Keys per block: :func:`walks` splits a call of ``size`` keys into
-    ``max(1, size // block_keys)`` near-equal blocks."""
-    return max(1, _BLOCK_ELEMENTS // block_width(p, a, b))
 
 
 def walks(oracle, keys, a: int, b: int, *, commit: bool = True) -> tuple[np.ndarray, np.ndarray]:
@@ -158,9 +161,10 @@ def walks(oracle, keys, a: int, b: int, *, commit: bool = True) -> tuple[np.ndar
     the keys' answer counts and to the ledger; without it nothing
     changes, and :func:`commit_walks` can charge any of them later.
 
-    All walking keys advance together in blocks of :func:`block_width`
-    steps; a call of many keys is split into near-equal groups of fewer
-    than twice :func:`block_keys` keys each.
+    The walks run in :func:`walk_rounds`, one round loop over an active
+    set of walks that it tops up with the next keys after every round,
+    so a call of any size pays the last rounds of its slowest walks only
+    once. Calls of up to four keys walk one key at a time in Python ints.
     """
     channel = _channel(oracle)
     keys = np.asarray(keys, dtype=np.int64)
@@ -171,13 +175,8 @@ def walks(oracle, keys, a: int, b: int, *, commit: bool = True) -> tuple[np.ndar
     if keys.size <= _FEW_KEYS:
         _walk_few(channel, keys, a, b, decided, steps)
     else:
-        width = block_width(channel.noise.p, a, b)
-        # near-equal blocks of at least block_keys keys each, so a short
-        # remainder joins the blocks instead of paying rounds of its own
-        blocks = max(1, keys.size // block_keys(channel.noise.p, a, b))
-        for i in range(blocks):
-            part = slice(keys.size * i // blocks, keys.size * (i + 1) // blocks)
-            _walk_block(channel, keys[part], a, b, width, decided[part], steps[part])
+        for _ in walk_rounds(channel, keys, a, b, decided, steps):
+            pass
     if commit:
         channel._charge(keys, steps)
     return decided, steps
@@ -207,55 +206,103 @@ def _walk_few(channel, keys, a, b, decided, steps) -> None:
         steps[pos] = taken
 
 
-def _walk_block(channel, keys, a, b, width, decided, steps) -> None:
+def walk_rounds(oracle, keys, a: int, b: int, decided: np.ndarray, steps: np.ndarray):
+    """The walks of :func:`walks` with ``commit=False``, one round at a time.
+
+    ``keys`` is a valid int64 array of distinct slots. Keys start walking
+    in their order, up to ``_BLOCK_ELEMENTS // block_width`` at once, and
+    a round advances every walking key by the same number of steps. When
+    a walk ends, its declared bit and steps are written to ``decided``
+    and ``steps`` at its key's position. After each round this yields
+    the number of leading keys whose walks have all ended, so a caller
+    can stop at any round; nothing is charged.
+    """
+    channel = _channel(oracle)
+    width = block_width(channel.noise.p, a, b)
+    capacity = max(1, _BLOCK_ELEMENTS // width)
+    below = np.uint64(channel._flip_below)
     # Each walk is tracked by e = 2 * flips - steps, which is its level d
     # on a 0-bit and -d on a 1-bit; so its barriers in e are +b and -a on
     # a 0-bit and +a and -b on a 1-bit, and it declares 1 when it leaves
     # through the upper barrier on a 0-bit or the lower one on a 1-bit.
-    counter = channel._counters[keys]
-    bits = channel._bits[keys].astype(bool)
-    below = np.uint64(channel._flip_below)
-    upper = np.where(bits, a, b)
-    lower = np.where(bits, -b, -a)
-    walking = np.arange(keys.size)
-    e = np.zeros(keys.size, dtype=np.int64)
+    # One int64 column per walk, in rows: its counter's bits, upper - e,
+    # lower - e, 2 * position + bit, and 1 - (the loop's steps when it
+    # started). Columns are built for _TABLE_SETS sets of keys at a time.
+    table = _columns(channel, keys, a, b, 0, capacity * _TABLE_SETS)
+    base = 0
+    started = min(capacity, keys.size)
+    table[4, :started] = 1
+    state = table[:, :started]
     taken = 0
-    size = max(keys.size * width, _ROUND_ELEMENTS)
-    z_buf = np.empty(size, dtype=np.uint64)
-    tmp_buf = np.empty(size, dtype=np.uint64)
-    while walking.size:
-        m = walking.size
-        # the walks left are the slow ones; when few are left, a wider
-        # block costs less than another round of numpy calls
-        w = min(_MAX_WIDTH, max(width, _ROUND_ELEMENTS // m))
+    z_buf = np.empty(_BLOCK_ELEMENTS, dtype=np.uint64)
+    tmp_buf = np.empty(_BLOCK_ELEMENTS, dtype=np.uint64)
+    # one byte per answer, with each row padded to whole 64-bit words
+    byte_buf = np.empty(_BLOCK_ELEMENTS + 7 * _MAX_WIDTH, dtype=np.uint8)
+    while state.shape[1]:
+        m = state.shape[1]
+        # block_width steps for a full set; fewer walks, the slow ones at
+        # the end of a call, take wider rounds of as many answers
+        w = min(_MAX_WIDTH, _BLOCK_ELEMENTS // m)
+        counter = state[0].view(np.uint64)
         z = z_buf[: w * m].reshape(w, m)
         np.add(counter, _OFFSETS[:w], out=z)
         mix_array(z, tmp_buf[: w * m].reshape(w, m))
-        # e after each step of the block, relative to where the block
+        # Sums down the rows run on the bytes' 64-bit words, eight walks
+        # to a word: every byte holds 0 or 1 and a sum over w <= 63 rows
+        # stays below 256, so no byte carries into the next.
+        padded = byte_buf[: w * (m + -m % 8)].reshape(w, -1)
+        padded[:, m:] = 0
+        words = padded.view(np.uint64)
+        flags = padded[:, :m].view(bool)
+        np.less(z, below, out=flags)
+        np.add.accumulate(words, axis=0, out=words)
+        # e after each step of the round, relative to where the round
         # started; 2 * flips <= 2w and |e| <= w, so int8 holds both
-        path = np.cumsum((z < below).view(np.int8), axis=0, dtype=np.int8)
-        path *= 2
+        path = padded[:, :m].view(np.int8) * np.int8(2)
         path -= _STEP_NUMBERS[:w]
-        # barriers relative to the block's start; those beyond reach clip to the int8 range
-        high = np.minimum(upper - e, 127).astype(np.int8)
-        low = np.maximum(lower - e, -128).astype(np.int8)
-        top = path >= high
-        out = top | (path <= low)
-        first = out.argmax(axis=0)
-        columns = np.arange(m)
-        ended = out[first, columns]
-        done = walking[ended]
-        exit_step = first[ended]
-        steps[done] = taken + 1 + exit_step
-        decided[done] = top[exit_step, columns[ended]] != bits[ended]
-        going = ~ended
-        walking = walking[going]
-        counter = counter[going] + _OFFSETS[w - 1, 0]
-        e = e[going] + path[-1, going]
-        upper = upper[going]
-        lower = lower[going]
-        bits = bits[going]
+        # barriers relative to the round's start, clipped to the int8 range
+        high, low = np.minimum(np.maximum(state[1:3], -128), 127).astype(np.int8)
+        np.greater_equal(path, high, out=flags)
+        flags |= path <= low
+        # flags to "ended at or before this step", then counted per walk
+        np.bitwise_or.accumulate(words, axis=0, out=words)
+        after = np.add.reduce(words, axis=0).view(np.uint8)[:m]
+        ends = after.nonzero()[0]
+        counter += _OFFSETS[w - 1, 0]
+        state[1:3] -= path[-1]
+        if ends.size:
+            exit_step = np.subtract(w, after[ends], dtype=np.int64)
+            # a walk leaves through the upper barrier exactly when its exit level is positive
+            top = path.take(exit_step * m + ends) > 0
+            codes, entry = state[3:].take(ends, axis=1)
+            pos = codes >> 1
+            steps[pos] = exit_step + (entry + taken)
+            decided[pos] = top != (codes & 1)
+            state = state.compress(after == 0, axis=1)
         taken += w
+        if started < keys.size:
+            wanted = capacity - state.shape[1]
+            if base + table.shape[1] < min(started + wanted, keys.size):
+                base = started
+                table = _columns(channel, keys, a, b, base, base + capacity * _TABLE_SETS)
+            fresh = table[:, started - base : started - base + wanted]
+            fresh[4] = 1 - taken
+            state = np.concatenate((state, fresh), axis=1)
+            started += fresh.shape[1]
+        yield int(state[3, 0]) >> 1 if state.shape[1] else started
+
+
+def _columns(channel, keys, a, b, lo, hi) -> np.ndarray:
+    # the first four rows of walk_rounds' columns for keys[lo:hi]
+    part = keys[lo:hi]
+    bits = channel._bits[part]
+    table = np.empty((5, part.size), dtype=np.int64)
+    table[0] = channel._counters[part].view(np.int64)
+    table[1] = np.where(bits, a, b)
+    table[2] = np.where(bits, -b, -a)
+    np.multiply(np.arange(lo, lo + part.size), 2, out=table[3])
+    table[3] += bits
+    return table
 
 
 def asymmetric_check_bit(

@@ -88,6 +88,28 @@ def test_tiny_delta_runs(kind, flags, delta, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_tiny_delta_comparator_is_finite(tmp_path, capsys):
+    # 2 * 1.5 / 1e-308 overflows a double; the comparator takes
+    # log(c) - log(delta) there, so the row is strict JSON
+    out_file = tmp_path / "row.json"
+    argv = ["counting", "--n", "5", "--p", "0.2", "--delta", "1e-308", "--ones", "2", "--trials", "2"]
+    assert main([*argv, "--format", "json", "--out", str(out_file)]) == EXIT_OK
+    assert "theory=inf" not in capsys.readouterr().out
+
+    def refuse(name):
+        raise ValueError(f"not strict JSON: {name}")
+
+    (row,) = json.loads(out_file.read_text(), parse_constant=refuse)
+    assert 0 < row["theory_queries"] < float("inf")
+
+
+def test_subnormal_p_keeps_its_comparator(capsys):
+    # (1 - p)/p overflows at p = 1e-310, but log((1 - p)/p) does not
+    code = main(["threshold", "--n", "5", "--k", "2", "--p", "1e-310", "--delta", "0.1", "--trials", "2"])
+    assert code == EXIT_OK
+    assert "theory=" in capsys.readouterr().out
+
+
 def test_assert_gate_passes(capsys):
     code = main(
         [

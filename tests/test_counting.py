@@ -4,6 +4,7 @@ import heapq
 import itertools
 import math
 from collections import Counter
+from unittest import mock
 
 import hypothesis
 from hypothesis import strategies as st
@@ -30,7 +31,8 @@ from noisyquery import (
 from noisyquery import counting as counting_module
 from noisyquery.counting import counting_levels, threshold_barriers
 from noisyquery.harness import error_bound
-from noisyquery.walks import walks
+from noisyquery import walks as walks_module
+from noisyquery.walks import block_width, walks
 
 from conftest import answer_counts, exact_threshold_error, query_walk
 
@@ -483,6 +485,31 @@ def test_threshold_charges_no_index_past_the_stop(n, density, k_share, p, delta,
     else:
         assert result.value == count
     assert result.queries == oracles[0].ledger.total_queries - len(warmup)
+    assert oracles[0].ledger == oracles[1].ledger
+    assert oracles[0]._counters.tolist() == oracles[1]._counters.tolist()
+
+
+@hypothesis.given(
+    n=st.integers(1, 600),
+    density=st.floats(0.0, 1.0),
+    k_share=st.floats(0.0, 1.0),
+    p=st.floats(0.02, 0.4),
+    delta=st.floats(0.001, 0.5),
+    capacity=st.integers(1, 6),
+    seed=st.integers(0, 2**32),
+)
+def test_threshold_scan_at_a_small_capacity(n, density, k_share, p, delta, capacity, seed):
+    # a few walks at a time make the scan follow many rounds, most of
+    # them with walks starting and ending; the answer, ledger and
+    # counters match the scan at the default capacity
+    hidden = (derive_rng(seed, "cap-bits").random(n) < density).astype(int)
+    k = max(1, math.ceil(k_share * n))
+    oracles = [BitOracle(hidden, p, seed_sequence(seed, "cap")) for _ in range(2)]
+    target = n - k + 1 if 2 * k > n + 1 else k
+    width = block_width(p, *threshold_barriers(oracles[0].noise, n, target, delta))
+    with mock.patch.object(walks_module, "_BLOCK_ELEMENTS", capacity * width):
+        small = threshold_count(oracles[0], k, delta)
+    assert small == threshold_count(oracles[1], k, delta)
     assert oracles[0].ledger == oracles[1].ledger
     assert oracles[0]._counters.tolist() == oracles[1]._counters.tolist()
 

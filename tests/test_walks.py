@@ -1,5 +1,6 @@
 import math
 from decimal import ROUND_CEILING, ROUND_HALF_EVEN, Decimal, getcontext
+from unittest import mock
 
 import hypothesis
 from hypothesis import strategies as st
@@ -23,7 +24,8 @@ from noisyquery import (
     simulate_hitting,
     snapped_ceil,
 )
-from noisyquery.walks import barrier, block_keys, commit_walks, walks
+from noisyquery import walks as walks_module
+from noisyquery.walks import barrier, block_width, commit_walks, walk_rounds, walks
 
 from conftest import exact_check, log_up_first, query_walk
 
@@ -373,15 +375,58 @@ def test_kernel_matches_query_walks(n, p, a, b, seed, complement, warmup, data):
 
 
 def test_kernel_matches_query_walks_over_many_blocks():
-    # wide barriers make the widest blocks, so the fewest keys per block
-    # (260): 1200 keys take four blocks of 300
+    # wide barriers make the widest rounds, so the fewest walks at once:
+    # 1200 keys are more than three such sets, so most keys start in a
+    # later round, as earlier walks end
     bases, views = _twin_bit_oracles(1200, 0.3, 5, False, range(0, 1200, 7))
     keys = derive_rng(5, "keys").permutation(1200)
-    assert block_keys(0.3, 30, 30) == 260
+    assert 1200 > 3 * (walks_module._BLOCK_ELEMENTS // block_width(0.3, 30, 30))
     decided, steps = walks(views[0], keys, 30, 30)
     assert list(zip(decided.tolist(), steps.tolist())) == [query_walk(views[1], k, 30, 30) for k in keys.tolist()]
     assert bases[0].ledger == bases[1].ledger
     assert bases[0]._counters.tolist() == bases[1]._counters.tolist()
+
+
+@hypothesis.given(
+    n=st.integers(5, 300),
+    p=st.floats(0.02, 0.45),
+    a=st.integers(1, 30),
+    b=st.integers(1, 30),
+    capacity=st.integers(1, 8),
+    seed=st.integers(0, 2**32),
+    complement=st.booleans(),
+    warmup=st.lists(st.integers(0, 299), max_size=80),
+    data=st.data(),
+)
+def test_kernel_refills_match_query_walks(n, p, a, b, capacity, seed, complement, warmup, data):
+    # a capacity of a few walks at a time, so keys far outnumber it and
+    # walks start and end in different rounds, and the last walks' rounds
+    # widen from block_width steps up to capacity times that
+    bases, views = _twin_bit_oracles(n, p, seed, complement, warmup)
+    keys = data.draw(st.permutations(range(n)))[: data.draw(st.integers(5, n))]
+    with mock.patch.object(walks_module, "_BLOCK_ELEMENTS", capacity * block_width(p, a, b)):
+        decided, steps = walks(views[0], keys, a, b)
+    assert list(zip(decided.tolist(), steps.tolist())) == [query_walk(views[1], k, a, b) for k in keys]
+    assert bases[0].ledger == bases[1].ledger
+    assert bases[0]._counters.tolist() == bases[1]._counters.tolist()
+
+
+def test_walk_rounds_yield_the_ended_prefix():
+    # after each round every key before the yielded count has its final
+    # result, and the count only grows until it covers every key
+    oracle = BitOracle(derive_rng(8, "bits").integers(0, 2, size=500), 0.25, seed_sequence(8, "noise"))
+    keys = np.arange(500)
+    decided, steps = walks(oracle, keys, 6, 9, commit=False)
+    got_decided = np.full(500, -1, dtype=np.int8)
+    got_steps = np.zeros(500, dtype=np.int64)
+    ended = []
+    with mock.patch.object(walks_module, "_BLOCK_ELEMENTS", 40 * block_width(0.25, 6, 9)):
+        for count in walk_rounds(oracle, keys, 6, 9, got_decided, got_steps):
+            assert np.array_equal(got_decided[:count], decided[:count])
+            assert np.array_equal(got_steps[:count], steps[:count])
+            ended.append(count)
+    assert ended == sorted(ended) and ended[-1] == 500 and len(set(ended)) > 5
+    assert oracle.ledger.total_queries == 0
 
 
 @hypothesis.given(
