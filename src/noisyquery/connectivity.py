@@ -11,6 +11,13 @@ n^2 log n queries, which is also optimal.
 Instances come straight from Wilson's parent array (``trees._wilson``)
 and its balanced edges (``trees._balance``): no :class:`LabeledTree` is
 built unless ``base_tree`` is read, and each read rebuilds it.
+
+The reconstruction takes a sequence of oracles and walks every pair of
+every oracle in one :func:`~noisyquery.walks.walk_oracles` call, so the
+harness reconstructs a block of trials at once and their walks share
+the kernel's rounds; the naive solvers pass one oracle. Answers are
+counter-based, so each oracle's verdicts, counters and ledger are what a
+reconstruction of it alone gives.
 """
 
 from __future__ import annotations
@@ -18,14 +25,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .streams import as_generator
 from .trees import Edge, LabeledTree, _balance, _wilson, as_balance_threshold
 from .unionfind import UnionFind
-from .walks import _check_delta, barrier, walks
+from .walks import _check_delta, barrier, walk_oracles
 
 # not called here but kept as module attributes: instrumentation such as
 # perfbench's tracer wraps them by these names
@@ -48,17 +55,19 @@ class InfeasibleBalance(RejectionCapExceeded, ValueError):
     """
 
 
-def check_balance_feasible(n: int, beta) -> None:
+def check_balance_feasible(n: int, beta) -> Fraction:
     """Raise :class:`InfeasibleBalance` unless some tree on n vertices has a beta-balanced edge.
 
     Removing a tree edge splits off s and n - s vertices, and a path has
     every split 1 <= s <= n - 1, so one exists iff ceil(beta n) <= floor(n/2).
+    Returns beta as the exact Fraction it checked.
     """
     frac = as_balance_threshold(beta)
     if math.ceil(frac * n) > n // 2:
         raise InfeasibleBalance(
             f"no tree on {n} vertices has a {frac}-balanced edge: needs ceil({frac}*n) <= floor(n/2)"
         )
+    return frac
 
 
 @dataclass(frozen=True)
@@ -107,8 +116,7 @@ def sample_hard_instance(
     vertices has a balanced edge, and :class:`RejectionCapExceeded` when
     ``rejection_cap`` consecutive trees have none.
     """
-    check_balance_feasible(n, beta)
-    frac = as_balance_threshold(beta)
+    frac = check_balance_feasible(n, beta)
     gen = as_generator(rng)
     for _ in range(rejection_cap):
         parent, order = _wilson(n, gen)
@@ -163,22 +171,26 @@ def pair_barriers(noise, n: int, delta: float) -> tuple[int, int]:
     return both, both
 
 
-def _reconstruct(oracle, delta: float) -> UnionFind:
-    """Estimate every potential edge with the barriers of
-    :func:`pair_barriers`, then union the declared ones; any connectivity
-    predicate computed from the result inherits their guarantee. Every
-    pair is walked in one :func:`~noisyquery.walks.walks` call.
+def _reconstruct(oracles: Sequence, delta: float) -> list[UnionFind]:
+    """Estimate every potential edge of each oracle's graph with the
+    barriers of :func:`pair_barriers`, then union the declared ones; any
+    connectivity predicate computed from a result inherits their
+    guarantee. The oracles must share n and p, and every pair of every
+    oracle is walked in one :func:`~noisyquery.walks.walk_oracles` call.
     """
     _check_delta(delta, "delta")
-    n = oracle.n
-    uf = UnionFind(n)
+    forests = [UnionFind(oracle.n) for oracle in oracles]
+    n = oracles[0].n
+    if any(oracle.n != n for oracle in oracles):
+        raise ValueError("oracles reconstructed together must share n")
     if n == 1:
-        return uf
-    decided, _ = walks(oracle, np.arange(n * (n - 1) // 2), *pair_barriers(oracle.noise, n, delta))
-    us, vs = oracle._pairs(np.flatnonzero(decided))
-    for u, v in zip(us.tolist(), vs.tolist()):
-        uf.union(u, v)
-    return uf
+        return forests
+    decided, _ = walk_oracles(oracles, *pair_barriers(oracles[0].noise, n, delta))
+    for oracle, forest, row in zip(oracles, forests, decided):
+        us, vs = oracle._pairs(np.flatnonzero(row))
+        for u, v in zip(us.tolist(), vs.tolist()):
+            forest.union(u, v)
+    return forests
 
 
 def naive_connectivity(oracle, delta: float) -> bool:
@@ -187,7 +199,7 @@ def naive_connectivity(oracle, delta: float) -> bool:
     Error probability at most ``delta``; cost about
     C(n,2) * log(C(n,2)/delta) / D_KL queries.
     """
-    return _reconstruct(oracle, delta).component_count == 1
+    return _reconstruct([oracle], delta)[0].component_count == 1
 
 
 def naive_st_connectivity(oracle, s: int, t: int, delta: float) -> bool:
@@ -196,7 +208,7 @@ def naive_st_connectivity(oracle, s: int, t: int, delta: float) -> bool:
     for name, v in (("s", s), ("t", t)):
         if not 0 <= v < n:
             raise ValueError(f"terminal {name}={v} out of range [0, {n})")
-    return _reconstruct(oracle, delta).connected(s, t)
+    return _reconstruct([oracle], delta)[0].connected(s, t)
 
 
 def hard_instance_to_text(instance: HardInstance) -> str:

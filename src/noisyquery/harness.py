@@ -6,6 +6,8 @@ scores correctness against the known ground truth. All per-trial
 randomness derives from (master seed, experiment kind, trial index,
 role), so reports are reproducible bit-for-bit on any worker count and
 any execution order. Query statistics aggregate as exact integers.
+Connectivity trials run in blocks whose reconstructions share the walk
+kernel's rounds; answers are counter-based, so the records do not change.
 
 Each experiment kind is one :class:`Kind` record in ``KINDS``: the spec
 fields it reads with their rules and flags, its trial function (or
@@ -19,6 +21,7 @@ import math
 import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from itertools import repeat
@@ -30,10 +33,9 @@ import numpy as np
 from .boolfn import MAX_ARITY, TruthTable, restriction_identity_residual
 from .connectivity import (
     HARD_BALANCE,
+    _reconstruct,
     check_balance_feasible,
     components_of,
-    naive_connectivity,
-    naive_st_connectivity,
     sample_hard_instance,
     sample_st_instance,
 )
@@ -42,6 +44,10 @@ from .oracles import BitOracle, EdgeOracle, NoiseModel
 from .streams import derive_rng, seed_sequence
 from .trees import ScalingReport
 from .walks import expected_hitting_time, hitting_probability, simulate_first_passage, simulate_hitting
+
+# not called here but kept as a module attribute: instrumentation such as
+# perfbench's tracer wraps it by this name
+from .connectivity import naive_connectivity  # noqa: F401
 
 CSV_COLUMNS = (
     "experiment",
@@ -65,6 +71,9 @@ CSV_COLUMNS = (
 
 INFLUENCE_RESIDUAL_TOL = 1e-10
 INFLUENCE_SPECIALIZATION_TOL = 1e-12
+# a block of connectivity trials walks at most this many pairs at once, which
+# bounds its memory; at n=50 that is 26 trials (see _run_connectivity)
+_BLOCK_PAIRS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -210,7 +219,7 @@ P = Param("p", float, "p in (0, 1/2)", lambda v, s: 0.0 < v < 0.5)
 DELTA = Param("delta", float, "delta in (0, 1)", lambda v, s: 0.0 < v < 1.0)
 CONN_N = Param("n", int, "n >= 2", lambda v, s: v >= 2)
 BETA = Param(
-    "beta", Fraction, "a feasible balance threshold", lambda v, s: check_balance_feasible(s.n, v) is None,
+    "beta", Fraction, "a feasible balance threshold", lambda v, s: check_balance_feasible(s.n, v) is not None,
     optional=True, fallback=HARD_BALANCE, help="balance threshold (default 1/21)",
 )
 ONES = Param("ones", int, "ones in [0, n]", lambda v, s: 0 <= v <= s.n, help="true number of ones per instance")
@@ -316,21 +325,46 @@ def _conn_oracle(spec: ExperimentSpec, trial: int, graph) -> EdgeOracle:
     return EdgeOracle(spec.n, graph, NoiseModel(spec.p), seed_sequence(spec.seed, spec.kind, "noise", trial))
 
 
-def _trial_connectivity(spec: ExperimentSpec, trial: int) -> tuple[bool, int]:
+def _connectivity_case(spec: ExperimentSpec, trial: int):
+    """A connectivity trial's hidden graph, its truth, and its terminals (None without)."""
     instance_rng = derive_rng(spec.seed, spec.kind, "instance", trial)
-    instance = sample_hard_instance(spec.n, instance_rng, beta=BETA.of(spec))
-    oracle = _conn_oracle(spec, trial, instance.graph)
-    answer = naive_connectivity(oracle, spec.delta)
-    return answer == instance.connected, oracle.ledger.total_queries
-
-
-def _trial_st_connectivity(spec: ExperimentSpec, trial: int) -> tuple[bool, int]:
-    instance_rng = derive_rng(spec.seed, spec.kind, "instance", trial)
+    if spec.kind == "connectivity":
+        instance = sample_hard_instance(spec.n, instance_rng, beta=BETA.of(spec))
+        return instance.graph, instance.connected, None
     st = sample_st_instance(spec.n, instance_rng, beta=BETA.of(spec))
     truth = components_of(spec.n, st.instance.graph).connected(st.s, st.t)
-    oracle = _conn_oracle(spec, trial, st.instance.graph)
-    answer = naive_st_connectivity(oracle, st.s, st.t, spec.delta)
-    return answer == truth, oracle.ledger.total_queries
+    return st.instance.graph, truth, (st.s, st.t)
+
+
+def _connectivity_block(spec: ExperimentSpec, trials: range) -> list[tuple[bool, int]]:
+    """Records of a range of ``connectivity`` or ``st-connectivity`` trials.
+
+    Each trial samples its instance and builds its oracle as alone; then
+    one reconstruction walks every oracle's pairs in the same rounds.
+    Answers are counter-based, so each record is what the trial alone
+    gives: ``run_trial`` is this on a range of one.
+    """
+    cases, oracles = [], []
+    for trial in trials:
+        with _naming(spec, range(trial, trial + 1)):
+            graph, truth, terminals = _connectivity_case(spec, trial)
+            oracles.append(_conn_oracle(spec, trial, graph))
+        cases.append((truth, terminals))
+    with _naming(spec, trials):
+        forests = _reconstruct(oracles, spec.delta)
+    records = []
+    for (truth, terminals), forest, oracle in zip(cases, forests, oracles):
+        answer = forest.component_count == 1 if terminals is None else forest.connected(*terminals)
+        records.append((answer == truth, oracle.ledger.total_queries))
+    return records
+
+
+def _trial_connectivity(spec: ExperimentSpec, trial: int) -> tuple[bool, int]:
+    return _connectivity_block(spec, range(trial, trial + 1))[0]
+
+
+def _run_connectivity(spec: ExperimentSpec) -> tuple[int, float, float]:
+    return _run_trials(spec, _connectivity_block, _BLOCK_PAIRS // (spec.n * (spec.n - 1) // 2))
 
 
 def _trial_influence(spec: ExperimentSpec, trial: int) -> tuple[bool, int]:
@@ -350,14 +384,33 @@ def _trial_influence(spec: ExperimentSpec, trial: int) -> tuple[bool, int]:
     return ok, 0
 
 
-def _run_trials(spec: ExperimentSpec) -> tuple[int, float, float]:
-    """Errors, mean and stddev of queries over ``run_trial`` for every trial."""
+def _blocks(spec: ExperimentSpec, size: int) -> list[range]:
+    """The trial ids in near-equal ranges of at most max(1, size), and at least one per worker."""
+    count = max(-(-spec.trials // max(1, size)), min(spec.jobs, spec.trials))
+    bounds = [spec.trials * i // count for i in range(count + 1)]
+    return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _each_trial(spec: ExperimentSpec, trials: range) -> list[tuple[bool, int]]:
+    return [run_trial(spec, trial) for trial in trials]
+
+
+def _run_trials(spec: ExperimentSpec, block=_each_trial, size: int = 1) -> tuple[int, float, float]:
+    """Errors, mean and stddev of queries over every trial of ``spec``.
+
+    The trials run in blocks of at most ``size`` (see :func:`_blocks`),
+    and ``block(spec, trials)`` gives the records of one block in order:
+    by default one ``run_trial`` call per trial. With ``jobs`` > 1 a
+    process pool maps the blocks.
+    """
+    blocks = _blocks(spec, size)
     if spec.jobs > 1:
-        chunk = max(1, spec.trials // (spec.jobs * 8))
+        chunk = max(1, len(blocks) // (spec.jobs * 8))
         with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
-            records = list(pool.map(run_trial, repeat(spec), range(spec.trials), chunksize=chunk))
+            parts = list(pool.map(block, repeat(spec), blocks, chunksize=chunk))
     else:
-        records = [run_trial(spec, t) for t in range(spec.trials)]
+        parts = [block(spec, trials) for trials in blocks]
+    records = [record for part in parts for record in part]
     errors = sum(1 for correct, _ in records if not correct)
     total = sum(q for _, q in records)
     total_sq = sum(q * q for _, q in records)
@@ -427,9 +480,9 @@ KINDS = {
         Kind("counting2", "count the ones exactly (orientation wrapper)", (N, P, DELTA, ONES, PRESAMPLE),
              _counting_theory, _delta_gate, trial=_trial_counting2, k_column="ones"),
         Kind("connectivity", "decide connectivity of hard spanning-tree instances", (CONN_N, P, DELTA, BETA),
-             _connectivity_theory, _delta_gate, trial=_trial_connectivity),
+             _connectivity_theory, _delta_gate, trial=_trial_connectivity, run=_run_connectivity),
         Kind("st-connectivity", "decide s-t connectivity with uniform random terminals", (CONN_N, P, DELTA, BETA),
-             _connectivity_theory, _delta_gate, trial=_trial_st_connectivity),
+             _connectivity_theory, _delta_gate, trial=_trial_connectivity, run=_run_connectivity),
         Kind("influence", "influence identities on random truth tables", (ARITY, BIAS),
              lambda s: 0.0, _influence_gate, trial=_trial_influence, trials_default=100),
         Kind("walk-laws", "gambler's-ruin hitting laws, one row per barrier", (P, BARRIER),
@@ -458,12 +511,32 @@ def validate_spec(spec: ExperimentSpec) -> None:
         )
 
 
+class _TrialFailed(RuntimeError):
+    """A trial raised; the message names the kind and the trial, or the block."""
+
+
+@contextmanager
+def _naming(spec: ExperimentSpec, trials: range):
+    # re-raises what the body raises as a _TrialFailed that names the trials
+    try:
+        yield
+    except _TrialFailed:
+        raise
+    except Exception as exc:
+        which = f"trial {trials[0]}" if len(trials) == 1 else f"trials {trials[0]}-{trials[-1]}"
+        raise _TrialFailed(f"{spec.kind} {which} failed: {exc}") from exc
+
+
 def run_trial(spec: ExperimentSpec, trial: int) -> tuple[bool, int]:
     """Run a single trial; exposed for order-independence testing."""
+    # a plain try, not _naming: every trial of the per-trial kinds passes
+    # here, and the generator-based manager cost about 1% of a counting trial
     try:
         return KINDS[spec.kind].trial(spec, trial)
+    except _TrialFailed:
+        raise
     except Exception as exc:
-        raise RuntimeError(f"{spec.kind} trial {trial} failed: {exc}") from exc
+        raise _TrialFailed(f"{spec.kind} trial {trial} failed: {exc}") from exc
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentReport:

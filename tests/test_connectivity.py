@@ -33,7 +33,7 @@ from noisyquery import (
     seed_sequence,
     theory_bound,
 )
-from noisyquery.connectivity import HardInstance, pair_barriers
+from noisyquery.connectivity import HardInstance, _reconstruct, pair_barriers
 
 
 class NoiselessEdgeOracle(EdgeOracle):
@@ -149,10 +149,16 @@ def test_balance_feasibility_matches_path_splits():
     for n in range(1, 40):
         for beta in (Fraction(1, 21), Fraction(1, 3), Fraction(2, 5), Fraction(49, 100)):
             if any(min(s, n - s) >= beta * n for s in range(1, n)):
-                check_balance_feasible(n, beta)
+                assert check_balance_feasible(n, beta) == beta
             else:
                 with pytest.raises(InfeasibleBalance):
                     check_balance_feasible(n, beta)
+
+
+def test_balance_feasibility_returns_the_checked_fraction():
+    # the sampler uses what the check coerced, not a second coercion
+    assert check_balance_feasible(20, 0.25) == Fraction(1, 4)
+    assert isinstance(check_balance_feasible(20, "1/5"), Fraction)
 
 
 def test_st_instance_terminals_uniform():
@@ -250,6 +256,24 @@ def test_naive_st_connectivity():
         assert naive_st_connectivity(oracle, st.s, st.t, 0.05) == truth
     with pytest.raises(ValueError):
         naive_st_connectivity(NoiselessEdgeOracle(5, []), 0, 5, 0.05)
+
+
+def test_reconstruct_a_block_equals_each_oracle_alone():
+    # one walk over five oracles' pairs: the same forests, counters and
+    # ledgers as five reconstructions of one oracle each
+    n, p, delta = 15, 0.25, 0.2
+    graphs = [sample_hard_instance(n, derive_rng(85, "block", t)).graph for t in range(5)]
+    twins = [[EdgeOracle(n, g, p, seed_sequence(85, "noise", t)) for t, g in enumerate(graphs)] for _ in range(2)]
+    forests = _reconstruct(twins[0], delta)
+    for forest, together, alone in zip(forests, *twins):
+        (own,) = _reconstruct([alone], delta)
+        assert [forest.find(v) for v in range(n)] == [own.find(v) for v in range(n)]
+        assert together._counters.tolist() == alone._counters.tolist()
+        assert together.ledger == alone.ledger
+    singletons = _reconstruct([NoiselessEdgeOracle(1, []), NoiselessEdgeOracle(1, [])], delta)
+    assert [forest.component_count for forest in singletons] == [1, 1]
+    with pytest.raises(ValueError, match="must share n"):
+        _reconstruct([NoiselessEdgeOracle(1, []), NoiselessEdgeOracle(2, [])], delta)
 
 
 def test_naive_connectivity_validation():

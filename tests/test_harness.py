@@ -17,12 +17,14 @@ from noisyquery import (
     RejectionCapExceeded,
     ScalingReport,
     ThresholdResult,
+    derive_rng,
     harness,
     report_to_dict,
     reports_to_csv,
     reports_to_json,
     run_experiment,
     run_trial,
+    sample_hard_instance,
     theory_bound,
     validate_spec,
     wilson_interval,
@@ -337,6 +339,77 @@ def test_trial_failures_name_the_trial(monkeypatch):
     spec = ExperimentSpec(kind="connectivity", n=11, p=0.2, delta=0.1, trials=3, seed=98)
     with pytest.raises(RuntimeError, match="trial 0"):
         run_experiment(spec)
+
+    # seven trials on 11 vertices are one block, and only trial 4's sampler raises
+    spec = dataclasses.replace(spec, trials=7)
+    poisoned = derive_rng(spec.seed, spec.kind, "instance", 4).bit_generator.state
+
+    def fails_at_trial_4(n, rng, **kwargs):
+        if rng.bit_generator.state == poisoned:
+            exhausted(n, rng)
+        return sample_hard_instance(n, rng, **kwargs)
+
+    monkeypatch.setattr(harness, "sample_hard_instance", fails_at_trial_4)
+    with pytest.raises(RuntimeError, match="connectivity trial 4 failed: no balanced edge"):
+        run_experiment(spec)
+
+    # a failure in the block's one reconstruction names the block's trials
+    def broken(oracles, delta):
+        raise ValueError("walk failed")
+
+    monkeypatch.setattr(harness, "sample_hard_instance", sample_hard_instance)
+    monkeypatch.setattr(harness, "_reconstruct", broken)
+    with pytest.raises(RuntimeError, match="connectivity trials 0-6 failed: walk failed"):
+        run_experiment(spec)
+
+
+@pytest.mark.parametrize("kind", ["connectivity", "st-connectivity"])
+def test_connectivity_blocks_give_the_single_trial_rows(monkeypatch, kind):
+    spec = ExperimentSpec(kind, n=6, p=0.2, delta=0.2, trials=7, seed=31)
+    records = [run_trial(spec, t) for t in reversed(range(spec.trials))]
+    total = sum(q for _, q in records)
+    total_sq = sum(q * q for _, q in records)
+    # a cap of 40 pairs is two trials of C(6, 2) = 15 pairs, so the seven
+    # trials run as four blocks of uneven sizes
+    monkeypatch.setattr(harness, "_BLOCK_PAIRS", 40)
+    blocks = []
+    whole_block = harness._connectivity_block
+
+    def recording(spec, trials):
+        blocks.append(trials)
+        return whole_block(spec, trials)
+
+    monkeypatch.setattr(harness, "_connectivity_block", recording)
+    report = run_experiment(spec)
+    assert [len(block) for block in blocks] == [1, 2, 2, 2]
+    assert [t for block in blocks for t in block] == list(range(spec.trials))
+    assert report.errors == sum(1 for correct, _ in records if not correct)
+    assert report.mean_queries == total / spec.trials
+    assert report.stddev_queries == math.sqrt(max((total_sq - total * total / spec.trials) / (spec.trials - 1), 0.0))
+    monkeypatch.setattr(harness, "_connectivity_block", whole_block)
+    parallel = run_experiment(dataclasses.replace(spec, jobs=2))
+    assert reports_to_csv([parallel]) == reports_to_csv([report])
+
+
+def test_every_connectivity_oracle_is_built_by_its_harness_name(monkeypatch):
+    # perfbench's --trace 1 wraps harness.sample_hard_instance and
+    # harness.EdgeOracle, and checks that the ledgers of the oracles it saw
+    # built hold every query the reports count
+    built, sampled = [], []
+
+    def recording(real, seen):
+        def wrapper(*args, **kwargs):
+            seen.append(real(*args, **kwargs))
+            return seen[-1]
+
+        return wrapper
+
+    monkeypatch.setattr(harness, "EdgeOracle", recording(harness.EdgeOracle, built))
+    monkeypatch.setattr(harness, "sample_hard_instance", recording(harness.sample_hard_instance, sampled))
+    spec = ExperimentSpec("connectivity", n=12, p=0.2, delta=0.1, trials=9, seed=33)
+    report = run_experiment(spec)
+    assert len(built) == len(sampled) == 9
+    assert sum(oracle.ledger.total_queries for oracle in built) == round(report.mean_queries * spec.trials)
 
 
 def test_csv_layout():

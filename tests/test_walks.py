@@ -25,7 +25,7 @@ from noisyquery import (
     snapped_ceil,
 )
 from noisyquery import walks as walks_module
-from noisyquery.walks import barrier, block_width, commit_walks, walk_rounds, walks
+from noisyquery.walks import barrier, block_width, commit_walks, walk_oracles, walk_rounds, walks
 
 from conftest import exact_check, log_up_first, query_walk
 
@@ -429,6 +429,27 @@ def test_walk_rounds_yield_the_ended_prefix():
     assert oracle.ledger.total_queries == 0
 
 
+def test_interleaved_walk_rounds_share_the_scratch_arrays():
+    # two calls advanced round by round in turn use the same scratch
+    # arrays; each still gives what it gives alone, and the arrays are
+    # made once, not per call
+    runs = []
+    for p, a, b, size in ((0.25, 6, 9, 700), (0.1, 3, 4, 300)):
+        oracle = BitOracle(derive_rng(9, "bits", size).integers(0, 2, size=size), p, seed_sequence(9, "noise", size))
+        keys = np.arange(size)
+        alone = walks(oracle, keys, a, b, commit=False)
+        got = np.full(size, -1, dtype=np.int8), np.zeros(size, dtype=np.int64)
+        runs.append((alone, got, walk_rounds(oracle, keys, a, b, *got)))
+    scratch = walks_module._scratch()
+    with mock.patch.object(walks_module, "_BLOCK_ELEMENTS", 40 * block_width(0.25, 6, 9)):
+        pending = [rounds for _, _, rounds in runs]
+        while pending:
+            pending = [rounds for rounds in pending if next(rounds, None) is not None]
+    for (decided, steps), (got_decided, got_steps), _ in runs:
+        assert np.array_equal(got_decided, decided) and np.array_equal(got_steps, steps)
+    assert all(x is y for x, y in zip(walks_module._scratch(), scratch))
+
+
 @hypothesis.given(
     n=st.integers(2, 12),
     p=st.floats(0.02, 0.45),
@@ -448,6 +469,75 @@ def test_kernel_matches_query_walks_on_edges(n, p, a, b, seed, data):
     assert list(zip(decided.tolist(), steps.tolist())) == reference
     assert oracles[0].ledger == oracles[1].ledger
     assert oracles[0]._counters.tolist() == oracles[1]._counters.tolist()
+
+
+@hypothesis.given(
+    n=st.integers(2, 15),
+    count=st.integers(1, 6),
+    on_edges=st.booleans(),
+    p=st.floats(0.02, 0.45),
+    a=st.integers(1, 12),
+    b=st.integers(1, 12),
+    seed=st.integers(0, 2**32),
+    data=st.data(),
+)
+def test_walk_oracles_equals_walking_each_alone(n, count, on_edges, p, a, b, seed, data):
+    # twin sets of oracles, identically seeded and with the same earlier
+    # queries and walks on some of them: one set walks together, the
+    # other one oracle at a time
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    slots = len(pairs) if on_edges else n
+    hidden = [
+        data.draw(st.lists(st.sampled_from(pairs), unique=True))
+        if on_edges
+        else data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+        for _ in range(count)
+    ]
+
+    def build(i):
+        stream = seed_sequence(seed, "together", i)
+        return EdgeOracle(n, hidden[i], p, stream) if on_edges else BitOracle(hidden[i], p, stream)
+
+    twins = [[build(i) for i in range(count)] for _ in range(2)]
+    for i in range(count):
+        queried = data.draw(st.lists(st.integers(0, slots - 1), max_size=20))
+        earlier = data.draw(st.lists(st.integers(0, slots - 1), unique=True, max_size=slots))
+        for oracles in twins:
+            for s in queried:
+                oracles[i].query(pairs[s] if on_edges else s)
+            if earlier:
+                walks(oracles[i], earlier, a, b)
+    decided, steps = walk_oracles(twins[0], a, b)
+    assert decided.shape == steps.shape == (count, slots)
+    for i, (together, alone) in enumerate(zip(*twins)):
+        own_decided, own_steps = walks(alone, np.arange(slots), a, b)
+        assert decided[i].tolist() == own_decided.tolist()
+        assert steps[i].tolist() == own_steps.tolist()
+        assert together._counters.tolist() == alone._counters.tolist()
+        assert together.ledger == alone.ledger
+
+
+def _refused_stacks():
+    base = BitOracle([0, 1, 1], 0.3, seed_sequence(4, "base"))
+    return {
+        "no oracles": ([], "at least one oracle"),
+        "different p": ([base, BitOracle([0, 1, 1], 0.25, seed_sequence(4, "p"))], "share their flip probability"),
+        "different slot counts": ([base, BitOracle([0, 1, 1, 0], 0.3, seed_sequence(4, "n"))], "same number of slots"),
+        "an oracle listed twice": ([base, base], "must not share answer counters"),
+        "a complement view beside its inner oracle": (
+            [base, ComplementBitOracle(base)],
+            "must not share answer counters",
+        ),
+    }
+
+
+@pytest.mark.parametrize("case", list(_refused_stacks()))
+def test_walk_oracles_refuses_what_it_cannot_stack(case):
+    oracles, message = _refused_stacks()[case]
+    before = [(oracle._counters.tolist(), oracle.ledger.total_queries) for oracle in oracles]
+    with pytest.raises(ValueError, match=message):
+        walk_oracles(oracles, 2, 3)
+    assert [(oracle._counters.tolist(), oracle.ledger.total_queries) for oracle in oracles] == before
 
 
 def test_uncommitted_walks_change_nothing():
