@@ -16,9 +16,11 @@ Three procedures over a :class:`~noisyquery.oracles.BitOracle`:
   estimates whether ones or zeros are the minority and counts the
   minority side, which is what makes the cost symmetric in the answer.
 
-All walks run through :func:`noisyquery.walks.walks`, many keys per
-call. Answers are counter-based, so this gives the same answers, counts
-and ledgers as checking the keys one at a time in the order described.
+Walks run through :func:`noisyquery.walks.walks`, many keys per call;
+only the index that ends a threshold scan is checked alone, by a
+single-bit check. Answers are counter-based, so this gives the same
+answers, counts and ledgers as checking the keys one at a time in the
+order described.
 """
 
 from __future__ import annotations

@@ -109,6 +109,10 @@ class _CounterChannel:
     GAMMA is odd, so the counters are the one per-key record: j is
     (_counters[s] - base(s)) * GAMMA^-1 modulo 2^64. The ledger holds
     the total over all slots.
+
+    Answers are computed one at a time by ``_answer`` (for ``query`` and
+    single-bit checks) and many at once by
+    :func:`noisyquery.walks.walk_rounds`, whose walks ``_charge`` records.
     """
 
     def _init_channel(self, noise: NoiseModel, rng, bits: np.ndarray) -> None:
@@ -125,7 +129,10 @@ class _CounterChannel:
 
     def query(self, key) -> int:
         """One noisy answer about ``key``: a bit index, or a vertex pair in either order."""
-        slot = self._slot(key)
+        return self._answer(self._slot(key))
+
+    def _answer(self, slot: int) -> int:
+        """The next answer about ``slot``: advance its counter and count one query."""
         counter = (self._counters.item(slot) + GAMMA) & _MASK
         self._counters[slot] = counter
         self.ledger.total_queries += 1

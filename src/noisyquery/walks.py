@@ -7,16 +7,19 @@ the error probabilities ((p/(1-p))^a resp. ^b) and the expected cost
 (barrier / (1-2p)), which is how the stopping thresholds are chosen from
 target error rates.
 
-Every walk runs in one kernel, :func:`walks`. Oracle answers are
-counter-based (see :mod:`noisyquery.oracles`), so the kernel computes
-the answers of many keys' walks at once with numpy, advancing all of
-them in lockstep, and gets exactly what per-key ``query`` calls would.
-Its one round loop, :func:`walk_rounds`, keeps an active set of walks
-that it tops up with the next keys as walks end, so the few numpy calls
-of a round are spread over about 2^14 answers, whatever the call's size.
-A caller can follow it round by round, as the threshold scan does to
-stop at the k-th confirmed one. :func:`walk_oracles` walks every slot of
-several oracles through one such loop, so their walks share rounds.
+A single-bit check (:func:`asymmetric_check_bit`, :func:`check_bit`)
+walks its one key with one oracle answer per step, since one kernel
+round costs about 35 numpy calls, 60-120 us. Every other walk runs in
+one kernel, :func:`walks`. Oracle answers are counter-based (see
+:mod:`noisyquery.oracles`), so the kernel computes the answers of many
+keys' walks at once with numpy, advancing all of them in lockstep, and
+gets exactly what per-key ``query`` calls would. Its one round loop,
+:func:`walk_rounds`, keeps an active set of walks that it tops up with
+the next keys as walks end, so the few numpy calls of a round are spread
+over about 2^14 answers, whatever the call's size. A caller can follow
+it round by round, as the threshold scan does to stop at the k-th
+confirmed one. :func:`walk_oracles` walks every slot of several oracles
+through one such loop, so their walks share rounds.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oracles import _MASK, GAMMA, BitOracle, NoiseModel, _CounterChannel, mix, mix_array
+from .oracles import GAMMA, BitOracle, NoiseModel, _CounterChannel, mix_array
 
 
 def snapped_ceil(value: float, rel_tol: float = 1e-9) -> int:
@@ -123,10 +126,6 @@ _MAX_WIDTH = 63
 # walk_rounds builds its walks' columns for this many full sets at a
 # time, a few megabytes at most, not for every key of a large call at once
 _TABLE_SETS = 16
-# up to this many keys walk one at a time in Python ints (see _walk_few):
-# on a 2-core Xeon with numpy 2.4, a one-to-four-key walk costs 10-50 us
-# there, against a floor of 70-85 us of numpy calls in walk_rounds
-_FEW_KEYS = 4
 # counter offsets GAMMA, 2 GAMMA, ... and step numbers 1, 2, ... of a round's rows
 _OFFSETS = (np.arange(1, _MAX_WIDTH + 1, dtype=np.uint64) * np.uint64(GAMMA))[:, None]
 _STEP_NUMBERS = np.arange(1, _MAX_WIDTH + 1, dtype=np.int8)[:, None]
@@ -140,6 +139,21 @@ def _channel(oracle) -> _CounterChannel:
     if not isinstance(oracle, _CounterChannel):
         raise TypeError(f"walks need a BitOracle or an EdgeOracle, got {type(oracle).__name__}")
     return oracle
+
+
+def _slots(channel, keys) -> np.ndarray:
+    # keys as an int64 array of distinct slots of the channel, or an error
+    keys = np.asarray(keys, dtype=np.int64)
+    size = channel._bits.size
+    if keys.size and not 0 <= keys.min() <= keys.max() < size:
+        raise IndexError(f"walk keys must be slots in [0, {size})")
+    # a mask over the slots: a few us for thousands of keys, unlike a sort
+    seen = np.zeros(size, dtype=bool)
+    seen[keys] = True
+    if np.count_nonzero(seen) < keys.size:
+        repeated = int(np.flatnonzero(np.bincount(keys) > 1)[0])
+        raise ValueError(f"walk keys must be distinct slots, got slot {repeated} more than once")
+    return keys
 
 
 def block_width(p: float, a: int, b: int) -> int:
@@ -168,19 +182,15 @@ def walks(oracle, keys, a: int, b: int, *, commit: bool = True) -> tuple[np.ndar
     The walks run in :func:`walk_rounds`, one round loop over an active
     set of walks that it tops up with the next keys after every round,
     so a call of any size pays the last rounds of its slowest walks only
-    once. Calls of up to four keys walk one key at a time in Python ints.
+    once. A key out of range raises ``IndexError``, a repeated key
+    ``ValueError``; either way nothing is charged.
     """
     channel = _channel(oracle)
-    keys = np.asarray(keys, dtype=np.int64)
-    if keys.size and not 0 <= keys.min() <= keys.max() < channel._bits.size:
-        raise IndexError(f"walk keys must be slots in [0, {channel._bits.size})")
+    keys = _slots(channel, keys)
     decided = np.empty(keys.size, dtype=np.int8)
     steps = np.empty(keys.size, dtype=np.int64)
-    if keys.size <= _FEW_KEYS:
-        _walk_few(channel, keys, a, b, decided, steps)
-    else:
-        for _ in walk_rounds(channel, keys, a, b, decided, steps):
-            pass
+    for _ in walk_rounds(channel, keys, a, b, decided, steps):
+        pass
     if commit:
         channel._charge(keys, steps)
     return decided, steps
@@ -223,27 +233,17 @@ def walk_oracles(oracles, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def commit_walks(oracle, keys, steps) -> None:
-    """Charge walks that :func:`walks` ran with ``commit=False``."""
-    _channel(oracle)._charge(np.asarray(keys, dtype=np.int64), np.asarray(steps, dtype=np.int64))
+    """Charge walks that :func:`walks` ran with ``commit=False``.
 
-
-def _walk_few(channel, keys, a, b, decided, steps) -> None:
-    # The same walks one key at a time in Python ints. Calls of a few
-    # keys take this path: asymmetric_check_bit, which acceptance
-    # criterion 2 calls on 600,000 one-bit oracles; the walk ending each
-    # threshold scan; and counting2's repeat presample rounds, which walk
-    # the indices drawn twice or more (usually 0-2 keys).
-    below = channel._flip_below
-    for pos, slot in enumerate(keys.tolist()):
-        counter = channel._counters.item(slot)
-        bit = channel._bits.item(slot)
-        d = taken = 0
-        while -a < d < b:
-            counter = (counter + GAMMA) & _MASK
-            taken += 1
-            d += 1 if (mix(counter) < below) != bit else -1
-        decided[pos] = d == b
-        steps[pos] = taken
+    Keys are checked as there; ``steps`` holds one non-negative step
+    count per key, or the call raises ``ValueError`` and charges nothing.
+    """
+    channel = _channel(oracle)
+    slots = _slots(channel, keys)
+    steps = np.asarray(steps, dtype=np.int64)
+    if steps.shape != slots.shape or (steps.size and steps.min() < 0):
+        raise ValueError("commit_walks needs one non-negative step count per key")
+    channel._charge(slots, steps)
 
 
 def walk_rounds(oracle, keys, a: int, b: int, decided: np.ndarray, steps: np.ndarray):
@@ -375,15 +375,23 @@ def asymmetric_check_bit(
     ``delta0`` and the expected cost is governed by the far barrier
     a/(1-2p); if the bit is 1 the error is at most ``delta1`` at expected
     cost governed by b/(1-2p). ``key`` is a bit index, or a vertex pair
-    for an edge oracle; the walk is :func:`walks` on that one key.
+    for an edge oracle. The walk takes one oracle answer per step, so it
+    gives what :func:`walks` on that one key gives, without a kernel round.
     """
     if policy is None:
         policy = WalkPolicy.for_error_bounds(oracle.noise, delta0, delta1)
     else:
         _check_delta(delta0, "delta0")
         _check_delta(delta1, "delta1")
-    decided, steps = walks(oracle, [_channel(oracle)._slot(key)], policy.down_threshold_a, policy.up_threshold_b)
-    return WalkOutcome(int(decided[0]), int(steps[0]))
+    channel = _channel(oracle)
+    answer = channel._answer
+    slot = channel._slot(key)
+    a, b = policy.down_threshold_a, policy.up_threshold_b
+    d = taken = 0
+    while -a < d < b:
+        taken += 1
+        d += 1 if answer(slot) else -1
+    return WalkOutcome(int(d == b), taken)
 
 
 def check_bit(oracle, key, delta: float, *, policy: WalkPolicy | None = None) -> WalkOutcome:

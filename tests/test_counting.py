@@ -308,6 +308,31 @@ def test_two_sided_asymptotic_presample_smoke():
     assert result.value == 35
 
 
+@pytest.mark.parametrize("n, seed", [(12, 0), (16, 1), (20, 2)])
+@pytest.mark.parametrize("share", [0.25, 0.75])
+def test_two_sided_checks_an_index_drawn_r_times_r_times(n, seed, share):
+    # the asymptotic presample draws about n indices of n, so some index
+    # is drawn three or more times; the reference walks one query_walk per
+    # draw, in draw order, then counts as counting_two_sided does
+    delta, p = 0.1, 0.2
+    hidden = hidden_with_ones(n, round(share * n), derive_rng(seed, "twice-inst"))
+    oracle, twin, fresh = (BitOracle(hidden, p, seed_sequence(seed, "twice")) for _ in range(3))
+    result = counting_two_sided(oracle, delta, derive_rng(seed, "twice-algo"), asymptotic_presample=True)
+
+    positions = derive_rng(seed, "twice-algo").integers(0, n, size=math.ceil(n**0.99)).tolist()
+    assert max(Counter(positions).values()) >= 3
+    error = math.exp(-100 * math.log(n))
+    policy = WalkPolicy.for_error_bounds(twin.noise, error, error)
+    ones_seen = sum(query_walk(twin, i, policy.down_threshold_a, policy.up_threshold_b)[0] for i in positions)
+    if 2 * ones_seen <= len(positions):
+        value = counting_one_sided(twin, delta).value
+    else:
+        value = n - counting_one_sided(ComplementBitOracle(twin), delta).value
+    assert result == CountResult(value, twin.ledger.total_queries)
+    assert answer_counts(oracle, fresh) == answer_counts(twin, fresh)
+    assert oracle.ledger == twin.ledger
+
+
 def test_two_sided_validation():
     oracle = BitOracle([0, 1], 0.2, 0)
     rng = derive_rng(0, "v")

@@ -226,7 +226,7 @@ def test_complement_view_shares_the_inner_answer_stream():
         elif move == 1:
             assert view.query(i) == 1 ^ mirror.query(i)
         else:
-            # one to all twelve keys: single keys and blocks both walk
+            # one to all twelve keys, each call through the round loop
             keys = rng.permutation(len(hidden))[: int(rng.integers(1, len(hidden) + 1))]
             decided, steps = walks(view, keys, 2, 3)
             reference = [query_walk(Flipped(mirror), key, 2, 3) for key in keys.tolist()]
@@ -304,7 +304,7 @@ def test_answer_counts_tally_every_path_to_the_counters(kind, size, seed, moves)
             (view if move == "view query" else oracle).query(key)
             tally[slot] += 1
         elif move.endswith("walk"):
-            # one key to every slot: a few keys walk one at a time, more in blocks
+            # one key to every slot, each call through the round loop
             keys = derive_rng(seed, "tally-keys", step).permutation(size)[: 1 + pick % size].tolist()
             _, steps = walks(view if move == "view walk" else oracle, keys, a, b, commit=move != "dry walk")
             if move == "dry walk":

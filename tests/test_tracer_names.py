@@ -6,11 +6,20 @@ those module attributes breaks ``--trace 1``; ``perfbench/micro.py`` and
 ``perfbench/workloads.py`` import names from ``noisyquery``, so one that
 goes away breaks the benchmark itself. Both are read with ``ast``, so
 this test does not import perfbench.
+
+The tracer also expects every threshold scan to call one of the walk
+names it wraps in ``counting``; a scan that calls none makes
+``--trace 1`` fail with a ``KeyError``.
 """
 
 import ast
 import importlib
 from pathlib import Path
+
+import pytest
+
+from noisyquery import BitOracle, derive_rng, seed_sequence, threshold_count
+from noisyquery import counting
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
@@ -53,3 +62,35 @@ def test_benchmark_imports_resolve():
         assert names, script
         missing = [f"{module}.{name}" for module, name in names if not hasattr(importlib.import_module(module), name)]
         assert not missing, script
+
+
+@pytest.mark.parametrize(
+    "n, k",
+    [
+        (1, 1),
+        (9, 3),
+        (40, 20),  # 2k <= n + 1: a scan for k ones
+        (40, 21),
+        (40, 39),
+        (9, 9),  # 2k > n + 1: a scan of the complement for n - k + 1 zeros
+    ],
+)
+def test_every_threshold_scan_calls_a_traced_walk(monkeypatch, n, k):
+    calls = []
+
+    def shim(name):
+        original = getattr(counting, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("asymmetric_check_bit", "check_bit"):
+        monkeypatch.setattr(counting, name, shim(name))
+    for seed in range(4):
+        hidden = derive_rng(seed, "traced-bits", n).integers(0, 2, size=n)
+        before = len(calls)
+        threshold_count(BitOracle(hidden, 0.2, seed_sequence(seed, "traced", n)), k, 0.1)
+        assert len(calls) > before, (seed, n, k)

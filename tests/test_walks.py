@@ -365,7 +365,8 @@ def test_kernel_matches_query_walks(n, p, a, b, seed, complement, warmup, data):
     # same decisions and steps as walking each key through query(), and
     # the same answer counts and ledger afterwards
     bases, views = _twin_bit_oracles(n, p, seed, complement, warmup)
-    # a handful of keys walk one at a time, more in numpy blocks: draw both
+    # every call runs the round loop: draw calls of one to four keys, the
+    # smallest rounds, as often as calls of any size
     size = data.draw(st.one_of(st.integers(1, min(n, 4)), st.integers(1, n)))
     keys = data.draw(st.permutations(range(n)))[:size]
     decided, steps = walks(views[0], keys, a, b)
@@ -556,6 +557,93 @@ def test_walks_reject_keys_outside_the_oracle():
         with pytest.raises(IndexError):
             walks(oracle, keys, 2, 2)
     assert oracle.ledger.total_queries == 0
+
+
+_BAD_KEYS = [
+    ([2, 2, 0, 1, 3, 4], ValueError, "slot 2 more than once"),
+    ([0, 5, 1, 5, 5], ValueError, "slot 5 more than once"),
+    ([-1], IndexError, r"slots in \[0, 6\)"),
+    ([0, 6], IndexError, r"slots in \[0, 6\)"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, keys, steps, error, message",
+    [(call, keys, None, error, message) for call in ("walks", "commit_walks") for keys, error, message in _BAD_KEYS]
+    + [
+        ("commit_walks", [0, 1], [3], ValueError, "one non-negative step count per key"),
+        ("commit_walks", [2], [-1], ValueError, "one non-negative step count per key"),
+        ("commit_walks", [0, 1], [[1, 2]], ValueError, "one non-negative step count per key"),
+    ],
+)
+def test_walks_and_commits_refuse_bad_keys_or_steps(call, keys, steps, error, message):
+    # a repeated key would walk twice from one counter, and a step count
+    # broadcast to two keys would charge the counters more answers than
+    # the ledger; a negative count would move a counter back. A refused
+    # call changes nothing
+    oracle = BitOracle([0, 1, 1, 0, 1, 0], 0.3, seed_sequence(5, "refused"))
+    walks(oracle, [1, 2, 4], 3, 3)
+    before = (oracle._counters.tolist(), oracle.ledger.total_queries)
+    with pytest.raises(error, match=message):
+        if call == "walks":
+            walks(oracle, keys, 3, 3)
+        else:
+            commit_walks(oracle, keys, [1] * len(keys) if steps is None else steps)
+    assert (oracle._counters.tolist(), oracle.ledger.total_queries) == before
+
+
+@hypothesis.given(
+    kind=st.sampled_from(["bits", "complement", "edges"]),
+    size=st.integers(1, 12),
+    p=st.floats(0.02, 0.45),
+    a=st.integers(1, 20),
+    b=st.integers(1, 20),
+    seed=st.integers(0, 2**32),
+    data=st.data(),
+)
+def test_scalar_check_matches_the_kernel_on_one_key(kind, size, p, a, b, seed, data):
+    # asymmetric_check_bit takes one answer per step and walks() runs the
+    # round loop; after the same earlier queries and walks on identically
+    # seeded twins, both give one key the same outcome, counters and ledger
+    if kind == "edges":
+        n = 2 + size % 6
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True))
+        bases = [EdgeOracle(n, edges, p, seed_sequence(seed, "scalar")) for _ in range(2)]
+        views = bases
+        slots = len(pairs)
+    else:
+        hidden = data.draw(st.lists(st.integers(0, 1), min_size=size, max_size=size))
+        bases = [BitOracle(hidden, p, seed_sequence(seed, "scalar")) for _ in range(2)]
+        views = [ComplementBitOracle(base) if kind == "complement" else base for base in bases]
+        slots = size
+
+    def key(slot, flip):
+        # query() and the check take a vertex pair in either order
+        return pairs[slot][:: -1 if flip else 1] if kind == "edges" else slot
+
+    moves = data.draw(
+        st.lists(
+            st.tuples(
+                st.booleans(),
+                st.lists(st.integers(0, slots - 1), unique=True, min_size=1),
+                st.booleans(),
+            ),
+            max_size=6,
+        )
+    )
+    for is_walk, keys, flip in moves:
+        for view in views:
+            if is_walk:
+                walks(view, keys, a, b)
+            else:
+                view.query(key(keys[0], flip))
+    slot = data.draw(st.integers(0, slots - 1))
+    outcome = asymmetric_check_bit(views[0], key(slot, data.draw(st.booleans())), 0.1, 0.1, policy=WalkPolicy(a, b))
+    decided, steps = walks(views[1], [slot], a, b)
+    assert outcome == WalkOutcome(int(decided[0]), int(steps[0]))
+    assert bases[0]._counters.tolist() == bases[1]._counters.tolist()
+    assert bases[0].ledger == bases[1].ledger
 
 
 def test_walks_reject_oracles_without_counter_answers():
