@@ -15,8 +15,6 @@ from .connectivity import (
     STInstance,
     check_balance_feasible,
     components_of,
-    hard_instance_from_text,
-    hard_instance_to_text,
     is_connected_graph,
     naive_connectivity,
     naive_st_connectivity,
@@ -50,11 +48,7 @@ from .trees import (
     enumerate_trees,
     prufer_to_tree,
     sample_ust,
-    sample_ust_prufer,
     structure_scaling_report,
-    tree_from_text,
-    tree_to_prufer,
-    tree_to_text,
 )
 from .unionfind import UnionFind
 from .walks import (
@@ -84,8 +78,6 @@ __all__ = [
     "STInstance",
     "check_balance_feasible",
     "components_of",
-    "hard_instance_from_text",
-    "hard_instance_to_text",
     "is_connected_graph",
     "naive_connectivity",
     "naive_st_connectivity",
@@ -125,11 +117,7 @@ __all__ = [
     "enumerate_trees",
     "prufer_to_tree",
     "sample_ust",
-    "sample_ust_prufer",
     "structure_scaling_report",
-    "tree_from_text",
-    "tree_to_prufer",
-    "tree_to_text",
     "UnionFind",
     "HitTally",
     "PassageTally",

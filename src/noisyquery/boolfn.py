@@ -2,8 +2,7 @@
 
 Functions are stored as full truth tables (arity capped at 20, i.e. one
 megabit). Input strings are identified with integer indices where bit j
-of the index is the value of the j-th variable (LSB first); this is also
-the order used by the hex dump format.
+of the index is the value of the j-th variable (LSB first).
 
 Uniform-measure influences are dyadic rationals with denominator
 2^(n-1) and are computed exactly; biased-measure influences group the
@@ -14,7 +13,8 @@ compensated sum of n+1 weighted terms.
 from __future__ import annotations
 
 import math
-from typing import Callable, Mapping, Sequence
+import numbers
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -65,14 +65,6 @@ class TruthTable:
     # -- construction helpers -------------------------------------------------
 
     @classmethod
-    def from_function(cls, fn: Callable[[tuple[int, ...]], int], arity: int) -> "TruthTable":
-        rows = []
-        for idx in range(1 << arity):
-            bits = tuple((idx >> j) & 1 for j in range(arity))
-            rows.append(1 if fn(bits) else 0)
-        return cls(rows)
-
-    @classmethod
     def parity(cls, arity: int) -> "TruthTable":
         idx = np.arange(1 << arity, dtype=np.int64)
         return cls((_popcount(idx) & 1).astype(np.uint8))
@@ -88,15 +80,6 @@ class TruthTable:
     def or_function(cls, arity: int) -> "TruthTable":
         idx = np.arange(1 << arity, dtype=np.int64)
         return cls((idx != 0).astype(np.uint8))
-
-    @classmethod
-    def and_function(cls, arity: int) -> "TruthTable":
-        idx = np.arange(1 << arity, dtype=np.int64)
-        return cls((idx == (1 << arity) - 1).astype(np.uint8))
-
-    @classmethod
-    def constant(cls, arity: int, bit: int) -> "TruthTable":
-        return cls(np.full(1 << arity, 1 if bit else 0, dtype=np.uint8))
 
     @classmethod
     def random(cls, arity: int, rng) -> "TruthTable":
@@ -191,16 +174,17 @@ class TruthTable:
     def restrict(self, assignment: Mapping[int, int]) -> "TruthTable":
         """Fix some variables to constants; the rest stay free.
 
-        ``assignment`` maps variable labels to 0/1. Unmentioned labels
+        ``assignment`` maps variable labels to the integers 0 or 1 (bools
+        included); any other value raises ValueError. Unmentioned labels
         remain free, so an empty assignment returns the same function.
         """
         if not assignment:
             return TruthTable(self._values, self._labels)
         fixed: list[tuple[int, int]] = []
         for label, bit in assignment.items():
-            if bit not in (0, 1):
-                raise ValueError(f"restriction value for {label!r} must be 0 or 1, got {bit!r}")
-            fixed.append((self._position(label), bit))
+            if not isinstance(bit, numbers.Integral) or bit not in (0, 1):
+                raise ValueError(f"restriction value for {label!r} must be the integer 0 or 1, got {bit!r}")
+            fixed.append((self._position(label), int(bit)))
         fixed.sort(reverse=True)
         values = self._values
         remaining = list(self._labels)
@@ -208,24 +192,6 @@ class TruthTable:
             values = values.reshape(-1, 2, 1 << pos)[:, bit, :].reshape(-1)
             del remaining[pos]
         return TruthTable(values, remaining)
-
-    # -- serialization ---------------------------------------------------------
-
-    def to_hex(self) -> str:
-        """Hex dump: value bits by input index, LSB-first within each byte."""
-        return np.packbits(self._values, bitorder="little").tobytes().hex()
-
-    @classmethod
-    def from_hex(cls, text: str, arity: int, labels: Sequence[int] | None = None) -> "TruthTable":
-        if not 0 <= arity <= MAX_ARITY:
-            raise ValueError(f"arity must lie in [0, {MAX_ARITY}], got {arity}")
-        size = 1 << arity
-        raw = bytes.fromhex(text.strip())
-        expected = (size + 7) // 8
-        if len(raw) != expected:
-            raise ValueError(f"hex dump holds {len(raw)} bytes, expected {expected} for arity {arity}")
-        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")[:size]
-        return cls(bits, labels)
 
 
 def restriction_identity_residual(table: TruthTable, label: int, q: float) -> float:

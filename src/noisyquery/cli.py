@@ -168,6 +168,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.out is not None and not args.out.parent.is_dir():
+            raise ValueError(f"--out directory {str(args.out.parent)!r} does not exist")
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -209,48 +209,3 @@ def naive_st_connectivity(oracle, s: int, t: int, delta: float) -> bool:
         if not 0 <= v < n:
             raise ValueError(f"terminal {name}={v} out of range [0, {n})")
     return _reconstruct([oracle], delta)[0].connected(s, t)
-
-
-def hard_instance_to_text(instance: HardInstance) -> str:
-    """Header "n=.. label=.. removed=u,v|none" then 1-indexed edge lines."""
-    if instance.removed_edge is None:
-        removed = "none"
-    else:
-        u, v = instance.removed_edge
-        removed = f"{u + 1},{v + 1}"
-    lines = [f"n={instance.n} label={instance.label} removed={removed}"]
-    for u, v in sorted(instance.graph):
-        lines.append(f"{u + 1} {v + 1}")
-    return "\n".join(lines) + "\n"
-
-
-def hard_instance_from_text(text: str) -> HardInstance:
-    lines = [line.strip() for line in text.splitlines() if line.strip()]
-    if not lines:
-        raise ValueError("empty hard-instance serialization")
-    header = dict(part.split("=", 1) for part in lines[0].split())
-    try:
-        n = int(header["n"])
-        label = int(header["label"])
-        removed_text = header["removed"]
-    except KeyError as missing:
-        raise ValueError(f"hard-instance header missing field {missing}") from None
-    if label not in (0, 1):
-        raise ValueError(f"label must be 0 or 1, got {label}")
-    edges = []
-    for line in lines[1:]:
-        u, v = (int(part) - 1 for part in line.split())
-        edges.append((u, v) if u < v else (v, u))
-    if removed_text == "none":
-        if label != 1:
-            raise ValueError("disconnected instance must name its removed edge")
-        removed = None
-        base = LabeledTree(n, tuple(edges))
-    else:
-        u, v = (int(part) - 1 for part in removed_text.split(","))
-        removed = (u, v) if u < v else (v, u)
-        if label != 0:
-            raise ValueError("connected instance cannot have a removed edge")
-        base = LabeledTree(n, tuple(edges) + (removed,))
-    base.validate()
-    return HardInstance(n, frozenset(edges), label, removed)

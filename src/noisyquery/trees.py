@@ -13,9 +13,8 @@ BFS; ``structure_scaling_report`` and the hard connectivity instances
 (``connectivity.sample_hard_instance``) go from ``_wilson`` to
 ``_balance`` without building a tree object at all.
 
-The independent route to the same distribution is the Prufer
-correspondence (a uniform sequence in [n]^(n-2) maps bijectively to a
-labeled tree), which doubles as an exhaustive enumerator for small n.
+Prufer decoding (each sequence in [n]^(n-2) maps to its own labeled
+tree) enumerates all trees for small n.
 
 Thresholds are compared in exact integer arithmetic, so a side of size
 s is "at least beta*n" iff s * denom(beta) >= numer(beta) * n.
@@ -231,45 +230,6 @@ def prufer_to_tree(seq: Sequence[int], n: int) -> LabeledTree:
     return LabeledTree(n, tuple(edges))
 
 
-def tree_to_prufer(tree: LabeledTree) -> tuple[int, ...]:
-    """Encode a tree as its Prufer sequence (inverse of :func:`prufer_to_tree`)."""
-    tree.validate()
-    n = tree.n
-    if n <= 2:
-        return ()
-    neighbors: list[set[int]] = [set() for _ in range(n)]
-    for u, v in tree.edges:
-        neighbors[u].add(v)
-        neighbors[v].add(u)
-    leaves = [v for v in range(n) if len(neighbors[v]) == 1]
-    heapq.heapify(leaves)
-    seq = []
-    for _ in range(n - 2):
-        leaf = heapq.heappop(leaves)
-        parent = next(iter(neighbors[leaf]))
-        seq.append(parent)
-        neighbors[parent].discard(leaf)
-        neighbors[leaf].clear()
-        if len(neighbors[parent]) == 1:
-            heapq.heappush(leaves, parent)
-    return tuple(seq)
-
-
-def sample_ust_prufer(n: int, rng) -> LabeledTree:
-    """Uniform spanning tree via a uniform Prufer sequence.
-
-    Distribution-identical to :func:`sample_ust`; kept as an independent
-    second route for uniformity testing.
-    """
-    if n < 1:
-        raise ValueError(f"vertex count must be >= 1, got {n}")
-    gen = as_generator(rng)
-    if n <= 2:
-        return LabeledTree(n, () if n == 1 else ((0, 1),))
-    seq = gen.integers(0, n, size=n - 2).tolist()
-    return prufer_to_tree(seq, n)
-
-
 def enumerate_trees(n: int) -> Iterator[LabeledTree]:
     """All labeled trees on [n], via exhaustive Prufer enumeration."""
     if not 1 <= n <= ENUMERATION_LIMIT:
@@ -429,27 +389,3 @@ def structure_scaling_report(
         s_sum_median_slope=_loglog_slope(sizes, [r.s_sum_median for r in rows]),
         s_sum_mean_slope=_loglog_slope(sizes, [r.s_sum_mean for r in rows]),
     )
-
-
-def tree_to_text(tree: LabeledTree) -> str:
-    """Edge-list serialization, one "u v" pair per line, 1-indexed."""
-    return "".join(f"{u + 1} {v + 1}\n" for u, v in tree.edges)
-
-
-def tree_from_text(text: str, n: int | None = None) -> LabeledTree:
-    """Parse the 1-indexed edge-list format; infers n as #edges + 1."""
-    edges = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"malformed edge line: {line!r}")
-        u, v = (int(part) - 1 for part in parts)
-        edges.append((u, v))
-    if n is None:
-        n = len(edges) + 1
-    tree = LabeledTree(n, tuple(edges))
-    tree.validate()
-    return tree

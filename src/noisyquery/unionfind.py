@@ -11,9 +11,6 @@ class UnionFind:
         self._size = [1] * n
         self._components = n
 
-    def __len__(self) -> int:
-        return len(self._parent)
-
     def find(self, x: int) -> int:
         parent = self._parent
         root = x

@@ -1,5 +1,3 @@
-import hypothesis
-from hypothesis import strategies as st
 import numpy as np
 import pytest
 
@@ -40,8 +38,8 @@ def test_dictator_influence():
 
 
 def test_constant_influence():
-    assert TruthTable.constant(6, 0).total_influence() == 0.0
-    assert TruthTable.constant(6, 1).total_influence() == 0.0
+    for bit in (0, 1):
+        assert TruthTable(np.full(2**6, bit, dtype=np.uint8)).total_influence() == 0.0
 
 
 def test_influence_unknown_label():
@@ -129,6 +127,16 @@ def test_restrict_multiple_and_labels():
         table.restrict({9: 0})
 
 
+def test_restrict_accepts_only_integer_bits():
+    table = TruthTable.or_function(3)
+    assert table.restrict({0: True}) == table.restrict({0: 1})
+    assert table.restrict({0: np.int64(1)}) == table.restrict({0: 1})
+    assert table.restrict({0: False}) == TruthTable([0, 1, 1, 1], labels=(1, 2))
+    for bit in (1.0, 2, -1, "1", None):
+        with pytest.raises(ValueError, match="integer 0 or 1"):
+            table.restrict({0: bit})
+
+
 def test_restriction_identity_random_functions():
     for seed in range(40):
         rng = derive_rng(43, "identity", seed)
@@ -145,7 +153,7 @@ def test_restriction_identity_parity_and_constant():
         assert restriction_identity_residual(parity, 2, q) <= 1e-12
     # at q = 1/2 the arithmetic is dyadic and the identity is exact
     assert restriction_identity_residual(parity, 0, 0.5) == 0.0
-    assert restriction_identity_residual(TruthTable.constant(5, 1), 3, 0.4) == 0.0
+    assert restriction_identity_residual(TruthTable(np.full(2**5, 1, dtype=np.uint8)), 3, 0.4) == 0.0
 
 
 def test_one_query_martingale_bound():
@@ -161,35 +169,6 @@ def test_one_query_martingale_bound():
         assert q * up + (1 - q) * down >= total - 1.0 - 1e-10
 
 
-def test_hex_round_trip():
-    for arity in (0, 1, 3, 6, 10):
-        table = TruthTable.random(arity, derive_rng(47, "hex", arity))
-        text = table.to_hex()
-        assert TruthTable.from_hex(text, arity) == table
-
-
-@hypothesis.given(st.integers(0, 10).flatmap(lambda arity: st.lists(st.integers(0, 1), min_size=1 << arity, max_size=1 << arity)), st.data())
-def test_hex_round_trip_property(values, data):
-    table = TruthTable(values)
-    labels = data.draw(st.permutations(range(10, 10 + table.arity)))
-    relabelled = TruthTable(values, labels)
-    assert TruthTable.from_hex(table.to_hex(), table.arity) == table
-    assert TruthTable.from_hex(relabelled.to_hex(), table.arity, labels) == relabelled
-
-
-def test_hex_known_value():
-    # OR on two variables: values (by input index) 0,1,1,1 -> LSB-first byte 0x0e
-    assert TruthTable.or_function(2).to_hex() == "0e"
-    assert TruthTable.from_hex("0e", 2) == TruthTable.or_function(2)
-
-
-def test_hex_validation():
-    with pytest.raises(ValueError):
-        TruthTable.from_hex("0e00", 2)
-    with pytest.raises(ValueError):
-        TruthTable.from_hex("0e", 21)
-
-
 def test_arity_cap_and_value_validation():
     with pytest.raises(ValueError):
         TruthTable(np.zeros(1 << 21, dtype=np.uint8))
@@ -201,9 +180,11 @@ def test_arity_cap_and_value_validation():
         TruthTable([0, 1, 1, 0], labels=(0, 0))
 
 
-def test_from_function_matches_direct():
-    assert TruthTable.from_function(lambda bits: sum(bits) % 2, 4) == TruthTable.parity(4)
-    assert TruthTable.from_function(lambda bits: max(bits), 3) == TruthTable.or_function(3)
+def test_named_tables_match_direct():
+    # value at input index x, with bit j of x the j-th variable
+    assert TruthTable.parity(4) == TruthTable([bin(x).count("1") % 2 for x in range(16)])
+    assert TruthTable.or_function(3) == TruthTable([int(x != 0) for x in range(8)])
+    assert TruthTable.dictator(3, 1) == TruthTable([(x >> 1) & 1 for x in range(8)])
 
 
 def test_random_tables_deterministic():

@@ -50,16 +50,23 @@ def test_walk_laws_writes_json(tmp_path):
     assert all(tuple(row.keys()) == CSV_COLUMNS for row in payload)
 
 
-def test_validation_error_exit_code(capsys):
+def test_validation_error_exit_code(tmp_path, capsys):
+    missing_dir = tmp_path / "nope"
     for argv in (
         ["threshold", "--n", "50", "--k", "3", "--p", "0.25", "--delta", "1.5", "--trials", "5", "--seed", "1"],
         ["connectivity", "--n", "5", "--p", "0.2", "--delta", "0.1", "--beta", "0", "--trials", "2"],
         ["st-connectivity", "--n", "5", "--p", "0.2", "--delta", "0.1", "--beta", "0", "--trials", "2"],
         ["ust-stats", "--n-grid", "16"],
+        # --out into a missing directory fails before any trial runs
+        ["counting", "--n", "10", "--p", "0.2", "--delta", "0.1", "--ones", "2", "--trials", "3",
+         "--out", str(missing_dir / "x.csv")],
+        ["ust-stats", "--n-grid", "16,32", "--samples", "2", "--out", str(missing_dir / "x.csv")],
     ):
         assert main(argv) == EXIT_INVALID, argv
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and err.count("\n") == 1, err
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1, captured.err
+    assert not missing_dir.exists()
 
 
 @pytest.mark.parametrize("kind", ["connectivity", "st-connectivity"])

@@ -19,8 +19,6 @@ from noisyquery import (
     check_balance_feasible,
     components_of,
     derive_rng,
-    hard_instance_from_text,
-    hard_instance_to_text,
     is_connected_graph,
     naive_connectivity,
     naive_st_connectivity,
@@ -284,53 +282,18 @@ def test_naive_connectivity_validation():
         naive_connectivity(oracle, 1.0)
 
 
-def test_hard_instance_serialization_round_trip():
-    for seed in range(20):
-        instance = sample_hard_instance(40, derive_rng(85, "ser", seed))
-        text = hard_instance_to_text(instance)
-        parsed = hard_instance_from_text(text)
-        assert parsed.n == instance.n
-        assert parsed.graph == instance.graph
-        assert parsed.label == instance.label
-        assert parsed.removed_edge == instance.removed_edge
-        assert parsed.base_tree.edges == instance.base_tree.edges
-
-
-def test_hard_instance_serialization_format():
-    instance = sample_hard_instance(30, derive_rng(87, "fmt"))
-    text = hard_instance_to_text(instance)
-    header = text.splitlines()[0]
-    assert header.startswith("n=30 label=")
-    if instance.label == 1:
-        assert header.endswith("removed=none")
-
-
-def test_hard_instance_deserialization_errors():
-    with pytest.raises(ValueError):
-        hard_instance_from_text("")
-    with pytest.raises(ValueError):
-        hard_instance_from_text("n=4 label=2 removed=none\n1 2\n")
-    with pytest.raises(ValueError):
-        hard_instance_from_text("n=3 label=0 removed=none\n1 2\n2 3\n")
-    with pytest.raises(ValueError):
-        hard_instance_from_text("label=1 removed=none\n1 2\n")
-
-
 @hypothesis.given(
     st.integers(2, 40).flatmap(lambda n: st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2).map(
         lambda seq: prufer_to_tree(seq, n)
     )),
     st.data(),
 )
-def test_hard_instance_text_round_trip_property(tree, data):
+def test_hard_instance_base_tree_property(tree, data):
     # any tree, kept whole (label 1) or less any one edge (label 0)
     removed = data.draw(st.one_of(st.none(), st.sampled_from(tree.edges)))
     graph = frozenset(e for e in tree.edges if e != removed)
     instance = HardInstance(tree.n, graph, 1 if removed is None else 0, removed)
     assert instance.base_tree == tree
-    parsed = hard_instance_from_text(hard_instance_to_text(instance))
-    assert parsed == instance
-    assert parsed.base_tree == tree
 
 
 # sha256 of reports_to_csv for the benchmark's connectivity spec and a

@@ -10,6 +10,11 @@ this test does not import perfbench.
 The tracer also expects every threshold scan to call one of the walk
 names it wraps in ``counting``; a scan that calls none makes
 ``--trace 1`` fail with a ``KeyError``.
+
+No linter runs on ``src/``, so the last test here stands in for one:
+every name a module imports must be read in that module, unless its
+import statement carries ``# noqa: F401`` and the tracer wraps the name
+there.
 """
 
 import ast
@@ -22,6 +27,7 @@ from noisyquery import BitOracle, derive_rng, seed_sequence, threshold_count
 from noisyquery import counting
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SRC = Path(__file__).resolve().parents[1] / "src" / "noisyquery"
 TRACING = PERFBENCH / "tracing.py"
 
 
@@ -94,3 +100,32 @@ def test_every_threshold_scan_calls_a_traced_walk(monkeypatch, n, k):
         before = len(calls)
         threshold_count(BitOracle(hidden, 0.2, seed_sequence(seed, "traced", n)), k, 0.1)
         assert len(calls) > before, (seed, n, k)
+
+
+def unread_imports(path):
+    """``(name, kept)`` for each name a module imports and never reads;
+    ``kept`` when the import statement carries ``# noqa: F401``."""
+    source = path.read_text()
+    lines = source.splitlines()
+    module = ast.parse(source)
+    read = {node.id for node in ast.walk(module) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    found = []
+    for node in ast.walk(module):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", None) == "__future__":
+            continue
+        kept = any("# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno])
+        bound = [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+        found += [(name, kept) for name in bound if name not in read]
+    return found
+
+
+def test_src_imports_are_read_or_traced():
+    assert SRC.is_dir()
+    boundaries = set(boundary_names())
+    unread, kept = [], []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "__init__.py":
+            for name, noqa in unread_imports(path):
+                (kept if noqa else unread).append((path.stem, name))
+    assert unread == []
+    assert [pair for pair in kept if pair not in boundaries] == []

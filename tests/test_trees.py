@@ -1,4 +1,5 @@
 import hashlib
+import heapq
 from fractions import Fraction
 
 import hypothesis
@@ -15,22 +16,30 @@ from noisyquery import (
     enumerate_trees,
     prufer_to_tree,
     sample_ust,
-    sample_ust_prufer,
     structure_scaling_report,
-    tree_from_text,
-    tree_to_prufer,
-    tree_to_text,
 )
 from noisyquery.trees import _splits, _wilson
 
 
-def prufer_trees(max_n=40):
-    """Labeled trees on 1..max_n vertices, from their Prufer sequences."""
-    return st.integers(1, max_n).flatmap(
-        lambda n: st.lists(st.integers(0, n - 1), min_size=max(n - 2, 0), max_size=max(n - 2, 0)).map(
-            lambda seq: prufer_to_tree(seq, n)
-        )
-    )
+def tree_to_prufer(tree):
+    """Prufer sequence of a tree, the inverse of ``prufer_to_tree``: remove
+    the smallest leaf n-2 times, recording its neighbour each time."""
+    n = tree.n
+    neighbors = [set() for _ in range(n)]
+    for u, v in tree.edges:
+        neighbors[u].add(v)
+        neighbors[v].add(u)
+    leaves = [v for v in range(n) if len(neighbors[v]) == 1]
+    heapq.heapify(leaves)
+    seq = []
+    for _ in range(n - 2):
+        leaf = heapq.heappop(leaves)
+        (parent,) = neighbors[leaf]
+        seq.append(parent)
+        neighbors[parent].discard(leaf)
+        if len(neighbors[parent]) == 1:
+            heapq.heappush(leaves, parent)
+    return tuple(seq)
 
 
 def path_tree(n):
@@ -102,17 +111,6 @@ def test_wilson_uniformity_n4():
         key = sample_ust(4, rng).edges
         observed[key] = observed.get(key, 0) + 1
     assert set(observed) <= support
-    assert chi_square_pvalue(observed, samples / 16, support) > 1e-3
-
-
-def test_prufer_sampler_uniformity_n4():
-    samples = 20000
-    support = set(t.edges for t in enumerate_trees(4))
-    observed = {}
-    rng = derive_rng(55, "uniform4-prufer")
-    for _ in range(samples):
-        key = sample_ust_prufer(4, rng).edges
-        observed[key] = observed.get(key, 0) + 1
     assert chi_square_pvalue(observed, samples / 16, support) > 1e-3
 
 
@@ -245,25 +243,6 @@ def test_scaling_report_needs_two_sizes():
     # one size leaves the log-log slope undefined
     with pytest.raises(ValueError, match="two sizes"):
         structure_scaling_report([16], 10, Fraction(1, 3), 0)
-
-
-def test_tree_text_round_trip():
-    tree = path_tree(4)
-    text = tree_to_text(tree)
-    assert text == "1 2\n2 3\n3 4\n"
-    assert tree_from_text(text) == tree
-    assert tree_from_text("", n=1) == LabeledTree(1, ())
-    for seed in range(10):
-        tree = sample_ust(30, derive_rng(65, "ser", seed))
-        assert tree_from_text(tree_to_text(tree)) == tree
-    with pytest.raises(ValueError):
-        tree_from_text("1 2 3\n")
-
-
-@hypothesis.given(prufer_trees())
-def test_tree_text_round_trip_property(tree):
-    assert tree_from_text(tree_to_text(tree)) == tree
-    assert tree_from_text(tree_to_text(tree), tree.n) == tree
 
 
 @hypothesis.given(st.integers(1, 300), st.integers(0, 2**32))
