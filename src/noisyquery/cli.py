@@ -170,6 +170,8 @@ def main(argv=None) -> int:
     try:
         if args.out is not None and not args.out.parent.is_dir():
             raise ValueError(f"--out directory {str(args.out.parent)!r} does not exist")
+        if args.out is not None and args.out.is_dir():
+            raise ValueError(f"--out {str(args.out)!r} is a directory, not a file")
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

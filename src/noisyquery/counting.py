@@ -16,11 +16,14 @@ Three procedures over a :class:`~noisyquery.oracles.BitOracle`:
   estimates whether ones or zeros are the minority and counts the
   minority side, which is what makes the cost symmetric in the answer.
 
-Walks run through :func:`noisyquery.walks.walks`, many keys per call;
-only the index that ends a threshold scan is checked alone, by a
-single-bit check. Answers are counter-based, so this gives the same
-answers, counts and ledgers as checking the keys one at a time in the
-order described.
+Each procedure also runs on a block of oracles of one size and one p
+(``threshold_counts``, ``counts_one_sided``, ``counts_two_sided``), with
+the walks of every oracle in the same kernel rounds; a single oracle is
+the block of one. Walks run through the kernel of :mod:`noisyquery.walks`,
+many keys per call; only the index that ends a threshold scan is checked
+alone, by a single-bit check. Answers are counter-based, so this gives
+the same answers, counts and ledgers as checking each oracle's keys one
+at a time in the order described.
 """
 
 from __future__ import annotations
@@ -41,8 +44,9 @@ from .walks import (  # noqa: F401
     barrier,
     check_bit,
     commit_walks,
+    stack,
+    walk_each,
     walk_rounds,
-    walks,
 )
 
 
@@ -80,17 +84,32 @@ def threshold_count(oracle, k: int, delta: float) -> ThresholdResult:
     so the cost follows min(k, n - k + 1), not k. The view shares the
     oracle's counters and ledger, so ``queries`` is read off its ledger.
     """
-    n = oracle.n
+    return threshold_counts([oracle], k, delta)[0]
+
+
+def threshold_counts(oracles, k: int, delta: float) -> list[ThresholdResult]:
+    """:func:`threshold_count` on each of several oracles of one size and
+    one p, their scans advancing together through one round loop."""
+    n = _common_size(oracles)
     if isinstance(k, bool) or not isinstance(k, int) or not 1 <= k <= n:
         raise ValueError(f"threshold k must be an integer in [1, {n}], got {k!r}")
     _check_delta(delta, "delta")
-    start = oracle.ledger.total_queries
+    starts = [oracle.ledger.total_queries for oracle in oracles]
     if 2 * k > n + 1:
-        zeros = _threshold_scan(ComplementBitOracle(oracle), n - k + 1, delta)
-        value = k if zeros < n - k + 1 else k - 1
+        zeros = _threshold_scans([ComplementBitOracle(oracle) for oracle in oracles], n - k + 1, delta)
+        values = [k if found < n - k + 1 else k - 1 for found in zeros]
     else:
-        value = _threshold_scan(oracle, k, delta)
-    return ThresholdResult(value, oracle.ledger.total_queries - start)
+        values = _threshold_scans(oracles, k, delta)
+    return [ThresholdResult(v, o.ledger.total_queries - s) for v, o, s in zip(values, oracles, starts)]
+
+
+def _common_size(oracles) -> int:
+    if not oracles:
+        raise ValueError("a block of oracles needs at least one oracle")
+    n = oracles[0].n
+    if any(oracle.n != n for oracle in oracles):
+        raise ValueError("oracles counted together must have the same number of bits")
+    return n
 
 
 def threshold_barriers(noise, n: int, k: int, delta: float) -> tuple[int, int]:
@@ -105,35 +124,56 @@ def threshold_barriers(noise, n: int, k: int, delta: float) -> tuple[int, int]:
     return barrier(noise, 2 * k, delta), barrier(noise, 2 * n, delta)
 
 
-def _threshold_scan(oracle, k: int, delta: float) -> int:
-    """min(k, #ones): scan the indices in order, checking each bit with
-    the barriers of :func:`threshold_barriers`, and stop as soon as k
-    ones are confirmed. Follows the walks of
-    :func:`~noisyquery.walks.walk_rounds` round by round over the ended
-    prefix of the indices, and charges only the indices up to the one
-    that ends the scan."""
-    n = oracle.n
-    a, b = threshold_barriers(oracle.noise, n, k, delta)
-    keys = np.arange(n)
-    decided = np.empty(n, dtype=np.int8)
-    steps = np.empty(n, dtype=np.int64)
-    count = scanned = 0
-    last = n - 1
-    for ended in walk_rounds(oracle, keys, a, b, decided, steps):
-        ones = np.flatnonzero(decided[scanned:ended])
-        if count + ones.size >= k:
-            last = scanned + int(ones[k - count - 1])
+def _threshold_scans(oracles, k: int, delta: float) -> list[int]:
+    """min(k, #ones) of each oracle: scan its indices in order, checking
+    each bit with the barriers of :func:`threshold_barriers`, and stop as
+    soon as k ones are confirmed.
+
+    The oracles' bits are stacked into one channel and walked index-major
+    (index 0 of every oracle, then index 1, ...), so every scan advances
+    at the same pace. The scans follow the walks of
+    :func:`~noisyquery.walks.walk_rounds` round by round over the indices
+    ended in every oracle, and each oracle is charged only for the
+    indices up to the one that ends its scan.
+    """
+    count, n = len(oracles), oracles[0].n
+    a, b = threshold_barriers(oracles[0].noise, n, k, delta)
+    every = np.arange(n)
+    stacked = stack(oracles, [every] * count)
+    # key i * count + t of the walk is index i of oracle t, its slot t * n + i
+    keys = (np.arange(count) * n + every[:, None]).ravel()
+    decided = np.empty(keys.size, dtype=np.int8)
+    steps = np.empty(keys.size, dtype=np.int64)
+    found = np.zeros(count, dtype=np.int64)
+    last = np.full(count, n - 1)
+    scanning = np.ones(count, dtype=bool)
+    scanned = 0
+    for ended in walk_rounds(stacked, keys, a, b, decided, steps):
+        rows = ended // count
+        if rows == scanned:
+            continue
+        ones = found + np.cumsum(decided[scanned * count : rows * count].reshape(-1, count), axis=0)
+        stops = scanning & (ones[-1] >= k)
+        # the index of each stopping scan's k-th one
+        last[stops] = scanned + np.argmax(ones[:, stops] >= k, axis=0)
+        scanning &= ~stops
+        found, scanned = ones[-1], rows
+        if not scanning.any():
             break
-        count += ones.size
-        scanned = ended
-    commit_walks(oracle, keys[:last], steps[:last])
-    # Stopgap: the index that ends the scan is walked again, one key
-    # through asymmetric_check_bit with the scan's barriers as its policy,
-    # so with the same answers and verdict. perfbench's tracer wraps that
-    # name and raises KeyError on a scan with no wrapped walk; once it wraps
-    # walks.walks, this is commit_walks(oracle, keys[: last + 1], steps[: last + 1]).
-    count = int(np.count_nonzero(decided[:last]))
-    return count + asymmetric_check_bit(oracle, last, delta, delta, policy=WalkPolicy(a, b)).decided_bit
+    decided, steps = decided.reshape(n, count), steps.reshape(n, count)
+    policy = WalkPolicy(a, b)
+    values = []
+    for t, oracle in enumerate(oracles):
+        stop = int(last[t])
+        commit_walks(oracle, every[:stop], steps[:stop, t])
+        # Stopgap: the index that ends the scan is walked again, one key
+        # through asymmetric_check_bit with the scan's barriers as its policy,
+        # so with the same answers and verdict. perfbench's tracer wraps that
+        # name and raises KeyError on a scan with no wrapped walk; once it
+        # wraps the kernel, this is commit_walks(oracle, every[: stop + 1], ...).
+        ones = int(np.count_nonzero(decided[:stop, t]))
+        values.append(ones + asymmetric_check_bit(oracle, stop, delta, delta, policy=policy).decided_bit)
+    return values
 
 
 def counting_levels(noise, n: int, count: int, delta: float) -> tuple[int, int]:
@@ -164,28 +204,45 @@ def counting_one_sided(oracle, delta: float) -> CountResult:
     walk (lowest index on ties). An index is counted, and leaves, when its
     walk reaches ``retire_at``; the run ends when the highest walk is at or
     below ``-stop_at(count)``. Both come from :func:`counting_levels`. Each
-    :func:`~noisyquery.walks.walks` call runs one stop-level extension:
-    every remaining walk goes from ``-reached`` (0 at first) to the first of
-    ``retire_at`` and ``-floor``, ``floor = stop_at(count)``. The heap's
-    level sweeps over that range give each walk the same answers and
-    barriers, since a walk stays the highest until it falls a level or
-    retires; and ``stop_at`` only grows, so at each level -s in the range
-    ``stop_at >= floor > s`` and the run cannot stop inside it.
+    kernel call runs one stop-level extension: every remaining walk goes
+    from ``-reached`` (0 at first) to the first of ``retire_at`` and
+    ``-floor``, ``floor = stop_at(count)``. The heap's level sweeps over
+    that range give each walk the same answers and barriers, since a walk
+    stays the highest until it falls a level or retires; and ``stop_at``
+    only grows, so at each level -s in the range ``stop_at >= floor > s``
+    and the run cannot stop inside it.
     """
+    return counts_one_sided([oracle], delta)[0]
+
+
+def counts_one_sided(oracles, delta: float) -> list[CountResult]:
+    """:func:`counting_one_sided` on each of several oracles of one size
+    and one p. Their stop-level extensions run in lockstep: each is one
+    :func:`~noisyquery.walks.walk_each` call over every unfinished
+    oracle's remaining indices, each oracle with its own barriers."""
     _check_delta(delta, "delta")
-    n = oracle.n
+    n = _common_size(oracles)
     if n == 0:
-        return CountResult(0, 0)
-    start = oracle.ledger.total_queries
-    count = reached = 0
-    floor, retire_at = counting_levels(oracle.noise, n, count, delta)
-    active = np.arange(n)
-    while active.size and floor > reached:
-        retired, _ = walks(oracle, active, floor - reached, retire_at + reached)
-        count += int(retired.sum())
-        active = active[retired == 0]
-        reached, floor = floor, counting_levels(oracle.noise, n, count, delta)[0]
-    return CountResult(count, oracle.ledger.total_queries - start)
+        return [CountResult(0, 0) for _ in oracles]
+    noise = oracles[0].noise
+    starts = [oracle.ledger.total_queries for oracle in oracles]
+    counts = [0] * len(oracles)
+    reached = [0] * len(oracles)
+    floor, retire_at = counting_levels(noise, n, 0, delta)
+    floors = [floor] * len(oracles)
+    active = [np.arange(n)] * len(oracles)
+    while running := [t for t in range(len(oracles)) if active[t].size and floors[t] > reached[t]]:
+        rows = walk_each(
+            [oracles[t] for t in running],
+            [active[t] for t in running],
+            [floors[t] - reached[t] for t in running],
+            [retire_at + reached[t] for t in running],
+        )
+        for t, (retired, _) in zip(running, rows):
+            counts[t] += int(retired.sum())
+            active[t] = active[t][retired == 0]
+            reached[t], floors[t] = floors[t], counting_levels(noise, n, counts[t], delta)[0]
+    return [CountResult(c, o.ledger.total_queries - s) for c, o, s in zip(counts, oracles, starts)]
 
 
 def counting_two_sided(
@@ -210,10 +267,23 @@ def counting_two_sided(
     sizes; ``asymptotic_presample`` switches to the asymptotic-analysis sizing
     of n^0.99 checks at error n^-100.
     """
+    return counts_two_sided([oracle], delta, [rng], asymptotic_presample=asymptotic_presample)[0]
+
+
+def counts_two_sided(oracles, delta: float, rngs, *, asymptotic_presample: bool = False) -> list[CountResult]:
+    """:func:`counting_two_sided` on each of several oracles of one size
+    and one p, ``rngs[i]`` driving the presample of ``oracles[i]``.
+
+    Presample round i is one :func:`~noisyquery.walks.walk_each` call over
+    every oracle's indices drawn more than i times (none for some); then
+    :func:`counts_one_sided` counts on each oracle's chosen view. A
+    complement view shares its oracle's counters and ledger, so the
+    queries of both phases are read off the oracle's ledger.
+    """
     _check_delta(delta, "delta")
-    n = oracle.n
+    n = _common_size(oracles)
     if n == 0:
-        return CountResult(0, 0)
+        return [CountResult(0, 0) for _ in oracles]
     if asymptotic_presample:
         presample_size = math.ceil(n**0.99)
         # exp(-100 ln n), floored at 1e-300 to stay a normal float;
@@ -224,17 +294,25 @@ def counting_two_sided(
         presample_size = math.ceil(math.sqrt(n))
         presample_error = 1.0 / max(n, 2) ** 2
 
-    gen = as_generator(rng)
-    start = oracle.ledger.total_queries
-    positions = gen.integers(0, n, size=presample_size)
-    policy = WalkPolicy.for_error_bounds(oracle.noise, presample_error, presample_error)
-    drawn, times = np.unique(positions, return_counts=True)
-    ones_seen = 0
-    for i in range(int(times.max())):
-        decided, _ = walks(oracle, drawn[times > i], policy.down_threshold_a, policy.up_threshold_b)
-        ones_seen += int(decided.sum())
-    if 2 * ones_seen <= presample_size:
-        value = counting_one_sided(oracle, delta).value
-    else:
-        value = n - counting_one_sided(ComplementBitOracle(oracle), delta).value
-    return CountResult(value, oracle.ledger.total_queries - start)
+    if len(rngs) != len(oracles):
+        raise ValueError("counts_two_sided needs one rng per oracle")
+    starts = [oracle.ledger.total_queries for oracle in oracles]
+    policy = WalkPolicy.for_error_bounds(oracles[0].noise, presample_error, presample_error)
+    draws = [np.unique(as_generator(rng).integers(0, n, size=presample_size), return_counts=True) for rng in rngs]
+    ones_seen = [0] * len(oracles)
+    for i in range(max(int(times.max()) for _, times in draws)):
+        rows = walk_each(
+            oracles,
+            [drawn[times > i] for drawn, times in draws],
+            [policy.down_threshold_a] * len(oracles),
+            [policy.up_threshold_b] * len(oracles),
+        )
+        for t, (decided, _) in enumerate(rows):
+            ones_seen[t] += int(decided.sum())
+    flipped = [2 * seen > presample_size for seen in ones_seen]
+    views = [ComplementBitOracle(oracle) if flip else oracle for oracle, flip in zip(oracles, flipped)]
+    counted = counts_one_sided(views, delta)
+    return [
+        CountResult(n - c.value if flip else c.value, o.ledger.total_queries - s)
+        for c, flip, o, s in zip(counted, flipped, oracles, starts)
+    ]

@@ -6,11 +6,13 @@ scores correctness against the known ground truth. All per-trial
 randomness derives from (master seed, experiment kind, trial index,
 role), so reports are reproducible bit-for-bit on any worker count and
 any execution order. Query statistics aggregate as exact integers.
-Connectivity trials run in blocks whose reconstructions share the walk
-kernel's rounds; answers are counter-based, so the records do not change.
+Trials run in blocks: each trial samples its instance and builds its
+oracle as alone, then one algorithm call walks every oracle of the block
+in the same walk-kernel rounds. Answers are counter-based, so the
+records do not depend on the blocks.
 
 Each experiment kind is one :class:`Kind` record in ``KINDS``: the spec
-fields it reads with their rules and flags, its trial function (or
+fields it reads with their rules and flags, its block function (or
 vectorised runner), its theory comparator, its ``k`` column and its gate.
 """
 
@@ -39,15 +41,16 @@ from .connectivity import (
     sample_hard_instance,
     sample_st_instance,
 )
-from .counting import counting_one_sided, counting_two_sided, threshold_count
+from .counting import counts_one_sided, counts_two_sided, threshold_counts
 from .oracles import BitOracle, EdgeOracle, NoiseModel
 from .streams import derive_rng, seed_sequence
 from .trees import ScalingReport
 from .walks import expected_hitting_time, hitting_probability, simulate_first_passage, simulate_hitting
 
-# not called here but kept as a module attribute: instrumentation such as
-# perfbench's tracer wraps it by this name
+# not called here but kept as module attributes: instrumentation such as
+# perfbench's tracer wraps them by these names
 from .connectivity import naive_connectivity  # noqa: F401
+from .counting import counting_one_sided, counting_two_sided, threshold_count  # noqa: F401
 
 CSV_COLUMNS = (
     "experiment",
@@ -71,9 +74,10 @@ CSV_COLUMNS = (
 
 INFLUENCE_RESIDUAL_TOL = 1e-10
 INFLUENCE_SPECIALIZATION_TOL = 1e-12
-# a block of connectivity trials walks at most this many pairs at once, which
-# bounds its memory; at n=50 that is 26 trials (see _run_connectivity)
-_BLOCK_PAIRS = 1 << 15
+# a block of trials walks at most this many kernel keys (bits, or vertex
+# pairs) at once, which bounds its memory: 3 trials at n=10^4, 16 at
+# n=2000, 26 connectivity trials at n=50 (see _run_trials)
+_BLOCK_KEYS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -286,7 +290,11 @@ def scaling_gate_failures(report: ScalingReport) -> list[str]:
     return failures
 
 
-# -- per-trial workers --------------------------------------------------------
+# -- block workers -------------------------------------------------------------
+# A kind's block function gives the (correct, queries) records of a range of
+# trials, in order. Each trial samples its instance and builds its oracle as
+# it would alone, named after its trial if that fails; then one algorithm
+# call, named after the range, walks every oracle of the block together.
 
 
 def _bit_oracle_for(spec: ExperimentSpec, trial: int, ones: int) -> BitOracle:
@@ -296,29 +304,52 @@ def _bit_oracle_for(spec: ExperimentSpec, trial: int, ones: int) -> BitOracle:
     return BitOracle(hidden, NoiseModel(spec.p), seed_sequence(spec.seed, spec.kind, "noise", trial))
 
 
-def _trial_threshold(spec: ExperimentSpec, trial: int) -> tuple[bool, int]:
-    ones = spec.ones
-    if ones is None:
-        # the hard instance pair: k-1 or k ones with equal probability
-        coin_rng = derive_rng(spec.seed, spec.kind, "pair-coin", trial)
-        ones = spec.k - 1 + int(coin_rng.integers(0, 2))
-    result = threshold_count(_bit_oracle_for(spec, trial, ones), spec.k, spec.delta)
-    if 2 * spec.k > spec.n + 1:
-        # the complement scan answers "at least k" or "fewer than k", not a count
-        return (result.value == spec.k) == (ones >= spec.k), result.queries
-    return result.value == min(spec.k, ones), result.queries
+def _pinned_ones(spec: ExperimentSpec, trial: int) -> int:
+    if spec.ones is not None:
+        return spec.ones
+    # the hard instance pair: k-1 or k ones with equal probability
+    coin_rng = derive_rng(spec.seed, spec.kind, "pair-coin", trial)
+    return spec.k - 1 + int(coin_rng.integers(0, 2))
 
 
-def _trial_counting(spec: ExperimentSpec, trial: int) -> tuple[bool, int]:
-    result = counting_one_sided(_bit_oracle_for(spec, trial, spec.ones), spec.delta)
-    return result.value == spec.ones, result.queries
+def _bit_oracles(spec: ExperimentSpec, trials: range, ones) -> list[BitOracle]:
+    # each trial's oracle, over ones[i] ones, built as in the trial alone
+    oracles = []
+    for trial, count in zip(trials, ones):
+        with _naming(spec, range(trial, trial + 1)):
+            oracles.append(_bit_oracle_for(spec, trial, count))
+    return oracles
 
 
-def _trial_counting2(spec: ExperimentSpec, trial: int) -> tuple[bool, int]:
-    oracle = _bit_oracle_for(spec, trial, spec.ones)
-    algo_rng = derive_rng(spec.seed, spec.kind, "presample", trial)
-    result = counting_two_sided(oracle, spec.delta, algo_rng, asymptotic_presample=spec.asymptotic_presample)
-    return result.value == spec.ones, result.queries
+def _threshold_block(spec: ExperimentSpec, trials: range) -> list[tuple[bool, int]]:
+    pinned = [_pinned_ones(spec, trial) for trial in trials]
+    oracles = _bit_oracles(spec, trials, pinned)
+    with _naming(spec, trials):
+        results = threshold_counts(oracles, spec.k, spec.delta)
+    records = []
+    for ones, result in zip(pinned, results):
+        if 2 * spec.k > spec.n + 1:
+            # the complement scan answers "at least k" or "fewer than k", not a count
+            correct = (result.value == spec.k) == (ones >= spec.k)
+        else:
+            correct = result.value == min(spec.k, ones)
+        records.append((correct, result.queries))
+    return records
+
+
+def _counting_block(spec: ExperimentSpec, trials: range) -> list[tuple[bool, int]]:
+    oracles = _bit_oracles(spec, trials, repeat(spec.ones))
+    with _naming(spec, trials):
+        results = counts_one_sided(oracles, spec.delta)
+    return [(result.value == spec.ones, result.queries) for result in results]
+
+
+def _counting2_block(spec: ExperimentSpec, trials: range) -> list[tuple[bool, int]]:
+    oracles = _bit_oracles(spec, trials, repeat(spec.ones))
+    rngs = [derive_rng(spec.seed, spec.kind, "presample", trial) for trial in trials]
+    with _naming(spec, trials):
+        results = counts_two_sided(oracles, spec.delta, rngs, asymptotic_presample=spec.asymptotic_presample)
+    return [(result.value == spec.ones, result.queries) for result in results]
 
 
 def _conn_oracle(spec: ExperimentSpec, trial: int, graph) -> EdgeOracle:
@@ -337,13 +368,6 @@ def _connectivity_case(spec: ExperimentSpec, trial: int):
 
 
 def _connectivity_block(spec: ExperimentSpec, trials: range) -> list[tuple[bool, int]]:
-    """Records of a range of ``connectivity`` or ``st-connectivity`` trials.
-
-    Each trial samples its instance and builds its oracle as alone; then
-    one reconstruction walks every oracle's pairs in the same rounds.
-    Answers are counter-based, so each record is what the trial alone
-    gives: ``run_trial`` is this on a range of one.
-    """
     cases, oracles = [], []
     for trial in trials:
         with _naming(spec, range(trial, trial + 1)):
@@ -357,14 +381,6 @@ def _connectivity_block(spec: ExperimentSpec, trials: range) -> list[tuple[bool,
         answer = forest.component_count == 1 if terminals is None else forest.connected(*terminals)
         records.append((answer == truth, oracle.ledger.total_queries))
     return records
-
-
-def _trial_connectivity(spec: ExperimentSpec, trial: int) -> tuple[bool, int]:
-    return _connectivity_block(spec, range(trial, trial + 1))[0]
-
-
-def _run_connectivity(spec: ExperimentSpec) -> tuple[int, float, float]:
-    return _run_trials(spec, _connectivity_block, _BLOCK_PAIRS // (spec.n * (spec.n - 1) // 2))
 
 
 def _trial_influence(spec: ExperimentSpec, trial: int) -> tuple[bool, int]:
@@ -384,6 +400,14 @@ def _trial_influence(spec: ExperimentSpec, trial: int) -> tuple[bool, int]:
     return ok, 0
 
 
+def _influence_block(spec: ExperimentSpec, trials: range) -> list[tuple[bool, int]]:
+    records = []
+    for trial in trials:
+        with _naming(spec, range(trial, trial + 1)):
+            records.append(_trial_influence(spec, trial))
+    return records
+
+
 def _blocks(spec: ExperimentSpec, size: int) -> list[range]:
     """The trial ids in near-equal ranges of at most max(1, size), and at least one per worker."""
     count = max(-(-spec.trials // max(1, size)), min(spec.jobs, spec.trials))
@@ -391,25 +415,22 @@ def _blocks(spec: ExperimentSpec, size: int) -> list[range]:
     return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _each_trial(spec: ExperimentSpec, trials: range) -> list[tuple[bool, int]]:
-    return [run_trial(spec, trial) for trial in trials]
-
-
-def _run_trials(spec: ExperimentSpec, block=_each_trial, size: int = 1) -> tuple[int, float, float]:
+def _run_trials(spec: ExperimentSpec) -> tuple[int, float, float]:
     """Errors, mean and stddev of queries over every trial of ``spec``.
 
-    The trials run in blocks of at most ``size`` (see :func:`_blocks`),
-    and ``block(spec, trials)`` gives the records of one block in order:
-    by default one ``run_trial`` call per trial. With ``jobs`` > 1 a
-    process pool maps the blocks.
+    The trials run in blocks of at most ``_BLOCK_KEYS`` kernel keys (see
+    :func:`_blocks`), and the kind's ``block(spec, trials)`` gives the
+    records of one block in order. With ``jobs`` > 1 a process pool maps
+    the blocks.
     """
-    blocks = _blocks(spec, size)
+    kind = KINDS[spec.kind]
+    blocks = _blocks(spec, 1 if kind.keys is None else _BLOCK_KEYS // kind.keys(spec))
     if spec.jobs > 1:
         chunk = max(1, len(blocks) // (spec.jobs * 8))
         with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
-            parts = list(pool.map(block, repeat(spec), blocks, chunksize=chunk))
+            parts = list(pool.map(kind.block, repeat(spec), blocks, chunksize=chunk))
     else:
-        parts = [block(spec, trials) for trials in blocks]
+        parts = [kind.block(spec, trials) for trials in blocks]
     records = [record for part in parts for record in part]
     errors = sum(1 for correct, _ in records if not correct)
     total = sum(q for _, q in records)
@@ -443,10 +464,11 @@ class Kind:
     """Everything one experiment kind means.
 
     ``params`` are the spec fields it reads, in flag order; ``run`` gives
-    (errors, mean queries, stddev queries), by default over ``trial``;
-    ``theory`` is the comparator (0 for none) and ``k_column`` the field
-    in the ``k`` column. With ``sweep_k`` the command reports one row per
-    k from 1 up to the flag's value.
+    (errors, mean queries, stddev queries), by default over the records
+    that ``block`` gives for blocks of trials. A trial walks ``keys(spec)``
+    kernel keys, or none. ``theory`` is the comparator (0 for none) and
+    ``k_column`` the field in the ``k`` column. With ``sweep_k`` the
+    command reports one row per k from 1 up to the flag's value.
     """
 
     name: str
@@ -454,7 +476,8 @@ class Kind:
     params: tuple[Param, ...]
     theory: Callable[[ExperimentSpec], float]
     gate: Callable[[ExperimentReport], list[str]]
-    trial: Callable[[ExperimentSpec, int], tuple[bool, int]] | None = None
+    block: Callable[[ExperimentSpec, range], list[tuple[bool, int]]] | None = None
+    keys: Callable[[ExperimentSpec], int] | None = None
     run: Callable[[ExperimentSpec], tuple[int, float, float]] = _run_trials
     k_column: str = "k"
     trials_default: int = 1000
@@ -469,22 +492,30 @@ def _connectivity_theory(spec: ExperimentSpec) -> float:
     return theory_bound("connectivity", n=spec.n, delta=spec.delta, p=spec.p)
 
 
+def _bits(spec: ExperimentSpec) -> int:
+    return spec.n
+
+
+def _pairs(spec: ExperimentSpec) -> int:
+    return spec.n * (spec.n - 1) // 2
+
+
 KINDS = {
     kind.name: kind
     for kind in (
         Kind("threshold", "decide whether at least k of n bits are ones", (N, K, P, DELTA, PINNED_ONES),
              lambda s: theory_bound("threshold", n=s.n, k=s.k, delta=s.delta, p=s.p), _delta_gate,
-             trial=_trial_threshold),
+             block=_threshold_block, keys=_bits),
         Kind("counting", "count the ones exactly (one-sided algorithm)", (N, P, DELTA, ONES),
-             _counting_theory, _delta_gate, trial=_trial_counting, k_column="ones"),
+             _counting_theory, _delta_gate, block=_counting_block, keys=_bits, k_column="ones"),
         Kind("counting2", "count the ones exactly (orientation wrapper)", (N, P, DELTA, ONES, PRESAMPLE),
-             _counting_theory, _delta_gate, trial=_trial_counting2, k_column="ones"),
+             _counting_theory, _delta_gate, block=_counting2_block, keys=_bits, k_column="ones"),
         Kind("connectivity", "decide connectivity of hard spanning-tree instances", (CONN_N, P, DELTA, BETA),
-             _connectivity_theory, _delta_gate, trial=_trial_connectivity, run=_run_connectivity),
+             _connectivity_theory, _delta_gate, block=_connectivity_block, keys=_pairs),
         Kind("st-connectivity", "decide s-t connectivity with uniform random terminals", (CONN_N, P, DELTA, BETA),
-             _connectivity_theory, _delta_gate, trial=_trial_connectivity, run=_run_connectivity),
+             _connectivity_theory, _delta_gate, block=_connectivity_block, keys=_pairs),
         Kind("influence", "influence identities on random truth tables", (ARITY, BIAS),
-             lambda s: 0.0, _influence_gate, trial=_trial_influence, trials_default=100),
+             lambda s: 0.0, _influence_gate, block=_influence_block, trials_default=100),
         Kind("walk-laws", "gambler's-ruin hitting laws, one row per barrier", (P, BARRIER),
              lambda s: expected_hitting_time(s.p, s.k), _walk_laws_gate, run=_run_walk_laws,
              trials_default=10**6, sweep_k=True),
@@ -528,15 +559,10 @@ def _naming(spec: ExperimentSpec, trials: range):
 
 
 def run_trial(spec: ExperimentSpec, trial: int) -> tuple[bool, int]:
-    """Run a single trial; exposed for order-independence testing."""
-    # a plain try, not _naming: every trial of the per-trial kinds passes
-    # here, and the generator-based manager cost about 1% of a counting trial
-    try:
-        return KINDS[spec.kind].trial(spec, trial)
-    except _TrialFailed:
-        raise
-    except Exception as exc:
-        raise _TrialFailed(f"{spec.kind} trial {trial} failed: {exc}") from exc
+    """Run a single trial, the block of one; exposed for order-independence testing."""
+    trials = range(trial, trial + 1)
+    with _naming(spec, trials):
+        return KINDS[spec.kind].block(spec, trials)[0]
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentReport:

@@ -16,10 +16,13 @@ keys' walks at once with numpy, advancing all of them in lockstep, and
 gets exactly what per-key ``query`` calls would. Its one round loop,
 :func:`walk_rounds`, keeps an active set of walks that it tops up with
 the next keys as walks end, so the few numpy calls of a round are spread
-over about 2^14 answers, whatever the call's size. A caller can follow
-it round by round, as the threshold scan does to stop at the k-th
-confirmed one. :func:`walk_oracles` walks every slot of several oracles
-through one such loop, so their walks share rounds.
+over up to 2^16 answers, and the slow walks left at the end of a call
+take rounds of about 2^14. A caller can follow it round by round, as the
+threshold scan does to stop at the k-th confirmed one. Barriers are one
+pair for the whole call or one value per key. :func:`walk_each` walks
+keys of several oracles, each oracle with its own barriers, through one
+such loop, so their walks share rounds; :func:`walk_oracles` walks every
+slot of several oracles that way.
 """
 
 from __future__ import annotations
@@ -115,17 +118,22 @@ def expected_hitting_time(p: float, x: int) -> float:
     return x / (1.0 - 2.0 * p)
 
 
-# a round computes at most this many answers, which bounds its working
-# set at a few hundred kilobytes. A round costs about 35 numpy calls plus
-# a few ns per answer, and at this size the two parts are about even; so
-# once no key waits to start, the slow walks left widen their rounds to
-# keep this many answers, up to _MAX_WIDTH steps, and pay fewer rounds.
-_BLOCK_ELEMENTS = 1 << 14
+# A round costs about 35 numpy calls plus a few ns per answer. A full set
+# of walks, block_width steps each, computes at most _ROUND_ANSWERS
+# answers a round, which bounds the working set at about a megabyte. Once
+# no key waits to start, the slow walks left widen their rounds to keep
+# about _TAIL_ANSWERS answers, up to _MAX_WIDTH steps, and pay fewer
+# rounds. The tail target stays below the full one: with both at 2^16,
+# tail rounds compute more answers past their walks' exits, and lock-step
+# pairs read the threshold and counting workloads about 3% slower
+# (BENCH_trial_blocks.json).
+_ROUND_ANSWERS = 1 << 16
+_TAIL_ANSWERS = 1 << 14
 # a round's levels, and twice its flip counts, fit int8 (see walk_rounds)
 _MAX_WIDTH = 63
 # walk_rounds builds its walks' columns for this many full sets at a
-# time, a few megabytes at most, not for every key of a large call at once
-_TABLE_SETS = 16
+# time, about a megabyte at most, not for every key of a large call at once
+_TABLE_SETS = 4
 # counter offsets GAMMA, 2 GAMMA, ... and step numbers 1, 2, ... of a round's rows
 _OFFSETS = (np.arange(1, _MAX_WIDTH + 1, dtype=np.uint64) * np.uint64(GAMMA))[:, None]
 _STEP_NUMBERS = np.arange(1, _MAX_WIDTH + 1, dtype=np.int8)[:, None]
@@ -156,19 +164,22 @@ def _slots(channel, keys) -> np.ndarray:
     return keys
 
 
-def block_width(p: float, a: int, b: int) -> int:
+def block_width(p: float, a, b) -> int:
     """Steps per lockstep round: about the expected exit time of a walk.
 
     A walk drifts toward one barrier at speed 1-2p and most walks exit
     at the nearer one, so min(a, b)/(1-2p) steps finish most of them in
-    one round without computing many answers past their exit.
+    one round without computing many answers past their exit. With
+    per-key barriers, the smallest barrier of any key sets the width.
     """
-    return min(_MAX_WIDTH, max(4, math.ceil(min(a, b) / (1.0 - 2.0 * p))))
+    nearest = min(int(x.min()) if isinstance(x, np.ndarray) else x for x in (a, b))
+    return min(_MAX_WIDTH, max(4, math.ceil(nearest / (1.0 - 2.0 * p))))
 
 
-def walks(oracle, keys, a: int, b: int, *, commit: bool = True) -> tuple[np.ndarray, np.ndarray]:
+def walks(oracle, keys, a, b, *, commit: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """Walk every key from 0 to the first of -a (declared 0) and +b (declared 1).
 
+    ``a`` and ``b`` are integers, or arrays of one integer per key.
     ``keys`` are distinct slots of the oracle: bit indices of a
     :class:`~noisyquery.oracles.BitOracle`, pair slots of an
     :class:`~noisyquery.oracles.EdgeOracle`. Each walk steps +1 on an
@@ -182,54 +193,96 @@ def walks(oracle, keys, a: int, b: int, *, commit: bool = True) -> tuple[np.ndar
     The walks run in :func:`walk_rounds`, one round loop over an active
     set of walks that it tops up with the next keys after every round,
     so a call of any size pays the last rounds of its slowest walks only
-    once. A key out of range raises ``IndexError``, a repeated key
-    ``ValueError``; either way nothing is charged.
+    once. A key out of range raises ``IndexError``, a repeated key or a
+    barrier array of the wrong shape ``ValueError``; either way nothing
+    is charged.
     """
     channel = _channel(oracle)
     keys = _slots(channel, keys)
-    decided = np.empty(keys.size, dtype=np.int8)
-    steps = np.empty(keys.size, dtype=np.int64)
-    for _ in walk_rounds(channel, keys, a, b, decided, steps):
-        pass
+    decided, steps = _walk_all(channel, keys, a, b)
     if commit:
         channel._charge(keys, steps)
     return decided, steps
 
 
-def walk_oracles(oracles, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`walks` over every slot of several oracles, in one round loop.
+def _walk_all(channel, keys, a, b) -> tuple[np.ndarray, np.ndarray]:
+    # every round of walk_rounds over valid keys; nothing is charged
+    decided = np.empty(keys.size, dtype=np.int8)
+    steps = np.empty(keys.size, dtype=np.int64)
+    for _ in walk_rounds(channel, keys, a, b, decided, steps):
+        pass
+    return decided, steps
 
-    The oracles must share p and their slot count. Their counters and
-    bits are stacked into one channel and walked with ``commit=False``,
-    so their walks share rounds; then each oracle's counters and ledger
-    are charged with its own steps. Answers are counter-based, so every
-    oracle gets what walking it alone would give. Returns the declared
+
+def walk_oracles(oracles, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`walk_each` over every slot of several oracles, with one (a, b).
+
+    The oracles must also share their slot count. Returns the declared
     bits and the steps, one row per oracle.
     """
     channels = [_channel(oracle) for oracle in oracles]
+    slots = channels[0]._bits.size if channels else 0
+    if any(c._bits.size != slots for c in channels):
+        raise ValueError("oracles walked together must have the same number of slots")
+    rows = walk_each(channels, [np.arange(slots)] * len(channels), [a] * len(channels), [b] * len(channels))
+    return np.array([decided for decided, _ in rows]), np.array([steps for _, steps in rows])
+
+
+def walk_each(oracles, keys, a, b) -> list[tuple[np.ndarray, np.ndarray]]:
+    """:func:`walks` of ``keys[i]`` on ``oracles[i]`` with barriers ``a[i]``
+    and ``b[i]``, for every i, in one round loop.
+
+    The oracles must share p and must not share answer counters. The
+    walked keys' counters and bits are stacked into one channel (see
+    :func:`stack`) and walked, each key with its oracle's barriers and
+    nothing charged, so all the walks share rounds; then each oracle's
+    counters and ledger are charged with its own steps. Answers are
+    counter-based, so every oracle gets what walking its keys alone
+    would give. Returns each oracle's declared bits and steps, in its
+    keys' order.
+    """
+    channels = [_channel(oracle) for oracle in oracles]
+    parts = [_slots(channel, part) for channel, part in zip(channels, keys)]
+    if not len(channels) == len(parts) == len(a) == len(b):
+        raise ValueError("walk_each needs one key list and one barrier pair per oracle")
+    sizes = [part.size for part in parts]
+    # one pair for every key when all oracles share it, as a scalar
+    a, b = (x[0] if len(set(x)) == 1 else np.repeat(x, sizes) for x in (a, b))
+    decided, steps = _walk_all(stack(channels, parts), np.arange(sum(sizes)), a, b)
+    rows, start = [], 0
+    for channel, part in zip(channels, parts):
+        own = steps[start : start + part.size]
+        channel._charge(part, own)
+        rows.append((decided[start : start + part.size], own))
+        start += part.size
+    return rows
+
+
+def stack(oracles, keys) -> _CounterChannel:
+    """One channel whose slots are ``keys[0]`` of ``oracles[0]``, then
+    ``keys[1]`` of ``oracles[1]``, and so on.
+
+    It holds copies of those slots' bits and answer counters, so walks
+    on it give each slot the answers its own oracle would give next, and
+    change no oracle; :func:`commit_walks` or :func:`walk_each` charge
+    them back. The oracles must share p and must not share answer
+    counters, or charging back would count some answers twice.
+    """
+    channels = [_channel(oracle) for oracle in oracles]
     if not channels:
-        raise ValueError("walk_oracles needs at least one oracle")
+        raise ValueError("walks of several oracles need at least one oracle")
     first = channels[0]
     if any(c.noise.p != first.noise.p for c in channels):
         raise ValueError("oracles walked together must share their flip probability p")
-    slots = first._bits.size
-    if any(c._bits.size != slots for c in channels):
-        raise ValueError("oracles walked together must have the same number of slots")
     if len({id(c._counters) for c in channels}) < len(channels):
         # an oracle listed twice, or a complement view beside its inner oracle
         raise ValueError("oracles walked together must not share answer counters")
     stacked = _CounterChannel()
     stacked.noise = first.noise
     stacked._flip_below = first._flip_below
-    stacked._bits = np.concatenate([c._bits for c in channels])
-    stacked._counters = np.concatenate([c._counters for c in channels])
-    decided, steps = walks(stacked, np.arange(stacked._bits.size), a, b, commit=False)
-    decided = decided.reshape(len(channels), slots)
-    steps = steps.reshape(len(channels), slots)
-    every_slot = np.arange(slots)
-    for channel, own in zip(channels, steps):
-        channel._charge(every_slot, own)
-    return decided, steps
+    stacked._bits = np.concatenate([c._bits[part] for c, part in zip(channels, keys)])
+    stacked._counters = np.concatenate([c._counters[part] for c, part in zip(channels, keys)])
+    return stacked
 
 
 def commit_walks(oracle, keys, steps) -> None:
@@ -246,11 +299,12 @@ def commit_walks(oracle, keys, steps) -> None:
     channel._charge(slots, steps)
 
 
-def walk_rounds(oracle, keys, a: int, b: int, decided: np.ndarray, steps: np.ndarray):
+def walk_rounds(oracle, keys, a, b, decided: np.ndarray, steps: np.ndarray):
     """The walks of :func:`walks` with ``commit=False``, one round at a time.
 
-    ``keys`` is a valid int64 array of distinct slots. Keys start walking
-    in their order, up to ``_BLOCK_ELEMENTS // block_width`` at once, and
+    ``keys`` is a valid int64 array of distinct slots, and ``a`` and
+    ``b`` are integers or arrays of one integer per key. Keys start walking
+    in their order, up to ``_ROUND_ANSWERS // block_width`` at once, and
     a round advances every walking key by the same number of steps. When
     a walk ends, its declared bit and steps are written to ``decided``
     and ``steps`` at its key's position. After each round this yields
@@ -258,8 +312,11 @@ def walk_rounds(oracle, keys, a: int, b: int, decided: np.ndarray, steps: np.nda
     can stop at any round; nothing is charged.
     """
     channel = _channel(oracle)
+    a, b = (x if isinstance(x, (int, np.integer)) else np.asarray(x, dtype=np.int64) for x in (a, b))
+    if any(isinstance(x, np.ndarray) and x.shape != keys.shape for x in (a, b)):
+        raise ValueError("per-key barriers need one value per key")
     width = block_width(channel.noise.p, a, b)
-    capacity = max(1, _BLOCK_ELEMENTS // width)
+    capacity = max(1, _ROUND_ANSWERS // width)
     below = np.uint64(channel._flip_below)
     # Each walk is tracked by e = 2 * flips - steps, which is its level d
     # on a 0-bit and -d on a 1-bit; so its barriers in e are +b and -a on
@@ -278,8 +335,8 @@ def walk_rounds(oracle, keys, a: int, b: int, decided: np.ndarray, steps: np.nda
     while state.shape[1]:
         m = state.shape[1]
         # block_width steps for a full set; fewer walks, the slow ones at
-        # the end of a call, take wider rounds of as many answers
-        w = min(_MAX_WIDTH, _BLOCK_ELEMENTS // m)
+        # the end of a call, take wider rounds of about _TAIL_ANSWERS answers
+        w = min(_MAX_WIDTH, max(width, _TAIL_ANSWERS // m))
         counter = state[0].view(np.uint64)
         z = z_buf[: w * m].reshape(w, m)
         np.add(counter, _OFFSETS[:w], out=z)
@@ -338,12 +395,13 @@ def _scratch() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # thresholds, and in some processes, depending only on the heap's
     # layout, each call handed them back to the OS and faulted them in
     # again: a 15-20% slower counting workload from one process to the next.
+    size = max(_ROUND_ANSWERS, _TAIL_ANSWERS)
     bufs = getattr(_SCRATCH, "bufs", None)
-    if bufs is None or bufs[0].size < _BLOCK_ELEMENTS:
+    if bufs is None or bufs[0].size < size:
         bufs = _SCRATCH.bufs = (
-            np.empty(_BLOCK_ELEMENTS, dtype=np.uint64),
-            np.empty(_BLOCK_ELEMENTS, dtype=np.uint64),
-            np.empty(_BLOCK_ELEMENTS + 7 * _MAX_WIDTH, dtype=np.uint8),
+            np.empty(size, dtype=np.uint64),
+            np.empty(size, dtype=np.uint64),
+            np.empty(size + 7 * _MAX_WIDTH, dtype=np.uint8),
         )
     return bufs
 
@@ -352,6 +410,7 @@ def _columns(channel, keys, a, b, lo, hi) -> np.ndarray:
     # the first four rows of walk_rounds' columns for keys[lo:hi]
     part = keys[lo:hi]
     bits = channel._bits[part]
+    a, b = (x[lo:hi] if isinstance(x, np.ndarray) else x for x in (a, b))
     table = np.empty((5, part.size), dtype=np.int64)
     table[0] = channel._counters[part].view(np.int64)
     table[1] = np.where(bits, a, b)

@@ -1,6 +1,6 @@
 """Test-wide settings, the scalar reference walk, its exact law, the
-exact threshold error built on it, and per-slot answer counts read off
-an oracle's counters.
+exact threshold error built on it, per-slot answer counts read off an
+oracle's counters, and a switch to small kernel rounds.
 
 Property tests run under a derandomised hypothesis profile: the same
 examples on every run, no example database, no deadline, so the suite
@@ -8,12 +8,15 @@ gives the same result wherever it runs.
 """
 
 import math
+from contextlib import contextmanager
+from unittest import mock
 
 from hypothesis import settings
 import numpy as np
 from scipy.stats import binom
 
 from noisyquery import NoiseModel
+from noisyquery import walks as walks_module
 from noisyquery.counting import threshold_barriers
 from noisyquery.oracles import GAMMA
 
@@ -29,6 +32,15 @@ def query_walk(oracle, key, a, b):
         steps += 1
         d += 1 if oracle.query(key) else -1
     return int(d == b), steps
+
+
+@contextmanager
+def small_rounds(answers):
+    """Kernel rounds of about ``answers`` answers, full or in the tail:
+    with answers = capacity * block_width, capacity walks at a time."""
+    with mock.patch.object(walks_module, "_ROUND_ANSWERS", answers), \
+            mock.patch.object(walks_module, "_TAIL_ANSWERS", answers):
+        yield
 
 
 def log_up_first(u, a, b):

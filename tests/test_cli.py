@@ -61,6 +61,10 @@ def test_validation_error_exit_code(tmp_path, capsys):
         ["counting", "--n", "10", "--p", "0.2", "--delta", "0.1", "--ones", "2", "--trials", "3",
          "--out", str(missing_dir / "x.csv")],
         ["ust-stats", "--n-grid", "16,32", "--samples", "2", "--out", str(missing_dir / "x.csv")],
+        # --out naming an existing directory fails the same way
+        ["counting", "--n", "10", "--p", "0.2", "--delta", "0.1", "--ones", "2", "--trials", "3",
+         "--out", str(tmp_path)],
+        ["ust-stats", "--n-grid", "16,32", "--samples", "2", "--out", str(tmp_path)],
     ):
         assert main(argv) == EXIT_INVALID, argv
         captured = capsys.readouterr()

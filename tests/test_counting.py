@@ -4,7 +4,6 @@ import heapq
 import itertools
 import math
 from collections import Counter
-from unittest import mock
 
 import hypothesis
 from hypothesis import strategies as st
@@ -31,10 +30,9 @@ from noisyquery import (
 from noisyquery import counting as counting_module
 from noisyquery.counting import counting_levels, threshold_barriers
 from noisyquery.harness import error_bound
-from noisyquery import walks as walks_module
-from noisyquery.walks import block_width, walks
+from noisyquery.walks import block_width, walk_each
 
-from conftest import answer_counts, exact_threshold_error, query_walk
+from conftest import answer_counts, exact_threshold_error, query_walk, small_rounds
 
 
 class RecordingOracle:
@@ -418,14 +416,15 @@ def test_sweep_matches_heap_reference_property(hidden, p, delta, seed, complemen
 
 
 def record_walk_calls(monkeypatch):
-    """Wrap the kernel as counting calls it; returns the (a, b) of each call."""
+    """Wrap the kernel as counting calls it on one oracle; returns the (a, b) of each call."""
     calls = []
 
-    def recording(oracle, keys, a, b, **kwargs):
-        calls.append((a, b))
-        return walks(oracle, keys, a, b, **kwargs)
+    def recording(oracles, keys, a, b):
+        assert len(oracles) == len(keys) == len(a) == len(b) == 1
+        calls.append((a[0], b[0]))
+        return walk_each(oracles, keys, a, b)
 
-    monkeypatch.setattr(counting_module, "walks", recording)
+    monkeypatch.setattr(counting_module, "walk_each", recording)
     return calls
 
 
@@ -532,7 +531,7 @@ def test_threshold_scan_at_a_small_capacity(n, density, k_share, p, delta, capac
     oracles = [BitOracle(hidden, p, seed_sequence(seed, "cap")) for _ in range(2)]
     target = n - k + 1 if 2 * k > n + 1 else k
     width = block_width(p, *threshold_barriers(oracles[0].noise, n, target, delta))
-    with mock.patch.object(walks_module, "_BLOCK_ELEMENTS", capacity * width):
+    with small_rounds(capacity * width):
         small = threshold_count(oracles[0], k, delta)
     assert small == threshold_count(oracles[1], k, delta)
     assert oracles[0].ledger == oracles[1].ledger

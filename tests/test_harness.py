@@ -142,7 +142,9 @@ def test_threshold_scores_the_decision_on_the_complement_branch():
 def test_threshold_scoring_rule_follows_the_branch(monkeypatch, k, errors):
     # an answer of k - 1 for 10 ones: a wrong count where 2k <= n + 1,
     # the right decision where the complement is scanned
-    monkeypatch.setattr(harness, "threshold_count", lambda oracle, k, delta: ThresholdResult(k - 1, 0))
+    monkeypatch.setattr(
+        harness, "threshold_counts", lambda oracles, k, delta: [ThresholdResult(k - 1, 0) for _ in oracles]
+    )
     spec = ExperimentSpec("threshold", n=60, k=k, ones=10, p=0.01, delta=0.05, trials=20, seed=4)
     assert run_experiment(spec).errors == errors
 
@@ -371,7 +373,7 @@ def test_connectivity_blocks_give_the_single_trial_rows(monkeypatch, kind):
     total_sq = sum(q * q for _, q in records)
     # a cap of 40 pairs is two trials of C(6, 2) = 15 pairs, so the seven
     # trials run as four blocks of uneven sizes
-    monkeypatch.setattr(harness, "_BLOCK_PAIRS", 40)
+    monkeypatch.setattr(harness, "_BLOCK_KEYS", 40)
     blocks = []
     whole_block = harness._connectivity_block
 
@@ -379,16 +381,121 @@ def test_connectivity_blocks_give_the_single_trial_rows(monkeypatch, kind):
         blocks.append(trials)
         return whole_block(spec, trials)
 
-    monkeypatch.setattr(harness, "_connectivity_block", recording)
+    monkeypatch.setitem(harness.KINDS, kind, dataclasses.replace(harness.KINDS[kind], block=recording))
     report = run_experiment(spec)
     assert [len(block) for block in blocks] == [1, 2, 2, 2]
     assert [t for block in blocks for t in block] == list(range(spec.trials))
     assert report.errors == sum(1 for correct, _ in records if not correct)
     assert report.mean_queries == total / spec.trials
     assert report.stddev_queries == math.sqrt(max((total_sq - total * total / spec.trials) / (spec.trials - 1), 0.0))
-    monkeypatch.setattr(harness, "_connectivity_block", whole_block)
+    monkeypatch.setitem(harness.KINDS, kind, dataclasses.replace(harness.KINDS[kind], block=whole_block))
     parallel = run_experiment(dataclasses.replace(spec, jobs=2))
     assert reports_to_csv([parallel]) == reports_to_csv([report])
+
+
+BIT_BLOCK_SPECS = {
+    # pinned ones below k, on both branches
+    "threshold below k": ExperimentSpec("threshold", n=30, k=5, ones=2, p=0.2, delta=0.2, trials=7, seed=35),
+    "threshold complement below k": ExperimentSpec("threshold", n=30, k=25, ones=3, p=0.2, delta=0.2, trials=7, seed=35),
+    # the hard pair, k - 1 or k ones by coin, on both branches
+    "threshold pair": ExperimentSpec("threshold", n=30, k=5, p=0.2, delta=0.2, trials=7, seed=36),
+    "threshold complement pair": ExperimentSpec("threshold", n=30, k=25, p=0.2, delta=0.2, trials=7, seed=36),
+    "threshold no ones": ExperimentSpec("threshold", n=30, k=1, ones=0, p=0.2, delta=0.2, trials=7, seed=37),
+    "threshold all ones": ExperimentSpec("threshold", n=30, k=30, ones=30, p=0.2, delta=0.2, trials=7, seed=37),
+    "counting no ones": ExperimentSpec("counting", n=30, ones=0, p=0.2, delta=0.2, trials=7, seed=38),
+    "counting some ones": ExperimentSpec("counting", n=30, ones=9, p=0.2, delta=0.2, trials=7, seed=38),
+    "counting all ones": ExperimentSpec("counting", n=30, ones=30, p=0.2, delta=0.2, trials=7, seed=38),
+    "counting2 no ones": ExperimentSpec("counting2", n=30, ones=0, p=0.2, delta=0.2, trials=7, seed=39),
+    "counting2 some ones": ExperimentSpec("counting2", n=30, ones=9, p=0.2, delta=0.2, trials=7, seed=39),
+    "counting2 mostly ones": ExperimentSpec("counting2", n=30, ones=24, p=0.2, delta=0.2, trials=7, seed=39),
+    "counting2 all ones": ExperimentSpec("counting2", n=30, ones=30, p=0.2, delta=0.2, trials=7, seed=39),
+    "counting2 asymptotic presample": ExperimentSpec(
+        "counting2", n=30, ones=20, p=0.2, delta=0.2, trials=7, seed=40, asymptotic_presample=True
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(BIT_BLOCK_SPECS))
+def test_bit_blocks_give_the_single_trial_rows(monkeypatch, case):
+    spec = BIT_BLOCK_SPECS[case]
+    records = [run_trial(spec, t) for t in reversed(range(spec.trials))]
+    total = sum(q for _, q in records)
+    total_sq = sum(q * q for _, q in records)
+    # a cap of 70 keys is two trials of 30 bits, so the seven trials run
+    # as four blocks of uneven sizes
+    monkeypatch.setattr(harness, "_BLOCK_KEYS", 70)
+    blocks = []
+    whole_block = harness.KINDS[spec.kind].block
+
+    def recording(spec, trials):
+        blocks.append(trials)
+        return whole_block(spec, trials)
+
+    monkeypatch.setitem(harness.KINDS, spec.kind, dataclasses.replace(harness.KINDS[spec.kind], block=recording))
+    report = run_experiment(spec)
+    assert [len(block) for block in blocks] == [1, 2, 2, 2]
+    assert [t for block in blocks for t in block] == list(range(spec.trials))
+    assert report.errors == sum(1 for correct, _ in records if not correct)
+    assert report.mean_queries == total / spec.trials
+    assert report.stddev_queries == math.sqrt(max((total_sq - total * total / spec.trials) / (spec.trials - 1), 0.0))
+    monkeypatch.setitem(harness.KINDS, spec.kind, dataclasses.replace(harness.KINDS[spec.kind], block=whole_block))
+    parallel = run_experiment(dataclasses.replace(spec, jobs=2))
+    assert reports_to_csv([parallel]) == reports_to_csv([report])
+
+
+@pytest.mark.parametrize(
+    "kind, extra, algorithm",
+    [
+        ("threshold", {"k": 3}, "threshold_counts"),
+        ("counting", {"ones": 3}, "counts_one_sided"),
+        ("counting2", {"ones": 3}, "counts_two_sided"),
+    ],
+)
+def test_bit_trial_failures_name_the_trial(monkeypatch, kind, extra, algorithm):
+    spec = ExperimentSpec(kind, n=20, p=0.2, delta=0.1, trials=7, seed=98, **extra)
+    # seven trials of 20 bits are one block, whose oracles are built in
+    # trial order; only trial 4's oracle fails to build
+    built = []
+    real_oracle = harness.BitOracle
+
+    def fails_at_trial_4(*args, **kwargs):
+        built.append(None)
+        if len(built) == 5:
+            raise ValueError("no bits")
+        return real_oracle(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "BitOracle", fails_at_trial_4)
+    with pytest.raises(RuntimeError, match=f"^{kind} trial 4 failed: no bits"):
+        run_experiment(spec)
+
+    # a failure in the block's one algorithm call names the block's trials
+    def broken(*args, **kwargs):
+        raise ValueError("walk failed")
+
+    monkeypatch.setattr(harness, "BitOracle", real_oracle)
+    monkeypatch.setattr(harness, algorithm, broken)
+    with pytest.raises(RuntimeError, match=f"^{kind} trials 0-6 failed: walk failed"):
+        run_experiment(spec)
+    with pytest.raises(RuntimeError, match=f"^{kind} trial 2 failed: walk failed"):
+        run_trial(spec, 2)
+
+
+@pytest.mark.parametrize("kind, extra", [("threshold", {"k": 30}), ("counting", {"ones": 9}), ("counting2", {"ones": 9})])
+def test_every_bit_oracle_is_built_by_its_harness_name(monkeypatch, kind, extra):
+    # perfbench's --trace 1 wraps harness.BitOracle, and checks that the
+    # ledgers of the oracles it saw built hold every query the reports count
+    built = []
+    real_oracle = harness.BitOracle
+
+    def recording(*args, **kwargs):
+        built.append(real_oracle(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(harness, "BitOracle", recording)
+    spec = ExperimentSpec(kind, n=40, p=0.2, delta=0.1, trials=9, seed=34, **extra)
+    report = run_experiment(spec)
+    assert len(built) == 9
+    assert sum(oracle.ledger.total_queries for oracle in built) == round(report.mean_queries * spec.trials)
 
 
 def test_every_connectivity_oracle_is_built_by_its_harness_name(monkeypatch):

@@ -1,6 +1,5 @@
 import math
 from decimal import ROUND_CEILING, ROUND_HALF_EVEN, Decimal, getcontext
-from unittest import mock
 
 import hypothesis
 from hypothesis import strategies as st
@@ -27,7 +26,7 @@ from noisyquery import (
 from noisyquery import walks as walks_module
 from noisyquery.walks import barrier, block_width, commit_walks, walk_oracles, walk_rounds, walks
 
-from conftest import exact_check, log_up_first, query_walk
+from conftest import exact_check, log_up_first, query_walk, small_rounds
 
 getcontext().prec = 60
 
@@ -377,11 +376,11 @@ def test_kernel_matches_query_walks(n, p, a, b, seed, complement, warmup, data):
 
 def test_kernel_matches_query_walks_over_many_blocks():
     # wide barriers make the widest rounds, so the fewest walks at once:
-    # 1200 keys are more than three such sets, so most keys start in a
+    # 4000 keys are more than three such sets, so most keys start in a
     # later round, as earlier walks end
-    bases, views = _twin_bit_oracles(1200, 0.3, 5, False, range(0, 1200, 7))
-    keys = derive_rng(5, "keys").permutation(1200)
-    assert 1200 > 3 * (walks_module._BLOCK_ELEMENTS // block_width(0.3, 30, 30))
+    bases, views = _twin_bit_oracles(4000, 0.3, 5, False, range(0, 4000, 7))
+    keys = derive_rng(5, "keys").permutation(4000)
+    assert 4000 > 3 * (walks_module._ROUND_ANSWERS // block_width(0.3, 30, 30))
     decided, steps = walks(views[0], keys, 30, 30)
     assert list(zip(decided.tolist(), steps.tolist())) == [query_walk(views[1], k, 30, 30) for k in keys.tolist()]
     assert bases[0].ledger == bases[1].ledger
@@ -405,11 +404,49 @@ def test_kernel_refills_match_query_walks(n, p, a, b, capacity, seed, complement
     # widen from block_width steps up to capacity times that
     bases, views = _twin_bit_oracles(n, p, seed, complement, warmup)
     keys = data.draw(st.permutations(range(n)))[: data.draw(st.integers(5, n))]
-    with mock.patch.object(walks_module, "_BLOCK_ELEMENTS", capacity * block_width(p, a, b)):
+    with small_rounds(capacity * block_width(p, a, b)):
         decided, steps = walks(views[0], keys, a, b)
     assert list(zip(decided.tolist(), steps.tolist())) == [query_walk(views[1], k, a, b) for k in keys]
     assert bases[0].ledger == bases[1].ledger
     assert bases[0]._counters.tolist() == bases[1]._counters.tolist()
+
+
+@hypothesis.given(
+    n=st.integers(1, 200),
+    p=st.floats(0.02, 0.45),
+    capacity=st.one_of(st.none(), st.integers(1, 8)),
+    seed=st.integers(0, 2**32),
+    complement=st.booleans(),
+    warmup=st.lists(st.integers(0, 199), max_size=60),
+    data=st.data(),
+)
+def test_per_key_barriers_match_query_walks(n, p, capacity, seed, complement, warmup, data):
+    # each key walks to its own (a, b), as it would alone; the smallest
+    # barrier sets the round width, and a small capacity makes keys with
+    # different barriers start and end in different rounds
+    bases, views = _twin_bit_oracles(n, p, seed, complement, warmup)
+    keys = data.draw(st.permutations(range(n)))[: data.draw(st.integers(1, n))]
+    # one barrier array, and one list, of a value per key
+    a = np.array(data.draw(st.lists(st.integers(1, 30), min_size=len(keys), max_size=len(keys))))
+    b = data.draw(st.lists(st.integers(1, 30), min_size=len(keys), max_size=len(keys)))
+    if capacity is None:
+        decided, steps = walks(views[0], keys, a, b)
+    else:
+        with small_rounds(capacity * block_width(p, a, np.array(b))):
+            decided, steps = walks(views[0], keys, a, b)
+    reference = [query_walk(views[1], k, ka, kb) for k, ka, kb in zip(keys, a.tolist(), b)]
+    assert list(zip(decided.tolist(), steps.tolist())) == reference
+    assert bases[0].ledger == bases[1].ledger
+    assert bases[0]._counters.tolist() == bases[1]._counters.tolist()
+
+
+def test_per_key_barriers_need_one_value_per_key():
+    oracle = BitOracle([0, 1, 1], 0.3, seed_sequence(4, "shape"))
+    for a, b in (([2, 3], 3), (2, [[2, 3, 4]]), (np.array([2, 3, 4, 5]), 2)):
+        with pytest.raises(ValueError, match="one value per key"):
+            walks(oracle, [0, 1, 2], a, b)
+    assert oracle.ledger.total_queries == 0
+    assert block_width(0.25, np.array([9, 4, 7]), 6) == block_width(0.25, 4, 6) == 8
 
 
 def test_walk_rounds_yield_the_ended_prefix():
@@ -421,7 +458,7 @@ def test_walk_rounds_yield_the_ended_prefix():
     got_decided = np.full(500, -1, dtype=np.int8)
     got_steps = np.zeros(500, dtype=np.int64)
     ended = []
-    with mock.patch.object(walks_module, "_BLOCK_ELEMENTS", 40 * block_width(0.25, 6, 9)):
+    with small_rounds(40 * block_width(0.25, 6, 9)):
         for count in walk_rounds(oracle, keys, 6, 9, got_decided, got_steps):
             assert np.array_equal(got_decided[:count], decided[:count])
             assert np.array_equal(got_steps[:count], steps[:count])
@@ -442,7 +479,7 @@ def test_interleaved_walk_rounds_share_the_scratch_arrays():
         got = np.full(size, -1, dtype=np.int8), np.zeros(size, dtype=np.int64)
         runs.append((alone, got, walk_rounds(oracle, keys, a, b, *got)))
     scratch = walks_module._scratch()
-    with mock.patch.object(walks_module, "_BLOCK_ELEMENTS", 40 * block_width(0.25, 6, 9)):
+    with small_rounds(40 * block_width(0.25, 6, 9)):
         pending = [rounds for _, _, rounds in runs]
         while pending:
             pending = [rounds for rounds in pending if next(rounds, None) is not None]
