@@ -396,7 +396,9 @@ def test_connectivity_blocks_give_the_single_trial_rows(monkeypatch, kind):
 BIT_BLOCK_SPECS = {
     # pinned ones below k, on both branches
     "threshold below k": ExperimentSpec("threshold", n=30, k=5, ones=2, p=0.2, delta=0.2, trials=7, seed=35),
-    "threshold complement below k": ExperimentSpec("threshold", n=30, k=25, ones=3, p=0.2, delta=0.2, trials=7, seed=35),
+    "threshold complement below k": ExperimentSpec(
+        "threshold", n=30, k=25, ones=3, p=0.2, delta=0.2, trials=7, seed=35
+    ),
     # the hard pair, k - 1 or k ones by coin, on both branches
     "threshold pair": ExperimentSpec("threshold", n=30, k=5, p=0.2, delta=0.2, trials=7, seed=36),
     "threshold complement pair": ExperimentSpec("threshold", n=30, k=25, p=0.2, delta=0.2, trials=7, seed=36),
@@ -480,7 +482,9 @@ def test_bit_trial_failures_name_the_trial(monkeypatch, kind, extra, algorithm):
         run_trial(spec, 2)
 
 
-@pytest.mark.parametrize("kind, extra", [("threshold", {"k": 30}), ("counting", {"ones": 9}), ("counting2", {"ones": 9})])
+@pytest.mark.parametrize(
+    "kind, extra", [("threshold", {"k": 30}), ("counting", {"ones": 9}), ("counting2", {"ones": 9})]
+)
 def test_every_bit_oracle_is_built_by_its_harness_name(monkeypatch, kind, extra):
     # perfbench's --trace 1 wraps harness.BitOracle, and checks that the
     # ledgers of the oracles it saw built hold every query the reports count
