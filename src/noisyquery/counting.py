@@ -282,6 +282,8 @@ def counts_two_sided(oracles, delta: float, rngs, *, asymptotic_presample: bool 
     """
     _check_delta(delta, "delta")
     n = _common_size(oracles)
+    if len(rngs) != len(oracles):
+        raise ValueError("counts_two_sided needs one rng per oracle")
     if n == 0:
         return [CountResult(0, 0) for _ in oracles]
     if asymptotic_presample:
@@ -294,8 +296,6 @@ def counts_two_sided(oracles, delta: float, rngs, *, asymptotic_presample: bool 
         presample_size = math.ceil(math.sqrt(n))
         presample_error = 1.0 / max(n, 2) ** 2
 
-    if len(rngs) != len(oracles):
-        raise ValueError("counts_two_sided needs one rng per oracle")
     starts = [oracle.ledger.total_queries for oracle in oracles]
     policy = WalkPolicy.for_error_bounds(oracles[0].noise, presample_error, presample_error)
     draws = [np.unique(as_generator(rng).integers(0, n, size=presample_size), return_counts=True) for rng in rngs]

@@ -23,12 +23,17 @@ pair for the whole call or one value per key. :func:`walk_each` walks
 keys of several oracles, each oracle with its own barriers, through one
 such loop, so their walks share rounds; :func:`walk_oracles` walks every
 slot of several oracles that way.
+
+Importing this module (and so :mod:`noisyquery`) fixes glibc's malloc
+trim and mmap thresholds, once, so the arrays a round frees stay in the
+process and the next round reuses them without page faults. Where
+glibc's ``mallopt`` is missing, nothing changes.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,8 +144,27 @@ _OFFSETS = (np.arange(1, _MAX_WIDTH + 1, dtype=np.uint64) * np.uint64(GAMMA))[:,
 _STEP_NUMBERS = np.arange(1, _MAX_WIDTH + 1, dtype=np.int8)[:, None]
 # an upper barrier no first-passage walk reaches
 _UNREACHABLE = 1 << 62
-# walk_rounds' scratch arrays, one set per thread (see _scratch)
-_SCRATCH = threading.local()
+
+
+def _keep_freed_memory() -> bool:
+    # Kernel rounds allocate and free arrays of 64 KiB to a few MiB. At
+    # glibc's default thresholds, which move with each process's heap
+    # history, freed arrays go back to the OS and the next round faults
+    # them in again: hundreds of minor faults per workload repetition,
+    # and up to a sixth of counting's time, a share that changes from
+    # one process to the next. Fixed thresholds keep freed memory in
+    # the process: M_TRIM_THRESHOLD (-1) at 64 MiB and M_MMAP_THRESHOLD
+    # (-3) at glibc's 64-bit maximum of 32 MiB. Without glibc's mallopt
+    # nothing changes. Returns whether both were set.
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    return mallopt(-1, 64 << 20) == 1 and mallopt(-3, 32 << 20) == 1
+
+
+_keep_freed_memory()
 
 
 def _channel(oracle) -> _CounterChannel:
@@ -242,9 +266,9 @@ def walk_each(oracles, keys, a, b) -> list[tuple[np.ndarray, np.ndarray]]:
     keys' order.
     """
     channels = [_channel(oracle) for oracle in oracles]
-    parts = [_slots(channel, part) for channel, part in zip(channels, keys)]
-    if not len(channels) == len(parts) == len(a) == len(b):
+    if not len(channels) == len(keys) == len(a) == len(b):
         raise ValueError("walk_each needs one key list and one barrier pair per oracle")
+    parts = [_slots(channel, part) for channel, part in zip(channels, keys)]
     sizes = [part.size for part in parts]
     # one pair for every key when all oracles share it, as a scalar
     a, b = (x[0] if len(set(x)) == 1 else np.repeat(x, sizes) for x in (a, b))
@@ -331,7 +355,10 @@ def walk_rounds(oracle, keys, a, b, decided: np.ndarray, steps: np.ndarray):
     table[4, :started] = 1
     state = table[:, :started]
     taken = 0
-    z_buf, tmp_buf, byte_buf = _scratch()
+    # a round's answers and its one byte per answer, each row padded to whole 64-bit words
+    size = max(_ROUND_ANSWERS, _TAIL_ANSWERS)
+    z_buf, tmp_buf = np.empty(size, dtype=np.uint64), np.empty(size, dtype=np.uint64)
+    byte_buf = np.empty(size + 7 * _MAX_WIDTH, dtype=np.uint8)
     while state.shape[1]:
         m = state.shape[1]
         # block_width steps for a full set; fewer walks, the slow ones at
@@ -384,26 +411,6 @@ def walk_rounds(oracle, keys, a, b, decided: np.ndarray, steps: np.ndarray):
             state = np.concatenate((state, fresh), axis=1)
             started += fresh.shape[1]
         yield int(state[3, 0]) >> 1 if state.shape[1] else started
-
-
-def _scratch() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # A round's answers and its one byte per answer (each row padded to
-    # whole 64-bit words), kept from call to call: each is written before
-    # it is read within a round and holds nothing across a yield, so
-    # interleaved walk_rounds calls can share them. Made afresh on every
-    # call, the two 128 KiB arrays sat at glibc's default mmap and trim
-    # thresholds, and in some processes, depending only on the heap's
-    # layout, each call handed them back to the OS and faulted them in
-    # again: a 15-20% slower counting workload from one process to the next.
-    size = max(_ROUND_ANSWERS, _TAIL_ANSWERS)
-    bufs = getattr(_SCRATCH, "bufs", None)
-    if bufs is None or bufs[0].size < size:
-        bufs = _SCRATCH.bufs = (
-            np.empty(size, dtype=np.uint64),
-            np.empty(size, dtype=np.uint64),
-            np.empty(size + 7 * _MAX_WIDTH, dtype=np.uint8),
-        )
-    return bufs
 
 
 def _columns(channel, keys, a, b, lo, hi) -> np.ndarray:

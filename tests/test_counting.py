@@ -338,6 +338,16 @@ def test_two_sided_validation():
         counting_two_sided(oracle, 0.0, rng)
 
 
+def test_two_sided_block_needs_one_rng_per_oracle():
+    # checked before the shortcut for empty oracles, which would otherwise
+    # count an oracle that has no rng
+    for bits in ([], [0, 1, 1]):
+        oracle = BitOracle(bits, 0.2, seed_sequence(8, "rngs", len(bits)))
+        with pytest.raises(ValueError, match="one rng per oracle"):
+            counting_module.counts_two_sided([oracle], 0.1, [])
+        assert oracle.ledger.total_queries == 0
+
+
 def test_results_report_exact_query_deltas():
     oracle = BitOracle([1, 0, 1, 1], 0.2, seed_sequence(29, "delta"))
     warmup = oracle.query(0)

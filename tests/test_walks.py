@@ -24,7 +24,7 @@ from noisyquery import (
     snapped_ceil,
 )
 from noisyquery import walks as walks_module
-from noisyquery.walks import barrier, block_width, commit_walks, walk_oracles, walk_rounds, walks
+from noisyquery.walks import barrier, block_width, commit_walks, walk_each, walk_oracles, walk_rounds, walks
 
 from conftest import exact_check, log_up_first, query_walk, small_rounds
 
@@ -467,10 +467,8 @@ def test_walk_rounds_yield_the_ended_prefix():
     assert oracle.ledger.total_queries == 0
 
 
-def test_interleaved_walk_rounds_share_the_scratch_arrays():
-    # two calls advanced round by round in turn use the same scratch
-    # arrays; each still gives what it gives alone, and the arrays are
-    # made once, not per call
+def test_interleaved_walk_rounds_match_walks_alone():
+    # two calls advanced round by round in turn each give what they give alone
     runs = []
     for p, a, b, size in ((0.25, 6, 9, 700), (0.1, 3, 4, 300)):
         oracle = BitOracle(derive_rng(9, "bits", size).integers(0, 2, size=size), p, seed_sequence(9, "noise", size))
@@ -478,14 +476,28 @@ def test_interleaved_walk_rounds_share_the_scratch_arrays():
         alone = walks(oracle, keys, a, b, commit=False)
         got = np.full(size, -1, dtype=np.int8), np.zeros(size, dtype=np.int64)
         runs.append((alone, got, walk_rounds(oracle, keys, a, b, *got)))
-    scratch = walks_module._scratch()
     with small_rounds(40 * block_width(0.25, 6, 9)):
         pending = [rounds for _, _, rounds in runs]
         while pending:
             pending = [rounds for rounds in pending if next(rounds, None) is not None]
     for (decided, steps), (got_decided, got_steps), _ in runs:
         assert np.array_equal(got_decided, decided) and np.array_equal(got_steps, steps)
-    assert all(x is y for x, y in zip(walks_module._scratch(), scratch))
+
+
+@pytest.mark.skipif(not walks_module._keep_freed_memory(), reason="needs glibc's mallopt")
+def test_kernel_rounds_do_not_fault_their_arrays_back_in():
+    # with the allocator's thresholds fixed at import, the arrays a call
+    # frees stay in the process for the next call to reuse
+    import resource
+
+    oracle = BitOracle(derive_rng(4, "faults").integers(0, 2, size=30_000), 0.25, seed_sequence(4, "faults"))
+    keys = np.arange(30_000)
+    for _ in range(5):
+        walks(oracle, keys, 10, 14)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(20):
+        walks(oracle, keys, 10, 14)
+    assert (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20 <= 4
 
 
 @hypothesis.given(
@@ -559,6 +571,12 @@ def _refused_stacks():
     base = BitOracle([0, 1, 1], 0.3, seed_sequence(4, "base"))
     return {
         "no oracles": ([], "at least one oracle"),
+        # zip would cut the key lists to the one oracle and drop [1]
+        "two key lists for one oracle": (
+            [base],
+            "one key list and one barrier pair per oracle",
+            lambda oracles: walk_each(oracles, [[0], [1]], [2], [3]),
+        ),
         "different p": ([base, BitOracle([0, 1, 1], 0.25, seed_sequence(4, "p"))], "share their flip probability"),
         "different slot counts": ([base, BitOracle([0, 1, 1, 0], 0.3, seed_sequence(4, "n"))], "same number of slots"),
         "an oracle listed twice": ([base, base], "must not share answer counters"),
@@ -571,10 +589,11 @@ def _refused_stacks():
 
 @pytest.mark.parametrize("case", list(_refused_stacks()))
 def test_walk_oracles_refuses_what_it_cannot_stack(case):
-    oracles, message = _refused_stacks()[case]
+    oracles, message, *call = _refused_stacks()[case]
+    walk = call[0] if call else lambda oracles: walk_oracles(oracles, 2, 3)
     before = [(oracle._counters.tolist(), oracle.ledger.total_queries) for oracle in oracles]
     with pytest.raises(ValueError, match=message):
-        walk_oracles(oracles, 2, 3)
+        walk(oracles)
     assert [(oracle._counters.tolist(), oracle.ledger.total_queries) for oracle in oracles] == before
 
 
