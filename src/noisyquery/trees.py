@@ -3,13 +3,22 @@
 Two kernels do the tree work. ``_wilson`` draws a uniformly random
 spanning tree of the complete graph with Wilson's loop-erased random
 walk, as a parent array rooted at vertex 0 plus an order that puts every
-vertex after its parent. ``_splits`` turns that pair into subtree sizes
-in one children-first pass, which are the sides of the split each edge's
-removal leaves. ``_balance`` on top of ``_splits`` is the one home of
-the balance rule: it returns the subtree sizes, the balanced edges and
-the sum of smaller sides. ``sample_ust`` wraps the parent array in a
-:class:`LabeledTree`; ``balanced_edges`` recovers parents of any tree by
-BFS; ``structure_scaling_report`` and the hard connectivity instances
+vertex after its parent. It walks in two phases. While the tree is small
+its walks are long, a few of them taking most of the draws, and each is
+read a draw chunk at a time in numpy, loop-erased from its last visits
+(``_chunk_walk``); once |tree| * ``_LONG_WALK`` reaches n-1, the rest
+are walked one draw at a time in Python. Either way every draw comes
+from chunks of ``gen.integers(0, n - 1, size=_CHUNK)``, each drawn only
+when a draw is needed, so trees and the generator's later draws are the
+same as those of a walk that reads one draw at a time.
+
+``_splits`` turns that pair into subtree sizes in one children-first
+pass, which are the sides of the split each edge's removal leaves.
+``_balance`` on top of ``_splits`` is the one home of the balance rule:
+it returns the subtree sizes, the balanced edges and the sum of smaller
+sides. ``sample_ust`` wraps the parent array in a :class:`LabeledTree`;
+``balanced_edges`` recovers parents of any tree by BFS;
+``structure_scaling_report`` and the hard connectivity instances
 (``connectivity.sample_hard_instance``) go from ``_wilson`` to
 ``_balance`` without building a tree object at all.
 
@@ -24,16 +33,24 @@ from __future__ import annotations
 
 import heapq
 import math
+import numbers
 import statistics
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .streams import as_generator, derive_rng
 from .unionfind import UnionFind
 
 ENUMERATION_LIMIT = 7
+
+# _wilson's draws per chunk, and the expected walk length (n-1)/|tree|
+# below which a numpy pass over a chunk costs more than it saves
+_CHUNK = 1024
+_LONG_WALK = 128
 
 Edge = tuple[int, int]
 
@@ -107,6 +124,12 @@ def _wilson(n: int, gen) -> tuple[list[int], list[int]]:
     path to vertex 0 (``parent[0]`` is 0), and ``order`` lists the other
     n-1 vertices, each after its parent. Exactly uniform over all
     n^(n-2) labeled trees.
+
+    Each walk starts at the lowest vertex not yet in the tree and takes
+    one draw in [0, n-2] per step, shifted past the current vertex so it
+    is uniform over the n-1 neighbours. A walk's expected length is
+    (n-1)/|tree|: while |tree| * _LONG_WALK < n-1 a walk is read a chunk
+    at a time in numpy (``_chunk_walk``), after that one draw at a time.
     """
     if n < 1:
         raise ValueError(f"vertex count must be >= 1, got {n}")
@@ -117,25 +140,55 @@ def _wilson(n: int, gen) -> tuple[list[int], list[int]]:
     order: list[int] = []
     in_tree = bytearray(n)
     in_tree[0] = 1
-    # buffered draws in [0, n-2]; shifting past the current vertex makes
-    # them uniform over the n-1 neighbors in K_n
-    buf: list[int] = []
-    pos = 0
     top = n - 1
-    for start in range(1, n):
+    chunk = np.empty(0, np.int64)
+    pos = 0
+    start = 1
+    if _LONG_WALK < top:
+        tree_mask = np.frombuffer(in_tree, np.uint8)
+        last = np.empty(n, np.int64)
+        size = 1
+        while size * _LONG_WALK < top:
+            while in_tree[start]:
+                start += 1
+            walk, chunk, pos = _chunk_walk(start, chunk, pos, tree_mask, gen, top)
+            # walk[last[v]] is where v's last visit left to, v's parent
+            # after loop erasure; maximum.at, unlike an assignment, is
+            # defined where an index repeats
+            visited = walk[:-1]
+            last[visited] = 0
+            last[start] = 0
+            np.maximum.at(last, visited, np.arange(1, len(walk)))
+            cur = start
+            path = []
+            while not in_tree[cur]:
+                in_tree[cur] = 1
+                path.append(cur)
+                parent[cur] = int(walk[last[cur]])
+                cur = parent[cur]
+            path.reverse()
+            order += path
+            size += len(path)
+    draws = chain(
+        chunk[pos:].tolist(),
+        chain.from_iterable(iter(lambda: gen.integers(0, top, size=_CHUNK).tolist(), None)),
+    )
+    for start in range(start, n):
         if in_tree[start]:
             continue
         cur = start
-        while not in_tree[cur]:
-            if pos == len(buf):
-                buf = gen.integers(0, top, size=1024).tolist()
-                pos = 0
-            step = buf[pos]
-            pos += 1
+        for step in draws:
             if step >= cur:
                 step += 1
             parent[cur] = step
+            if in_tree[step]:
+                break
             cur = step
+        if cur == start:
+            # start's last exit went straight into the tree
+            in_tree[start] = 1
+            order.append(start)
+            continue
         # the loop-erased path joins the tree at its far end, so reversed
         # it lists each vertex after its parent
         path = []
@@ -147,6 +200,39 @@ def _wilson(n: int, gen) -> tuple[list[int], list[int]]:
         path.reverse()
         order += path
     return parent, order
+
+
+def _chunk_walk(start: int, chunk, pos: int, tree_mask, gen, top: int):
+    """One walk of ``_wilson`` from ``start`` until it enters the tree.
+
+    Reads the draws ``chunk[pos:]`` and then fresh chunks as needed, each
+    in one numpy pass. Returns the positions after each step, the last
+    one in the tree, with the chunk and offset after the walk's last draw.
+    """
+    steps = []
+    cur = start
+    while True:
+        if pos == len(chunk):
+            chunk = gen.integers(0, top, size=_CHUNK)
+            pos = 0
+        d = chunk[pos:]
+        # a draw at or past the current vertex shifts up by one; the
+        # current vertex is the previous draw or one past it, which only
+        # matters when two draws in a row are equal
+        prev = np.empty_like(d)
+        prev[0] = cur - 1
+        prev[1:] = d[:-1]
+        x = d + (d > prev)
+        for i in np.flatnonzero(d[1:] == d[:-1]).tolist():
+            x[i + 1] = d[i + 1] + (x[i] == d[i + 1])
+        hits = tree_mask[x]
+        first = int(hits.argmax())
+        if hits[first]:
+            steps.append(x[: first + 1])
+            return np.concatenate(steps), chunk, pos + first + 1
+        steps.append(x)
+        pos = len(chunk)
+        cur = int(x[-1])
 
 
 def _splits(n: int, parent: Sequence[int], order: Sequence[int]) -> list[int]:
@@ -331,6 +417,11 @@ class ScalingReport:
     s_sum_mean_slope: float
 
 
+def _is_count(value) -> bool:
+    # bool is an Integral, but samples=True is a slip, not a count
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _loglog_slope(ns: Sequence[int], values: Sequence[float]) -> float:
     if any(v <= 0 for v in values):
         return float("nan")
@@ -355,7 +446,11 @@ def structure_scaling_report(
     table is reproducible and independent of evaluation order.
     """
     frac = as_balance_threshold(beta)
-    sizes = [int(n) for n in n_grid]
+    sizes = list(n_grid)
+    if not all(_is_count(v) for v in (*sizes, samples)):
+        raise ValueError(f"sizes and samples must be integers, got {sizes!r} and {samples!r}")
+    sizes = [int(n) for n in sizes]
+    samples = int(samples)
     if len(sizes) < 2 or any(n < 10 for n in sizes):
         raise ValueError("size grid needs at least two sizes to fit a slope, every size >= 10")
     if any(b >= a for a, b in zip(sizes[1:], sizes)):

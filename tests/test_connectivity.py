@@ -119,6 +119,24 @@ def test_hard_instance_matches_tree_route_through_redraws():
     assert max(draws) > 1
 
 
+# sha256 of repr((sorted graph edges, label, removed edge)) of
+# sample_hard_instance(600, ...) at seeds 0-2: at n = 600 Wilson's early
+# walks are long enough for its chunked phase to run, which n = 50 never
+# reaches
+HARD_600_GOLDEN = {
+    0: "d7750ce985395a39561c53c49c391b696fc23d94d34e9ef2d8c1d248c4c12f2b",
+    1: "9416d85462b2f0aed3ab200a05751e34d62884460654c9cbe82830ccf09b8552",
+    2: "7e1e463284758e194db4fdeaa46e3132b83622fa6a2d7daabebd6fd53d718616",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(HARD_600_GOLDEN))
+def test_hard_instance_golden_n600(seed):
+    instance = sample_hard_instance(600, derive_rng(seed, "hard", 600))
+    key = repr((sorted(instance.graph), instance.label, instance.removed_edge))
+    assert hashlib.sha256(key.encode()).hexdigest() == HARD_600_GOLDEN[seed]
+
+
 def test_hard_instance_coin_is_fair():
     n, samples = 60, 2000
     rng = derive_rng(69, "coin")

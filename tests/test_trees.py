@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import hypothesis
 from hypothesis import strategies as st
+import numpy as np
 import pytest
 from scipy.stats import chi2
 
@@ -18,7 +19,44 @@ from noisyquery import (
     sample_ust,
     structure_scaling_report,
 )
-from noisyquery.trees import _splits, _wilson
+from noisyquery.trees import _CHUNK, _LONG_WALK, _splits, _wilson
+
+
+def reference_wilson(n, gen):
+    """Wilson's walk read one draw at a time: the reference ``_wilson``
+    must match in its trees and in the draws it takes."""
+    parent = [0] * n
+    if n <= 2:
+        return parent, list(range(1, n))
+    order = []
+    in_tree = bytearray(n)
+    in_tree[0] = 1
+    buf = []
+    pos = 0
+    top = n - 1
+    for start in range(1, n):
+        if in_tree[start]:
+            continue
+        cur = start
+        while not in_tree[cur]:
+            if pos == len(buf):
+                buf = gen.integers(0, top, size=1024).tolist()
+                pos = 0
+            step = buf[pos]
+            pos += 1
+            if step >= cur:
+                step += 1
+            parent[cur] = step
+            cur = step
+        path = []
+        cur = start
+        while not in_tree[cur]:
+            in_tree[cur] = 1
+            path.append(cur)
+            cur = parent[cur]
+        path.reverse()
+        order += path
+    return parent, order
 
 
 def tree_to_prufer(tree):
@@ -239,6 +277,28 @@ def test_scaling_report_validation():
         structure_scaling_report([20, 40], 0, Fraction(1, 3), 0)
 
 
+@pytest.mark.parametrize(
+    "grid,samples",
+    [
+        ([100.7, 200], 2),
+        ([100, 200.0], 2),
+        ([True, 200], 2),
+        ([100, 200], True),
+        ([100, 200], 2.5),
+        ([100, 200], "2"),
+    ],
+)
+def test_scaling_report_rejects_non_integer_counts(grid, samples):
+    with pytest.raises(ValueError, match="integers"):
+        structure_scaling_report(grid, samples, Fraction(1, 3), 0)
+
+
+def test_scaling_report_accepts_numpy_integers():
+    report = structure_scaling_report(np.array([16, 32]), np.int64(2), Fraction(1, 3), 0)
+    assert report == structure_scaling_report([16, 32], 2, Fraction(1, 3), 0)
+    assert all(type(row.n) is int and type(row.samples) is int for row in report.rows)
+
+
 def test_scaling_report_needs_two_sizes():
     # one size leaves the log-log slope undefined
     with pytest.raises(ValueError, match="two sizes"):
@@ -284,3 +344,146 @@ def test_splits_sizes_on_a_path():
 def test_splits_rejects_non_trees(parent, order):
     with pytest.raises(ValueError):
         _splits(3, parent, order)
+
+
+class ScriptedGen:
+    """Generator stand-in for ``_wilson``: serves the scripted draws in
+    chunks of ``_CHUNK``, then random chunks, and counts its calls."""
+
+    def __init__(self, n, script, seed):
+        self.top = n - 1
+        self.script = list(script)
+        self.fill = np.random.default_rng(seed)
+        self.calls = 0
+
+    def integers(self, low, high, size):
+        assert (low, high, size) == (0, self.top, _CHUNK)
+        chunk = self.script[self.calls * _CHUNK : (self.calls + 1) * _CHUNK]
+        self.calls += 1
+        rest = self.fill.integers(0, self.top, size=_CHUNK - len(chunk))
+        return np.concatenate([np.array(chunk, np.int64), rest])
+
+
+class WalkScript:
+    """Draws that steer Wilson's walks on K_n along chosen vertices.
+
+    Follows the walks as ``reference_wilson`` takes them: each starts at
+    the lowest vertex off the tree and ends on entering it, when its
+    loop-erased path joins the tree.
+    """
+
+    def __init__(self, n, seed):
+        self.n = n
+        self.draws = []
+        self.tree = {0}
+        self.walk = None
+        self.sizes = []  # the tree's size as each walk starts
+        self.rng = np.random.default_rng(seed)
+
+    def begin(self):
+        assert self.walk is None
+        self.sizes.append(len(self.tree))
+        self.walk = [min(set(range(self.n)) - self.tree)]
+        return self.walk[0]
+
+    def draw(self, d):
+        v = d + (d >= self.walk[-1])
+        self.draws.append(d)
+        self.walk.append(v)
+        if v in self.tree:
+            exits = dict(zip(self.walk, self.walk[1:]))  # last exits
+            u = self.walk[0]
+            while u not in self.tree:
+                self.tree.add(u)
+                u = exits[u]
+            self.walk = None
+
+    def move(self, v):
+        cur = self.walk[-1]
+        assert v != cur
+        self.draw(v if v < cur else v - 1)
+
+    def repeat(self):
+        # the last draw again: it lands on draw + 1 if the walk stands at
+        # the draw, else on the draw
+        self.draw(self.draws[-1])
+
+    def wander(self, until, pool):
+        # random steps among pool until the script holds `until` draws
+        assert not self.tree & set(pool)
+        while len(self.draws) < until:
+            v = int(self.rng.choice(pool))
+            if v != self.walk[-1]:
+                self.move(v)
+
+
+def scripted_walks(n):
+    """A script whose first walks, all in the chunked phase, read equal
+    draws in a row mid-chunk, across a chunk boundary and on a walk's
+    first draw, cross three chunks in one walk, and enter the tree on a
+    chunk's last draw. Each case changes the tree if misread."""
+    script = WalkScript(n, 7)
+    # 1 -> 1000 -> 1001 in the first chunk, then over three chunks, so
+    # parents from the first chunk survive loop erasure
+    assert script.begin() == 1
+    script.move(1000)
+    script.move(1001)
+    script.wander(2100, range(20, 30))
+    script.move(1500)
+    script.move(0)
+    # enters the tree on the fourth chunk's last draw, 1499
+    assert script.begin() == 2
+    script.wander(4 * _CHUNK - 2, range(30, 40))
+    script.move(2)
+    script.move(1500)
+    assert len(script.draws) == 4 * _CHUNK
+    # first draws equal to the last one, at a chunk's start and then
+    # mid-chunk: 1499 lands on 1500 past the start, in the tree
+    for start in (3, 4):
+        assert script.begin() == start
+        script.draw(1499)
+    # a first draw equal to the start lands one past it
+    assert script.begin() == 5
+    script.draw(5)
+    script.move(1500)
+    # mid-chunk: 1499 from 1600, then 1499 from 1499 lands on 1500
+    assert script.begin() == 7
+    script.move(1600)
+    script.move(1499)
+    script.repeat()
+    # mid-chunk: 1600 from 8 lands on 1601, then 1600 from 1601 on 1600
+    assert script.begin() == 8
+    script.move(1601)
+    script.repeat()
+    # across the fifth chunk's end: 1599 from 1650, then 1599 from 1599
+    # lands on 1600
+    assert script.begin() == 9
+    script.wander(5 * _CHUNK - 2, range(40, 50))
+    script.move(1650)
+    script.move(1599)
+    script.repeat()
+    assert script.walk is None and len(script.draws) == 5 * _CHUNK + 1
+    return script
+
+
+def test_wilson_scripted_chunks_match_reference():
+    n = 4000
+    script = scripted_walks(n)
+    assert max(script.sizes) * _LONG_WALK < n - 1  # every scripted walk runs chunked
+    for seed in range(5):
+        new, old = ScriptedGen(n, script.draws, seed), ScriptedGen(n, script.draws, seed)
+        parent, order = _wilson(n, new)
+        assert (parent, order) == reference_wilson(n, old)
+        assert new.calls == old.calls
+        assert parent[1] == 1000 and parent[1000] == 1001
+        assert parent[2] == parent[3] == parent[4] == parent[6] == 1500
+        assert parent[5] == 6
+        assert parent[1499] == 1500
+        assert parent[1601] == parent[1599] == 1600
+
+
+@hypothesis.given(st.integers(1, 2000), st.integers(0, 2**32))
+def test_wilson_matches_one_draw_reference(n, seed):
+    new_gen, old_gen = derive_rng(seed, "wilson-ref", n), derive_rng(seed, "wilson-ref", n)
+    assert _wilson(n, new_gen) == reference_wilson(n, old_gen)
+    assert new_gen.integers(0, 2**63) == old_gen.integers(0, 2**63)
