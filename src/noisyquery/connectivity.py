@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .streams import as_generator
-from .trees import Edge, LabeledTree, _balance, _wilson, as_balance_threshold
+from .trees import Edge, LabeledTree, _balance, _vertex_count, _wilson, as_balance_threshold
 from .unionfind import UnionFind
 from .walks import _check_delta, barrier, walk_oracles
 
@@ -114,8 +114,10 @@ def sample_hard_instance(
     The label is the ground truth: 1 iff the emitted graph is the full
     tree. Raises :class:`InfeasibleBalance` up front when no tree on n
     vertices has a balanced edge, and :class:`RejectionCapExceeded` when
-    ``rejection_cap`` consecutive trees have none.
+    ``rejection_cap`` consecutive trees have none. A vertex count that is
+    not an integer, or is bool, raises ValueError before any draw.
     """
+    n = _vertex_count(n)
     frac = check_balance_feasible(n, beta)
     gen = as_generator(rng)
     for _ in range(rejection_cap):
@@ -161,22 +163,29 @@ def is_connected_graph(n: int, edges: Iterable[Edge]) -> bool:
 
 
 def pair_barriers(noise, n: int, delta: float) -> tuple[int, int]:
-    """Barriers (a, b) of the naive reconstruction on n >= 2 vertices.
+    """Barriers (a, b) of the naive reconstruction on n >= 2 vertices:
+    (barrier(n - 1), barrier(C(n,2))).
 
-    Both are barrier(C(n,2)): every pair's walk errs with probability at
-    most delta/C(n,2) on either bit, so by the union bound over the
-    C(n,2) pairs the whole graph is exact with probability >= 1 - delta.
+    Each input is connected or not, and only one error type can flip its
+    answer, so delta is not split. A connected graph (or, for
+    s-t connectivity, a graph with an s-t path) is misread only if an edge
+    of one fixed spanning tree (or s-t path) is missed: at most n - 1
+    edges, each walk falling to -a with probability <= delta/(n-1). A
+    disconnected graph (or s and t apart) is misread only if a non-edge
+    is declared: at most C(n,2) pairs, each walk climbing to +b with
+    probability <= delta/C(n,2). Either union bound gives error <= delta
+    for ``naive_connectivity`` and ``naive_st_connectivity`` alike.
     """
-    both = barrier(noise, n * (n - 1) // 2, delta)
-    return both, both
+    return barrier(noise, n - 1, delta), barrier(noise, n * (n - 1) // 2, delta)
 
 
 def _reconstruct(oracles: Sequence, delta: float) -> list[UnionFind]:
     """Estimate every potential edge of each oracle's graph with the
-    barriers of :func:`pair_barriers`, then union the declared ones; any
-    connectivity predicate computed from a result inherits their
-    guarantee. The oracles must share n and p, and every pair of every
-    oracle is walked in one :func:`~noisyquery.walks.walk_oracles` call.
+    barriers of :func:`pair_barriers`, then union the declared ones. The
+    graph's connectivity, and whether any one pair s, t is connected,
+    inherit their guarantee; the edge set as a whole does not. The
+    oracles must share n and p, and every pair of every oracle is walked
+    in one :func:`~noisyquery.walks.walk_oracles` call.
     """
     _check_delta(delta, "delta")
     forests = [UnionFind(oracle.n) for oracle in oracles]
@@ -196,8 +205,11 @@ def _reconstruct(oracles: Sequence, delta: float) -> list[UnionFind]:
 def naive_connectivity(oracle, delta: float) -> bool:
     """Decide connectivity by reconstructing the whole graph.
 
-    Error probability at most ``delta``; cost about
-    C(n,2) * log(C(n,2)/delta) / D_KL queries.
+    Error probability at most ``delta``. With (a, b) from
+    :func:`pair_barriers`, the m edges walk up to b and the C(n,2) - m
+    non-edges down to a, so the cost is about
+    (m*b + (C(n,2) - m)*a) / (1 - 2p) queries; the hard instances have
+    m = n - 1 or n - 2.
     """
     return _reconstruct([oracle], delta)[0].component_count == 1
 

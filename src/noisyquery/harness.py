@@ -18,11 +18,9 @@ vectorised runner), its theory comparator, its ``k`` column and its gate.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
@@ -426,6 +424,9 @@ def _run_trials(spec: ExperimentSpec) -> tuple[int, float, float]:
     kind = KINDS[spec.kind]
     blocks = _blocks(spec, 1 if kind.keys is None else _BLOCK_KEYS // kind.keys(spec))
     if spec.jobs > 1:
+        # imported here: a run of one job, and importing the package, need no pool
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = max(1, len(blocks) // (spec.jobs * 8))
         with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
             parts = list(pool.map(kind.block, repeat(spec), blocks, chunksize=chunk))
@@ -637,6 +638,8 @@ def reports_to_csv(reports: Sequence[ExperimentReport]) -> str:
 
 
 def reports_to_json(reports: Sequence[ExperimentReport]) -> str:
+    import json
+
     return json.dumps([report_to_dict(r) for r in reports], indent=2) + "\n"
 
 

@@ -55,6 +55,21 @@ _LONG_WALK = 128
 Edge = tuple[int, int]
 
 
+def _is_count(value) -> bool:
+    # bool is an Integral, but samples=True is a slip, not a count
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _vertex_count(n) -> int:
+    """``n`` as an int, or ValueError unless it is an integer (numpy's too,
+    not bool) of at least 1."""
+    if not _is_count(n):
+        raise ValueError(f"vertex count must be an integer, got {n!r}")
+    if n < 1:
+        raise ValueError(f"vertex count must be >= 1, got {n}")
+    return int(n)
+
+
 def _normalize_edge(u: int, v: int, n: int) -> Edge:
     u = int(u)
     v = int(v)
@@ -283,6 +298,7 @@ def _balance(n: int, parent: Sequence[int], order: Sequence[int], frac: Fraction
 
 def sample_ust(n: int, rng) -> LabeledTree:
     """Uniform spanning tree of K_n via Wilson's algorithm (see ``_wilson``)."""
+    n = _vertex_count(n)
     parent, order = _wilson(n, as_generator(rng))
     return LabeledTree(n, tuple((v, parent[v]) for v in order))
 
@@ -415,11 +431,6 @@ class ScalingReport:
     balanced_mean_slope: float
     s_sum_median_slope: float
     s_sum_mean_slope: float
-
-
-def _is_count(value) -> bool:
-    # bool is an Integral, but samples=True is a slip, not a count
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _loglog_slope(ns: Sequence[int], values: Sequence[float]) -> float:

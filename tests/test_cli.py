@@ -240,10 +240,10 @@ OUT_GOLDEN = {
     ("counting", "json"): "2ea7a54c9950df7afe9d76bc7ca353e0e8457e40b7c4e9e8f2dde8ab72432a78",
     ("counting2", "csv"): "48008c9156887a02e262e66c5655e2e0385a35f262f70719f8c4f673a6c22304",
     ("counting2", "json"): "02c2ec840a6b72b3647e882e0b3d10699b49883d551766f673879c89637c2d53",
-    ("connectivity", "csv"): "5ebd474ce79336d772e00c8ad7551b0fa95f92eb6c628156d4e1bf307cf5708a",
-    ("connectivity", "json"): "98766b05ed62c7aa293236a459092d90deb9b3dd970b2cf1345e30d542e23526",
-    ("st-connectivity", "csv"): "a1c95901c7dab5285b96a98b3342344247c950be913c9e8a88ef548c1fe0ca10",
-    ("st-connectivity", "json"): "fe6a55bd8810f75c916a0949c320efe96fd5b6ef4ce738b1896467671a597445",
+    ("connectivity", "csv"): "d2c7a739b3eb29beb8f1984a38d5795441b5a8353697b54fec3c36e6438d7e00",
+    ("connectivity", "json"): "b81d648f278090c5da5e2ea8224dda29b3babe47718d69d69524713568f79c1d",
+    ("st-connectivity", "csv"): "4b2c50f841356d8990ce6b4ac013f9b1636396d7931ef991c51af1ff56c5eedc",
+    ("st-connectivity", "json"): "d20b6a3e1c7b587dc359a290a54a57a079e3cd48285c2a6ad6c097af99847768",
     ("influence", "csv"): "20026151bc474479a41cf4a3609f38ae3ab09014534f73d1618e7ad3370ff696",
     ("influence", "json"): "34686d28f1ae1074e64cb8a75a135cf9ac6780190ba0fb8b1e5085232d514c7a",
     ("walk-laws", "csv"): "be922f723b127c95194cdb73ed37c404cfbfd1f3dba33b26a594d896668d23ec",

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import hypothesis
 from hypothesis import strategies as st
+import numpy as np
 import pytest
 from scipy.stats import chi2
 
@@ -32,6 +33,9 @@ from noisyquery import (
     theory_bound,
 )
 from noisyquery.connectivity import HardInstance, _reconstruct, pair_barriers
+from noisyquery.walks import barrier
+
+from conftest import exact_check
 
 
 class NoiselessEdgeOracle(EdgeOracle):
@@ -152,6 +156,24 @@ def test_hard_instance_rejection_cap():
         sample_hard_instance(11, derive_rng(71, "cap2"), beta=Fraction(49, 100), rejection_cap=20)
 
 
+@pytest.mark.parametrize("sampler", [sample_hard_instance, sample_st_instance])
+@pytest.mark.parametrize("n", [True, 5.0, 5.5])
+def test_instance_samplers_reject_non_integer_sizes(sampler, n):
+    gen = derive_rng(0, "size")
+    state = gen.bit_generator.state
+    with pytest.raises(ValueError, match="integer"):
+        sampler(n, gen)
+    assert gen.bit_generator.state == state
+
+
+@pytest.mark.parametrize("sampler", [sample_hard_instance, sample_st_instance])
+def test_instance_samplers_accept_numpy_integers(sampler):
+    drawn = sampler(np.int64(50), derive_rng(0, "size"))
+    assert drawn == sampler(50, derive_rng(0, "size"))
+    instance = getattr(drawn, "instance", drawn)
+    assert type(instance.n) is int
+
+
 def test_infeasible_balance_fails_before_sampling():
     # a cap no run could exhaust: the check must fire before any tree
     for n, beta in ((1, Fraction(1, 21)), (3, Fraction(49, 100)), (11, Fraction(49, 100))):
@@ -235,8 +257,42 @@ def test_naive_connectivity_noiseless_decomposition():
 
 
 def test_pair_barriers_hand_values():
-    # C(50,2) = 1225 pairs at p = 0.2: log(1225/0.05)/log 4 = 7.29
-    assert pair_barriers(NoiseModel(0.2), 50, 0.05) == (8, 8)
+    # n - 1 = 49 tree edges and C(50,2) = 1225 pairs at p = 0.2:
+    # log(49/0.05)/log 4 = 4.96 and log(1225/0.05)/log 4 = 7.29
+    assert pair_barriers(NoiseModel(0.2), 50, 0.05) == (5, 8)
+
+
+@pytest.mark.parametrize("n", [2, 3, 12, 50, 400])
+@pytest.mark.parametrize("p", [1e-3, 0.2, 0.45])
+@pytest.mark.parametrize("delta", [1e-12, 0.05, 0.3])
+def test_pair_barriers_bound_the_exact_error(n, p, delta):
+    # a connected graph is misread only through a missed edge of one
+    # spanning tree (n - 1 one-bits), a disconnected one only through a
+    # declared non-edge (at most C(n,2) zero-bits)
+    noise = NoiseModel(p)
+    pairs = n * (n - 1) // 2
+    a, b = pair_barriers(noise, n, delta)
+    assert (a, b) == (barrier(noise, n - 1, delta), barrier(noise, pairs, delta))
+    assert (n - 1) * exact_check(p, a, b, 1)[0] <= delta
+    assert pairs * exact_check(p, a, b, 0)[0] <= delta
+
+
+@pytest.mark.parametrize("cut", [False, True])
+def test_naive_connectivity_cost_is_the_exact_law(cut):
+    # a fixed tree on 12 vertices, whole or less one edge: each of the m
+    # edges costs E1 queries on average and each other pair E0
+    n, p, delta, streams = 12, 0.2, 0.1, 300
+    edges = sample_ust(n, derive_rng(87, "cost-tree")).edges[cut:]
+    m, pairs = len(edges), n * (n - 1) // 2
+    a, b = pair_barriers(NoiseModel(p), n, delta)
+    expected = m * exact_check(p, a, b, 1)[1] + (pairs - m) * exact_check(p, a, b, 0)[1]
+    queries = []
+    for t in range(streams):
+        oracle = EdgeOracle(n, edges, p, seed_sequence(87, "cost", int(cut), t))
+        naive_connectivity(oracle, delta)
+        queries.append(oracle.ledger.total_queries)
+    standard_error = np.std(queries, ddof=1) / math.sqrt(streams)
+    assert abs(np.mean(queries) - expected) <= 4.0 * standard_error
 
 
 def test_naive_connectivity_error_rate_and_cost():
@@ -316,14 +372,15 @@ def test_hard_instance_base_tree_property(tree, data):
 
 # sha256 of reports_to_csv for the benchmark's connectivity spec and a
 # small st-connectivity spec at seeds 0-2, recorded when answers became
-# counter-based; a refactor that keeps every realisation keeps these
+# counter-based and re-recorded when non-edges' walks stopped at
+# barrier(n-1); a refactor that keeps every realisation keeps these
 ROWS_GOLDEN = {
-    (0, "connectivity"): "f94d3b8af17b2ffad623ef0b7da7482ff371d122b79aba032233597ceb6ead6a",
-    (1, "connectivity"): "ebf6475fc07d77e2c5df4400a3b321dde321c8fafcce92c8d2b4e8ea0ee2f5a1",
-    (2, "connectivity"): "4a98e0379e949ded7dc3afa2e58170d6244e05b420142e003e3cf3fdfee53c84",
-    (0, "st-connectivity"): "5b620c544f06704756ac87bc2b08f96a541f2d714f8c41a69fa9228e1cbceab3",
-    (1, "st-connectivity"): "6a3382c95f6f7761d272f29c183d4046c867875dd09655fa3047762ed3ef8731",
-    (2, "st-connectivity"): "ee39acdd87cb750cffc12f14fcdfe28f2c3a1c2636f4d921b94c5d4dd97f2a0f",
+    (0, "connectivity"): "cdc4ed7ffb4a272fac5ee8e69ebc46bdf08152d6812c82a62ad94de568f984a6",
+    (1, "connectivity"): "15206c998f7443e34be03438b06916efa4a47fb511377aab7b5cf9dcfc878101",
+    (2, "connectivity"): "12e5efa1fd6303ffb8fb1a98745945feab73cf9ebe71c852e380e6ba2aa7797a",
+    (0, "st-connectivity"): "943dc8f80c32c91f546a9ec843aaeabac245b424bcc239b514f0e59fee36a4fb",
+    (1, "st-connectivity"): "62126d4189a46589b6961388a1d4af12c7d4de20b6dc80a87b4841d4b8172165",
+    (2, "st-connectivity"): "a51a0ede3689f702ea6c28ac73964dd33629042167155ddbddbdbfa860d989c1",
 }
 GOLDEN_SPECS = {
     "connectivity": ExperimentSpec("connectivity", n=50, p=0.2, delta=0.05, trials=40),

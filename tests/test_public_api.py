@@ -4,10 +4,15 @@
 its submodules, once, and nothing else, and every name in it must
 resolve on the package. ``__init__.py`` is read with ``ast``, so a name
 dropped from the imports but left in ``__all__``, or the reverse, shows
-here rather than at a user's ``from noisyquery import *``.
+here rather than at a user's ``from noisyquery import *``. Importing the
+package loads neither the process pool nor ``json``: a run imports them
+when it uses them.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -37,3 +42,15 @@ def test_all_is_what_init_imports():
     imported = submodule_imports()
     assert imported
     assert set(noisyquery.__all__) == set(imported)
+
+
+def test_import_leaves_the_pool_and_json_unloaded():
+    # a fresh interpreter, so no other test's imports count
+    code = (
+        "import sys, noisyquery; "
+        "print(sorted(m for m in sys.modules "
+        "if m.partition('.')[0] in ('concurrent', 'multiprocessing', 'json')))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(noisyquery.__file__).resolve().parents[1])}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert result.stdout.strip() == "[]"

@@ -110,6 +110,21 @@ def test_sample_ust_trivial_sizes():
     assert sample_ust(2, derive_rng(0, "t")).edges == ((0, 1),)
 
 
+@pytest.mark.parametrize("n", [True, 5.0, 5.5])
+def test_sample_ust_rejects_non_integer_sizes(n):
+    gen = derive_rng(0, "size")
+    state = gen.bit_generator.state
+    with pytest.raises(ValueError, match="integer"):
+        sample_ust(n, gen)
+    assert gen.bit_generator.state == state
+
+
+def test_sample_ust_accepts_numpy_integers():
+    tree = sample_ust(np.int64(5), derive_rng(0, "size"))
+    assert type(tree.n) is int
+    assert tree == sample_ust(5, derive_rng(0, "size"))
+
+
 def test_prufer_bijection_round_trip():
     for n in (2, 3, 5, 8, 12):
         for seed in range(20):
