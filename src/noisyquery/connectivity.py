@@ -12,12 +12,12 @@ Instances come straight from Wilson's parent array (``trees._wilson``)
 and its balanced edges (``trees._balance``): no :class:`LabeledTree` is
 built unless ``base_tree`` is read, and each read rebuilds it.
 
-The reconstruction takes a sequence of oracles and walks every pair of
-every oracle in one :func:`~noisyquery.walks.walk_oracles` call, so the
-harness reconstructs a block of trials at once and their walks share
-the kernel's rounds; the naive solvers pass one oracle. Answers are
-counter-based, so each oracle's verdicts, counters and ledger are what a
-reconstruction of it alone gives.
+The reconstruction stacks a sequence of oracles into one block
+(:func:`~noisyquery.walks.stack`) and walks every pair of every oracle
+in one :func:`~noisyquery.walks.walks` call, so the harness reconstructs
+a block of trials at once; the naive solvers pass one oracle. Answers
+are counter-based, so each oracle's verdicts, counters and ledger are
+what a reconstruction of it alone gives.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 from .streams import as_generator
 from .trees import Edge, LabeledTree, _balance, _vertex_count, _wilson, as_balance_threshold
 from .unionfind import UnionFind
-from .walks import _check_delta, barrier, walk_oracles
+from .walks import _check_delta, barrier, stack, unstack, walks
 
 # not called here but kept as module attributes: instrumentation such as
 # perfbench's tracer wraps them by these names
@@ -60,8 +60,10 @@ def check_balance_feasible(n: int, beta) -> Fraction:
 
     Removing a tree edge splits off s and n - s vertices, and a path has
     every split 1 <= s <= n - 1, so one exists iff ceil(beta n) <= floor(n/2).
-    Returns beta as the exact Fraction it checked.
+    Returns beta as the exact Fraction it checked. A vertex count that is
+    not an integer of at least 1, or is bool, raises ValueError first.
     """
+    n = _vertex_count(n)
     frac = as_balance_threshold(beta)
     if math.ceil(frac * n) > n // 2:
         raise InfeasibleBalance(
@@ -185,7 +187,7 @@ def _reconstruct(oracles: Sequence, delta: float) -> list[UnionFind]:
     graph's connectivity, and whether any one pair s, t is connected,
     inherit their guarantee; the edge set as a whole does not. The
     oracles must share n and p, and every pair of every oracle is walked
-    in one :func:`~noisyquery.walks.walk_oracles` call.
+    in one :func:`~noisyquery.walks.walks` call on their stacked block.
     """
     _check_delta(delta, "delta")
     forests = [UnionFind(oracle.n) for oracle in oracles]
@@ -194,8 +196,10 @@ def _reconstruct(oracles: Sequence, delta: float) -> list[UnionFind]:
         raise ValueError("oracles reconstructed together must share n")
     if n == 1:
         return forests
-    decided, _ = walk_oracles(oracles, *pair_barriers(oracles[0].noise, n, delta))
-    for oracle, forest, row in zip(oracles, forests, decided):
+    block = stack(oracles)
+    decided, _ = walks(block, np.arange(block._bits.size), *pair_barriers(block.noise, n, delta))
+    unstack(block, oracles)
+    for oracle, forest, row in zip(oracles, forests, decided.reshape(len(oracles), -1)):
         us, vs = oracle._pairs(np.flatnonzero(row))
         for u, v in zip(us.tolist(), vs.tolist()):
             forest.union(u, v)

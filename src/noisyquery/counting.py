@@ -17,13 +17,13 @@ Three procedures over a :class:`~noisyquery.oracles.BitOracle`:
   minority side, which is what makes the cost symmetric in the answer.
 
 Each procedure also runs on a block of oracles of one size and one p
-(``threshold_counts``, ``counts_one_sided``, ``counts_two_sided``), with
-the walks of every oracle in the same kernel rounds; a single oracle is
-the block of one. Walks run through the kernel of :mod:`noisyquery.walks`,
-many keys per call; only the index that ends a threshold scan is checked
-alone, by a single-bit check. Answers are counter-based, so this gives
-the same answers, counts and ledgers as checking each oracle's keys one
-at a time in the order described.
+(``threshold_counts``, ``counts_one_sided``, ``counts_two_sided``); a
+single oracle is the block of one. The block is stacked into one channel
+(:func:`~noisyquery.walks.stack`), whose keys the kernel walks many per
+call; only the index that ends a threshold scan is checked alone, by a
+single-bit check. Answers are counter-based, so this gives the same
+answers, counts and ledgers as checking each oracle's keys one at a time
+in the order described.
 """
 
 from __future__ import annotations
@@ -43,10 +43,10 @@ from .walks import (  # noqa: F401
     asymmetric_check_bit,
     barrier,
     check_bit,
-    commit_walks,
     stack,
-    walk_each,
+    unstack,
     walk_rounds,
+    walks,
 )
 
 
@@ -139,7 +139,8 @@ def _threshold_scans(oracles, k: int, delta: float) -> list[int]:
     count, n = len(oracles), oracles[0].n
     a, b = threshold_barriers(oracles[0].noise, n, k, delta)
     every = np.arange(n)
-    stacked = stack(oracles, [every] * count)
+    # a scratch copy: each oracle is charged its scanned prefix directly
+    stacked = stack(oracles)
     # key i * count + t of the walk is index i of oracle t, its slot t * n + i
     keys = (np.arange(count) * n + every[:, None]).ravel()
     decided = np.empty(keys.size, dtype=np.int8)
@@ -165,12 +166,12 @@ def _threshold_scans(oracles, k: int, delta: float) -> list[int]:
     values = []
     for t, oracle in enumerate(oracles):
         stop = int(last[t])
-        commit_walks(oracle, every[:stop], steps[:stop, t])
+        oracle._charge(every[:stop], steps[:stop, t])
         # Stopgap: the index that ends the scan is walked again, one key
         # through asymmetric_check_bit with the scan's barriers as its policy,
         # so with the same answers and verdict. perfbench's tracer wraps that
         # name and raises KeyError on a scan with no wrapped walk; once it
-        # wraps the kernel, this is commit_walks(oracle, every[: stop + 1], ...).
+        # wraps the kernel, this is oracle._charge(every[: stop + 1], ...).
         ones = int(np.count_nonzero(decided[:stop, t]))
         values.append(ones + asymmetric_check_bit(oracle, stop, delta, delta, policy=policy).decided_bit)
     return values
@@ -217,32 +218,40 @@ def counting_one_sided(oracle, delta: float) -> CountResult:
 
 def counts_one_sided(oracles, delta: float) -> list[CountResult]:
     """:func:`counting_one_sided` on each of several oracles of one size
-    and one p. Their stop-level extensions run in lockstep: each is one
-    :func:`~noisyquery.walks.walk_each` call over every unfinished
-    oracle's remaining indices, each oracle with its own barriers."""
+    and one p: stacked once into a block (:func:`~noisyquery.walks.stack`),
+    counted row by row in lockstep by :func:`_count_rows`, and unstacked
+    once, which gives each oracle's queries."""
     _check_delta(delta, "delta")
     n = _common_size(oracles)
     if n == 0:
         return [CountResult(0, 0) for _ in oracles]
-    noise = oracles[0].noise
-    starts = [oracle.ledger.total_queries for oracle in oracles]
-    counts = [0] * len(oracles)
-    reached = [0] * len(oracles)
+    block = stack(oracles)
+    counts = _count_rows(block, len(oracles), n, delta)
+    return [CountResult(int(c), int(q)) for c, q in zip(counts, unstack(block, oracles))]
+
+
+def _count_rows(block, rows: int, n: int, delta: float) -> np.ndarray:
+    """The count :func:`counting_one_sided` finds on each row of a block
+    of ``rows`` oracles of n bits.
+
+    Each stop-level extension of every running row is one
+    :func:`~noisyquery.walks.walks` call over the block's remaining
+    keys, each key with its own row's barriers. A row whose stop level
+    stops moving never walks again, so its keys are dropped.
+    """
+    noise = block.noise
+    counts = np.zeros(rows, dtype=np.int64)
+    reached = np.zeros(rows, dtype=np.int64)
     floor, retire_at = counting_levels(noise, n, 0, delta)
-    floors = [floor] * len(oracles)
-    active = [np.arange(n)] * len(oracles)
-    while running := [t for t in range(len(oracles)) if active[t].size and floors[t] > reached[t]]:
-        rows = walk_each(
-            [oracles[t] for t in running],
-            [active[t] for t in running],
-            [floors[t] - reached[t] for t in running],
-            [retire_at + reached[t] for t in running],
-        )
-        for t, (retired, _) in zip(running, rows):
-            counts[t] += int(retired.sum())
-            active[t] = active[t][retired == 0]
-            reached[t], floors[t] = floors[t], counting_levels(noise, n, counts[t], delta)[0]
-    return [CountResult(c, o.ledger.total_queries - s) for c, o, s in zip(counts, oracles, starts)]
+    floors = np.full(rows, floor, dtype=np.int64)
+    keys = np.arange(rows * n)
+    while keys.size:
+        row = keys // n
+        retired, _ = walks(block, keys, (floors - reached)[row], (retire_at + reached)[row])
+        counts += np.bincount(row[retired == 1], minlength=rows)
+        reached, floors = floors, np.array([counting_levels(noise, n, c, delta)[0] for c in counts.tolist()])
+        keys = keys[(retired == 0) & (floors > reached)[row]]
+    return counts
 
 
 def counting_two_sided(
@@ -274,11 +283,13 @@ def counts_two_sided(oracles, delta: float, rngs, *, asymptotic_presample: bool 
     """:func:`counting_two_sided` on each of several oracles of one size
     and one p, ``rngs[i]`` driving the presample of ``oracles[i]``.
 
-    Presample round i is one :func:`~noisyquery.walks.walk_each` call over
-    every oracle's indices drawn more than i times (none for some); then
-    :func:`counts_one_sided` counts on each oracle's chosen view. A
-    complement view shares its oracle's counters and ledger, so the
-    queries of both phases are read off the oracle's ledger.
+    The oracles are stacked once into a block. Presample round i is one
+    :func:`~noisyquery.walks.walks` call over every oracle's indices
+    drawn more than i times (none for some). The rows whose presample
+    saw mostly ones then have their bits flipped in the block, which
+    reads each as its complement view would, and :func:`_count_rows`
+    counts every row's minority bit. Unstacking the block once gives
+    each oracle's queries over both phases.
     """
     _check_delta(delta, "delta")
     n = _common_size(oracles)
@@ -296,23 +307,16 @@ def counts_two_sided(oracles, delta: float, rngs, *, asymptotic_presample: bool 
         presample_size = math.ceil(math.sqrt(n))
         presample_error = 1.0 / max(n, 2) ** 2
 
-    starts = [oracle.ledger.total_queries for oracle in oracles]
-    policy = WalkPolicy.for_error_bounds(oracles[0].noise, presample_error, presample_error)
+    block = stack(oracles)
+    policy = WalkPolicy.for_error_bounds(block.noise, presample_error, presample_error)
     draws = [np.unique(as_generator(rng).integers(0, n, size=presample_size), return_counts=True) for rng in rngs]
-    ones_seen = [0] * len(oracles)
+    ones_seen = np.zeros(len(oracles), dtype=np.int64)
     for i in range(max(int(times.max()) for _, times in draws)):
-        rows = walk_each(
-            oracles,
-            [drawn[times > i] for drawn, times in draws],
-            [policy.down_threshold_a] * len(oracles),
-            [policy.up_threshold_b] * len(oracles),
-        )
-        for t, (decided, _) in enumerate(rows):
-            ones_seen[t] += int(decided.sum())
-    flipped = [2 * seen > presample_size for seen in ones_seen]
-    views = [ComplementBitOracle(oracle) if flip else oracle for oracle, flip in zip(oracles, flipped)]
-    counted = counts_one_sided(views, delta)
-    return [
-        CountResult(n - c.value if flip else c.value, o.ledger.total_queries - s)
-        for c, flip, o, s in zip(counted, flipped, oracles, starts)
-    ]
+        keys = np.concatenate([t * n + drawn[times > i] for t, (drawn, times) in enumerate(draws)])
+        decided, _ = walks(block, keys, policy.down_threshold_a, policy.up_threshold_b)
+        ones_seen += np.bincount(keys[decided == 1] // n, minlength=len(oracles))
+    flipped = 2 * ones_seen > presample_size
+    block._bits ^= np.repeat(flipped, n)
+    counts = _count_rows(block, len(oracles), n, delta)
+    values = np.where(flipped, n - counts, counts)
+    return [CountResult(int(v), int(q)) for v, q in zip(values, unstack(block, oracles))]

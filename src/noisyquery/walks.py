@@ -19,10 +19,10 @@ the next keys as walks end, so the few numpy calls of a round are spread
 over up to 2^16 answers, and the slow walks left at the end of a call
 take rounds of about 2^14. A caller can follow it round by round, as the
 threshold scan does to stop at the k-th confirmed one. Barriers are one
-pair for the whole call or one value per key. :func:`walk_each` walks
-keys of several oracles, each oracle with its own barriers, through one
-such loop, so their walks share rounds; :func:`walk_oracles` walks every
-slot of several oracles that way.
+pair for the whole call or one value per key. Several oracles walk as
+one block, so their walks share rounds: :func:`stack` copies them into
+one channel, one row each, the kernel walks its keys, and
+:func:`unstack` writes the rows back.
 
 Importing this module (and so :mod:`noisyquery`) fixes glibc's malloc
 trim and mmap thresholds, once, so the arrays a round frees stay in the
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oracles import GAMMA, BitOracle, NoiseModel, _CounterChannel, mix_array
+from .oracles import GAMMA, BitOracle, NoiseModel, QueryLedger, _CounterChannel, mix_array
 
 
 def snapped_ceil(value: float, rel_tol: float = 1e-9) -> int:
@@ -144,6 +144,8 @@ _OFFSETS = (np.arange(1, _MAX_WIDTH + 1, dtype=np.uint64) * np.uint64(GAMMA))[:,
 _STEP_NUMBERS = np.arange(1, _MAX_WIDTH + 1, dtype=np.int8)[:, None]
 # an upper barrier no first-passage walk reaches
 _UNREACHABLE = 1 << 62
+# GAMMA is odd, so it has an inverse modulo 2^64: j answers move a counter by j * GAMMA
+_GAMMA_INVERSE = np.uint64(pow(GAMMA, -1, 1 << 64))
 
 
 def _keep_freed_memory() -> bool:
@@ -200,19 +202,18 @@ def block_width(p: float, a, b) -> int:
     return min(_MAX_WIDTH, max(4, math.ceil(nearest / (1.0 - 2.0 * p))))
 
 
-def walks(oracle, keys, a, b, *, commit: bool = True) -> tuple[np.ndarray, np.ndarray]:
+def walks(oracle, keys, a, b) -> tuple[np.ndarray, np.ndarray]:
     """Walk every key from 0 to the first of -a (declared 0) and +b (declared 1).
 
     ``a`` and ``b`` are integers, or arrays of one integer per key.
     ``keys`` are distinct slots of the oracle: bit indices of a
     :class:`~noisyquery.oracles.BitOracle`, pair slots of an
-    :class:`~noisyquery.oracles.EdgeOracle`. Each walk steps +1 on an
-    answer 1 and -1 on an answer 0, and its answers continue the key's
-    answer count, so the result equals walking the keys one by one
-    through ``query`` calls, in any order. Returns the declared bits
-    and the steps each walk took. With ``commit`` the steps are added to
-    the keys' answer counts and to the ledger; without it nothing
-    changes, and :func:`commit_walks` can charge any of them later.
+    :class:`~noisyquery.oracles.EdgeOracle`, or slots of a :func:`stack`
+    block. Each walk steps +1 on an answer 1 and -1 on an answer 0, and
+    its answers continue the key's answer count, so the result equals
+    walking the keys one by one through ``query`` calls, in any order.
+    Returns the declared bits and the steps each walk took; the steps are
+    added to the keys' answer counts and to the ledger.
 
     The walks run in :func:`walk_rounds`, one round loop over an active
     set of walks that it tops up with the next keys after every round,
@@ -223,74 +224,24 @@ def walks(oracle, keys, a, b, *, commit: bool = True) -> tuple[np.ndarray, np.nd
     """
     channel = _channel(oracle)
     keys = _slots(channel, keys)
-    decided, steps = _walk_all(channel, keys, a, b)
-    if commit:
-        channel._charge(keys, steps)
-    return decided, steps
-
-
-def _walk_all(channel, keys, a, b) -> tuple[np.ndarray, np.ndarray]:
-    # every round of walk_rounds over valid keys; nothing is charged
     decided = np.empty(keys.size, dtype=np.int8)
     steps = np.empty(keys.size, dtype=np.int64)
     for _ in walk_rounds(channel, keys, a, b, decided, steps):
         pass
+    channel._charge(keys, steps)
     return decided, steps
 
 
-def walk_oracles(oracles, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`walk_each` over every slot of several oracles, with one (a, b).
+def stack(oracles) -> _CounterChannel:
+    """One channel, a block, whose row t holds every slot of ``oracles[t]``:
+    block slot t * size + s is slot s of ``oracles[t]``.
 
-    The oracles must also share their slot count. Returns the declared
-    bits and the steps, one row per oracle.
-    """
-    channels = [_channel(oracle) for oracle in oracles]
-    slots = channels[0]._bits.size if channels else 0
-    if any(c._bits.size != slots for c in channels):
-        raise ValueError("oracles walked together must have the same number of slots")
-    rows = walk_each(channels, [np.arange(slots)] * len(channels), [a] * len(channels), [b] * len(channels))
-    return np.array([decided for decided, _ in rows]), np.array([steps for _, steps in rows])
-
-
-def walk_each(oracles, keys, a, b) -> list[tuple[np.ndarray, np.ndarray]]:
-    """:func:`walks` of ``keys[i]`` on ``oracles[i]`` with barriers ``a[i]``
-    and ``b[i]``, for every i, in one round loop.
-
-    The oracles must share p and must not share answer counters. The
-    walked keys' counters and bits are stacked into one channel (see
-    :func:`stack`) and walked, each key with its oracle's barriers and
-    nothing charged, so all the walks share rounds; then each oracle's
-    counters and ledger are charged with its own steps. Answers are
-    counter-based, so every oracle gets what walking its keys alone
-    would give. Returns each oracle's declared bits and steps, in its
-    keys' order.
-    """
-    channels = [_channel(oracle) for oracle in oracles]
-    if not len(channels) == len(keys) == len(a) == len(b):
-        raise ValueError("walk_each needs one key list and one barrier pair per oracle")
-    parts = [_slots(channel, part) for channel, part in zip(channels, keys)]
-    sizes = [part.size for part in parts]
-    # one pair for every key when all oracles share it, as a scalar
-    a, b = (x[0] if len(set(x)) == 1 else np.repeat(x, sizes) for x in (a, b))
-    decided, steps = _walk_all(stack(channels, parts), np.arange(sum(sizes)), a, b)
-    rows, start = [], 0
-    for channel, part in zip(channels, parts):
-        own = steps[start : start + part.size]
-        channel._charge(part, own)
-        rows.append((decided[start : start + part.size], own))
-        start += part.size
-    return rows
-
-
-def stack(oracles, keys) -> _CounterChannel:
-    """One channel whose slots are ``keys[0]`` of ``oracles[0]``, then
-    ``keys[1]`` of ``oracles[1]``, and so on.
-
-    It holds copies of those slots' bits and answer counters, so walks
-    on it give each slot the answers its own oracle would give next, and
-    change no oracle; :func:`commit_walks` or :func:`walk_each` charge
-    them back. The oracles must share p and must not share answer
-    counters, or charging back would count some answers twice.
+    The block holds copies of the oracles' bits and answer counters and
+    has its own ledger, so walks on it give each slot the answers its
+    own oracle would give next, and change no oracle until
+    :func:`unstack` writes the rows back. The oracles must share p and
+    their slot count, and must not share answer counters, or writing
+    back would count some answers twice.
     """
     channels = [_channel(oracle) for oracle in oracles]
     if not channels:
@@ -298,33 +249,39 @@ def stack(oracles, keys) -> _CounterChannel:
     first = channels[0]
     if any(c.noise.p != first.noise.p for c in channels):
         raise ValueError("oracles walked together must share their flip probability p")
+    if any(c._bits.size != first._bits.size for c in channels):
+        raise ValueError("oracles walked together must have the same number of slots")
     if len({id(c._counters) for c in channels}) < len(channels):
         # an oracle listed twice, or a complement view beside its inner oracle
         raise ValueError("oracles walked together must not share answer counters")
-    stacked = _CounterChannel()
-    stacked.noise = first.noise
-    stacked._flip_below = first._flip_below
-    stacked._bits = np.concatenate([c._bits[part] for c, part in zip(channels, keys)])
-    stacked._counters = np.concatenate([c._counters[part] for c, part in zip(channels, keys)])
-    return stacked
+    block = _CounterChannel()
+    block.noise = first.noise
+    block._flip_below = first._flip_below
+    block._bits = np.concatenate([c._bits for c in channels])
+    block._counters = np.concatenate([c._counters for c in channels])
+    block.ledger = QueryLedger()
+    return block
 
 
-def commit_walks(oracle, keys, steps) -> None:
-    """Charge walks that :func:`walks` ran with ``commit=False``.
+def unstack(block, oracles) -> np.ndarray:
+    """Write each row of a :func:`stack` block back to its oracle.
 
-    Keys are checked as there; ``steps`` holds one non-negative step
-    count per key, or the call raises ``ValueError`` and charges nothing.
+    Row t's counters replace those of ``oracles[t]``, and the answers
+    they moved by, (advance * GAMMA^-1) modulo 2^64 summed over the row,
+    are added to its ledger. Returns those answer counts, one per row.
     """
-    channel = _channel(oracle)
-    slots = _slots(channel, keys)
-    steps = np.asarray(steps, dtype=np.int64)
-    if steps.shape != slots.shape or (steps.size and steps.min() < 0):
-        raise ValueError("commit_walks needs one non-negative step count per key")
-    channel._charge(slots, steps)
+    rows = block._counters.reshape(len(oracles), -1)
+    answered = np.empty(len(oracles), dtype=np.int64)
+    for t, oracle in enumerate(oracles):
+        answered[t] = ((rows[t] - oracle._counters) * _GAMMA_INVERSE).sum()
+        # in place: a complement view shares this array with its inner oracle
+        oracle._counters[:] = rows[t]
+        oracle.ledger.total_queries += int(answered[t])
+    return answered
 
 
 def walk_rounds(oracle, keys, a, b, decided: np.ndarray, steps: np.ndarray):
-    """The walks of :func:`walks` with ``commit=False``, one round at a time.
+    """The walks of :func:`walks`, one round at a time, charging nothing.
 
     ``keys`` is a valid int64 array of distinct slots, and ``a`` and
     ``b`` are integers or arrays of one integer per key. Keys start walking

@@ -12,6 +12,7 @@ from scipy.stats import chi2
 from noisyquery import (
     EdgeOracle,
     ExperimentSpec,
+    HARD_BALANCE,
     InfeasibleBalance,
     NoiseModel,
     RejectionCapExceeded,
@@ -156,7 +157,12 @@ def test_hard_instance_rejection_cap():
         sample_hard_instance(11, derive_rng(71, "cap2"), beta=Fraction(49, 100), rejection_cap=20)
 
 
-@pytest.mark.parametrize("sampler", [sample_hard_instance, sample_st_instance])
+def balance_check(n, gen):
+    # check_balance_feasible in the samplers' signature; it draws nothing
+    return check_balance_feasible(n, HARD_BALANCE)
+
+
+@pytest.mark.parametrize("sampler", [sample_hard_instance, sample_st_instance, balance_check])
 @pytest.mark.parametrize("n", [True, 5.0, 5.5])
 def test_instance_samplers_reject_non_integer_sizes(sampler, n):
     gen = derive_rng(0, "size")
@@ -197,6 +203,8 @@ def test_balance_feasibility_returns_the_checked_fraction():
     # the sampler uses what the check coerced, not a second coercion
     assert check_balance_feasible(20, 0.25) == Fraction(1, 4)
     assert isinstance(check_balance_feasible(20, "1/5"), Fraction)
+    # numpy integers are vertex counts too
+    assert check_balance_feasible(np.int64(30), "1/21") == Fraction(1, 21)
 
 
 def test_st_instance_terminals_uniform():

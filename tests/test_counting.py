@@ -7,6 +7,7 @@ from collections import Counter
 
 import hypothesis
 from hypothesis import strategies as st
+import numpy as np
 import pytest
 
 from noisyquery import (
@@ -30,7 +31,7 @@ from noisyquery import (
 from noisyquery import counting as counting_module
 from noisyquery.counting import counting_levels, threshold_barriers
 from noisyquery.harness import error_bound
-from noisyquery.walks import block_width, walk_each
+from noisyquery.walks import block_width, walks
 
 from conftest import answer_counts, exact_threshold_error, query_walk, small_rounds
 
@@ -348,6 +349,54 @@ def test_two_sided_block_needs_one_rng_per_oracle():
         assert oracle.ledger.total_queries == 0
 
 
+_DENSITIES = {"mostly ones": 0.9, "mostly zeros": 0.1, "in between": 0.5}
+
+
+@hypothesis.example(
+    n=150, rows=["mostly ones", "mostly zeros", "in between"], p=0.2, delta=0.05, k_share=0.3, seed=5, warmup=[7]
+)
+@hypothesis.given(
+    n=st.integers(1, 200),
+    rows=st.lists(st.sampled_from(list(_DENSITIES)), min_size=2, max_size=5),
+    p=st.floats(0.05, 0.4),
+    delta=st.floats(0.01, 0.5),
+    k_share=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32),
+    warmup=st.lists(st.integers(0, 199), max_size=10),
+)
+def test_blocks_of_mixed_rows_match_each_oracle_alone(n, rows, p, delta, k_share, seed, warmup):
+    # blocks of oracles with different hidden vectors, so that counting's
+    # presample flips some rows and not others: each oracle gets the
+    # result, counters and ledger it gets in a block of its own
+    hidden = [(derive_rng(seed, "mixed-bits", t).random(n) < _DENSITIES[row]).astype(int) for t, row in enumerate(rows)]
+    k = max(1, math.ceil(k_share * n))
+
+    def build():
+        oracles = [BitOracle(bits, p, seed_sequence(seed, "mixed", t)) for t, bits in enumerate(hidden)]
+        for oracle in oracles:
+            for i in warmup:
+                oracle.query(i % n)
+        return oracles
+
+    def presample_rngs(first, count):
+        return [derive_rng(seed, "mixed-presample", t) for t in range(first, first + count)]
+
+    runs = {
+        "two-sided": lambda oracles, first: counting_module.counts_two_sided(
+            oracles, delta, presample_rngs(first, len(oracles))
+        ),
+        "one-sided": lambda oracles, first: counting_module.counts_one_sided(oracles, delta),
+        "threshold": lambda oracles, first: counting_module.threshold_counts(oracles, k, delta),
+    }
+    for name, run in runs.items():
+        together, alone = build(), build()
+        results = run(together, 0)
+        for t, (mixed, single) in enumerate(zip(together, alone)):
+            assert results[t] == run([single], t)[0], (name, t)
+            assert mixed._counters.tolist() == single._counters.tolist(), (name, t)
+            assert mixed.ledger == single.ledger, (name, t)
+
+
 def test_results_report_exact_query_deltas():
     oracle = BitOracle([1, 0, 1, 1], 0.2, seed_sequence(29, "delta"))
     warmup = oracle.query(0)
@@ -426,15 +475,16 @@ def test_sweep_matches_heap_reference_property(hidden, p, delta, seed, complemen
 
 
 def record_walk_calls(monkeypatch):
-    """Wrap the kernel as counting calls it on one oracle; returns the (a, b) of each call."""
+    """Wrap the kernel as counting calls it on a block of one oracle; returns the (a, b) of each call."""
     calls = []
 
-    def recording(oracles, keys, a, b):
-        assert len(oracles) == len(keys) == len(a) == len(b) == 1
-        calls.append((a[0], b[0]))
-        return walk_each(oracles, keys, a, b)
+    def recording(block, keys, a, b):
+        # one oracle's keys share one barrier pair
+        (a_once,), (b_once,) = np.unique(a), np.unique(b)
+        calls.append((int(a_once), int(b_once)))
+        return walks(block, keys, a, b)
 
-    monkeypatch.setattr(counting_module, "walk_each", recording)
+    monkeypatch.setattr(counting_module, "walks", recording)
     return calls
 
 

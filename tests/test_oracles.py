@@ -16,7 +16,7 @@ from noisyquery import (
 )
 from noisyquery.oracles import GAMMA, mix
 from noisyquery.streams import stream_key
-from noisyquery.walks import commit_walks, walks
+from noisyquery.walks import stack, unstack, walks
 
 from conftest import answer_counts, query_walk
 
@@ -265,7 +265,7 @@ def test_answers_follow_the_documented_counter_mapping():
     seed=st.integers(0, 2**32),
     moves=st.lists(
         st.tuples(
-            st.sampled_from(["query", "walk", "dry walk", "commit", "view query", "view walk"]),
+            st.sampled_from(["query", "walk", "block walk", "view query", "view walk"]),
             st.integers(0, 2**16),
             st.integers(1, 6),
             st.integers(1, 6),
@@ -275,11 +275,11 @@ def test_answers_follow_the_documented_counter_mapping():
 )
 def test_answer_counts_tally_every_path_to_the_counters(kind, size, seed, moves):
     # the counters are the one per-slot record of answers: after any mix
-    # of single queries, committed and uncommitted walks, late commits and
-    # queries and walks through a complement view, each slot's counter
-    # advance is the hand tally of its answers, and the advances sum to
-    # the ledger's total. ``pick`` chooses a move's slot, pair order, key
-    # count or pending walk.
+    # of single queries, walks, walks of a stacked block that is then
+    # unstacked, and queries and walks through a complement view, each
+    # slot's counter advance is the hand tally of its answers, and the
+    # advances sum to the ledger's total. ``pick`` chooses a move's slot,
+    # pair order or key count.
     rng = derive_rng(seed, "tally-instance")
     noise = seed_sequence(seed, "tally")
     if kind == "bits":
@@ -295,7 +295,6 @@ def test_answer_counts_tally_every_path_to_the_counters(kind, size, seed, moves)
         view = oracle
         size = len(pairs)
     tally = [0] * size
-    pending = []
     for step, (move, pick, a, b) in enumerate(moves):
         if move.endswith("query"):
             slot = pick // 2 % size
@@ -303,18 +302,17 @@ def test_answer_counts_tally_every_path_to_the_counters(kind, size, seed, moves)
             key = slot if kind == "bits" else pairs[slot][:: 1 if pick % 2 else -1]
             (view if move == "view query" else oracle).query(key)
             tally[slot] += 1
-        elif move.endswith("walk"):
+        else:
             # one key to every slot, each call through the round loop
             keys = derive_rng(seed, "tally-keys", step).permutation(size)[: 1 + pick % size].tolist()
-            _, steps = walks(view if move == "view walk" else oracle, keys, a, b, commit=move != "dry walk")
-            if move == "dry walk":
-                pending.append((keys, steps))
+            if move == "block walk":
+                # the block of the oracle or, on odd steps, of its view
+                walked = [view if step % 2 else oracle]
+                block = stack(walked)
+                _, steps = walks(block, keys, a, b)
+                assert unstack(block, walked).tolist() == [int(steps.sum())]
             else:
-                for key, taken in zip(keys, steps.tolist()):
-                    tally[key] += taken
-        elif pending:
-            keys, steps = pending.pop(pick % len(pending))
-            commit_walks(oracle, keys, steps)
+                _, steps = walks(view if move == "view walk" else oracle, keys, a, b)
             for key, taken in zip(keys, steps.tolist()):
                 tally[key] += taken
         counts = answer_counts(oracle, fresh)

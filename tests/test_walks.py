@@ -24,7 +24,7 @@ from noisyquery import (
     snapped_ceil,
 )
 from noisyquery import walks as walks_module
-from noisyquery.walks import barrier, block_width, commit_walks, walk_each, walk_oracles, walk_rounds, walks
+from noisyquery.walks import barrier, block_width, stack, unstack, walk_rounds, walks
 
 from conftest import exact_check, log_up_first, query_walk, small_rounds
 
@@ -454,7 +454,7 @@ def test_walk_rounds_yield_the_ended_prefix():
     # result, and the count only grows until it covers every key
     oracle = BitOracle(derive_rng(8, "bits").integers(0, 2, size=500), 0.25, seed_sequence(8, "noise"))
     keys = np.arange(500)
-    decided, steps = walks(oracle, keys, 6, 9, commit=False)
+    decided, steps = walks(stack([oracle]), keys, 6, 9)
     got_decided = np.full(500, -1, dtype=np.int8)
     got_steps = np.zeros(500, dtype=np.int64)
     ended = []
@@ -473,7 +473,7 @@ def test_interleaved_walk_rounds_match_walks_alone():
     for p, a, b, size in ((0.25, 6, 9, 700), (0.1, 3, 4, 300)):
         oracle = BitOracle(derive_rng(9, "bits", size).integers(0, 2, size=size), p, seed_sequence(9, "noise", size))
         keys = np.arange(size)
-        alone = walks(oracle, keys, a, b, commit=False)
+        alone = walks(stack([oracle]), keys, a, b)
         got = np.full(size, -1, dtype=np.int8), np.zeros(size, dtype=np.int64)
         runs.append((alone, got, walk_rounds(oracle, keys, a, b, *got)))
     with small_rounds(40 * block_width(0.25, 6, 9)):
@@ -533,8 +533,8 @@ def test_kernel_matches_query_walks_on_edges(n, p, a, b, seed, data):
 )
 def test_walk_oracles_equals_walking_each_alone(n, count, on_edges, p, a, b, seed, data):
     # twin sets of oracles, identically seeded and with the same earlier
-    # queries and walks on some of them: one set walks together, the
-    # other one oracle at a time
+    # queries and walks on some of them: one set is stacked, walked as
+    # one block and unstacked, the other walks one oracle at a time
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     slots = len(pairs) if on_edges else n
     hidden = [
@@ -557,8 +557,13 @@ def test_walk_oracles_equals_walking_each_alone(n, count, on_edges, p, a, b, see
                 oracles[i].query(pairs[s] if on_edges else s)
             if earlier:
                 walks(oracles[i], earlier, a, b)
-    decided, steps = walk_oracles(twins[0], a, b)
-    assert decided.shape == steps.shape == (count, slots)
+    before = [oracle.ledger.total_queries for oracle in twins[0]]
+    block = stack(twins[0])
+    decided, steps = walks(block, np.arange(count * slots), a, b)
+    answered = unstack(block, twins[0])
+    assert answered.tolist() == [o.ledger.total_queries - q for o, q in zip(twins[0], before)]
+    assert answered.sum() == block.ledger.total_queries
+    decided, steps = decided.reshape(count, slots), steps.reshape(count, slots)
     for i, (together, alone) in enumerate(zip(*twins)):
         own_decided, own_steps = walks(alone, np.arange(slots), a, b)
         assert decided[i].tolist() == own_decided.tolist()
@@ -571,12 +576,6 @@ def _refused_stacks():
     base = BitOracle([0, 1, 1], 0.3, seed_sequence(4, "base"))
     return {
         "no oracles": ([], "at least one oracle"),
-        # zip would cut the key lists to the one oracle and drop [1]
-        "two key lists for one oracle": (
-            [base],
-            "one key list and one barrier pair per oracle",
-            lambda oracles: walk_each(oracles, [[0], [1]], [2], [3]),
-        ),
         "different p": ([base, BitOracle([0, 1, 1], 0.25, seed_sequence(4, "p"))], "share their flip probability"),
         "different slot counts": ([base, BitOracle([0, 1, 1, 0], 0.3, seed_sequence(4, "n"))], "same number of slots"),
         "an oracle listed twice": ([base, base], "must not share answer counters"),
@@ -589,22 +588,11 @@ def _refused_stacks():
 
 @pytest.mark.parametrize("case", list(_refused_stacks()))
 def test_walk_oracles_refuses_what_it_cannot_stack(case):
-    oracles, message, *call = _refused_stacks()[case]
-    walk = call[0] if call else lambda oracles: walk_oracles(oracles, 2, 3)
+    oracles, message = _refused_stacks()[case]
     before = [(oracle._counters.tolist(), oracle.ledger.total_queries) for oracle in oracles]
     with pytest.raises(ValueError, match=message):
-        walk(oracles)
+        stack(oracles)
     assert [(oracle._counters.tolist(), oracle.ledger.total_queries) for oracle in oracles] == before
-
-
-def test_uncommitted_walks_change_nothing():
-    oracle = BitOracle([0, 1, 1, 0, 1], 0.3, seed_sequence(3, "dry"))
-    first = walks(oracle, range(5), 3, 4, commit=False)
-    assert oracle.ledger.total_queries == 0
-    second = walks(oracle, range(5), 3, 4, commit=False)
-    assert all(np.array_equal(x, y) for x, y in zip(first, second))
-    commit_walks(oracle, [1, 3], first[1][[1, 3]])
-    assert oracle.ledger.total_queries == int(first[1][1] + first[1][3])
 
 
 def test_walks_reject_keys_outside_the_oracle():
@@ -615,36 +603,23 @@ def test_walks_reject_keys_outside_the_oracle():
     assert oracle.ledger.total_queries == 0
 
 
-_BAD_KEYS = [
-    ([2, 2, 0, 1, 3, 4], ValueError, "slot 2 more than once"),
-    ([0, 5, 1, 5, 5], ValueError, "slot 5 more than once"),
-    ([-1], IndexError, r"slots in \[0, 6\)"),
-    ([0, 6], IndexError, r"slots in \[0, 6\)"),
-]
-
-
 @pytest.mark.parametrize(
-    "call, keys, steps, error, message",
-    [(call, keys, None, error, message) for call in ("walks", "commit_walks") for keys, error, message in _BAD_KEYS]
-    + [
-        ("commit_walks", [0, 1], [3], ValueError, "one non-negative step count per key"),
-        ("commit_walks", [2], [-1], ValueError, "one non-negative step count per key"),
-        ("commit_walks", [0, 1], [[1, 2]], ValueError, "one non-negative step count per key"),
+    "keys, error, message",
+    [
+        ([2, 2, 0, 1, 3, 4], ValueError, "slot 2 more than once"),
+        ([0, 5, 1, 5, 5], ValueError, "slot 5 more than once"),
+        ([-1], IndexError, r"slots in \[0, 6\)"),
+        ([0, 6], IndexError, r"slots in \[0, 6\)"),
     ],
 )
-def test_walks_and_commits_refuse_bad_keys_or_steps(call, keys, steps, error, message):
-    # a repeated key would walk twice from one counter, and a step count
-    # broadcast to two keys would charge the counters more answers than
-    # the ledger; a negative count would move a counter back. A refused
-    # call changes nothing
+def test_walks_refuse_bad_keys(keys, error, message):
+    # a repeated key would walk twice from one counter; a refused call
+    # changes nothing
     oracle = BitOracle([0, 1, 1, 0, 1, 0], 0.3, seed_sequence(5, "refused"))
     walks(oracle, [1, 2, 4], 3, 3)
     before = (oracle._counters.tolist(), oracle.ledger.total_queries)
     with pytest.raises(error, match=message):
-        if call == "walks":
-            walks(oracle, keys, 3, 3)
-        else:
-            commit_walks(oracle, keys, [1] * len(keys) if steps is None else steps)
+        walks(oracle, keys, 3, 3)
     assert (oracle._counters.tolist(), oracle.ledger.total_queries) == before
 
 
