@@ -17,7 +17,9 @@ The reconstruction stacks a sequence of oracles into one block
 in one :func:`~noisyquery.walks.walks` call, so the harness reconstructs
 a block of trials at once; the naive solvers pass one oracle. Answers
 are counter-based, so each oracle's verdicts, counters and ledger are
-what a reconstruction of it alone gives.
+what a reconstruction of it alone gives. The declared graphs' components
+come from one label array over every vertex of the block
+(:func:`_component_labels`), not from a union-find forest per oracle.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .streams import as_generator
-from .trees import Edge, LabeledTree, _balance, _vertex_count, _wilson, as_balance_threshold
+from .trees import Edge, LabeledTree, _balance, _is_count, _vertex_count, _wilson, as_balance_threshold
 from .unionfind import UnionFind
 from .walks import _check_delta, barrier, stack, unstack, walks
 
@@ -181,29 +183,54 @@ def pair_barriers(noise, n: int, delta: float) -> tuple[int, int]:
     return barrier(noise, n - 1, delta), barrier(noise, n * (n - 1) // 2, delta)
 
 
-def _reconstruct(oracles: Sequence, delta: float) -> list[UnionFind]:
+def _component_labels(vertices: int, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """The least vertex of each vertex's component, in a graph on
+    ``vertices`` vertices with edges (us[i], vs[i]).
+
+    Hook and compress: every label is a vertex of its own component, no
+    larger than the vertex it labels. Each round, every edge whose ends
+    have different labels hooks the larger label under the smaller, and
+    two steps of pointer jumping (each vertex takes its label's label)
+    shorten the chains. Labels only fall, so the rounds end, and they end
+    when every edge joins equal labels: then a component holds one label,
+    which is its least vertex, since that vertex has no smaller one.
+    """
+    labels = np.arange(vertices)
+    while True:
+        lu, lv = labels[us], labels[vs]
+        if np.array_equal(lu, lv):
+            return labels
+        np.minimum.at(labels, np.maximum(lu, lv), np.minimum(lu, lv))
+        labels = labels[labels]
+        labels = labels[labels]
+
+
+def _reconstruct(oracles: Sequence, delta: float) -> np.ndarray:
     """Estimate every potential edge of each oracle's graph with the
-    barriers of :func:`pair_barriers`, then union the declared ones. The
-    graph's connectivity, and whether any one pair s, t is connected,
-    inherit their guarantee; the edge set as a whole does not. The
-    oracles must share n and p, and every pair of every oracle is walked
-    in one :func:`~noisyquery.walks.walks` call on their stacked block.
+    barriers of :func:`pair_barriers`, and label the declared graphs'
+    components: row t, column v is the least vertex of v's component in
+    the graph declared for ``oracles[t]``. The graph's connectivity, and
+    whether any one pair s, t is connected, inherit their guarantee; the
+    edge set as a whole does not. The oracles must share n and p, every
+    pair of every oracle is walked in one :func:`~noisyquery.walks.walks`
+    call on their stacked block, and every vertex of every graph is
+    labelled in one :func:`_component_labels` call.
     """
     _check_delta(delta, "delta")
-    forests = [UnionFind(oracle.n) for oracle in oracles]
     n = oracles[0].n
     if any(oracle.n != n for oracle in oracles):
         raise ValueError("oracles reconstructed together must share n")
     if n == 1:
-        return forests
+        return np.zeros((len(oracles), 1), dtype=np.int64)
     block = stack(oracles)
     decided, _ = walks(block, np.arange(block._bits.size), *pair_barriers(block.noise, n, delta))
     unstack(block, oracles)
-    for oracle, forest, row in zip(oracles, forests, decided.reshape(len(oracles), -1)):
-        us, vs = oracle._pairs(np.flatnonzero(row))
-        for u, v in zip(us.tolist(), vs.tolist()):
-            forest.union(u, v)
-    return forests
+    # declared pair slot t * C(n,2) + s joins vertices t * n + u and t * n + v of the block
+    row, slot = np.divmod(np.flatnonzero(decided), n * (n - 1) // 2)
+    us, vs = oracles[0]._pairs(slot)
+    offsets = np.arange(len(oracles)) * n
+    labels = _component_labels(len(oracles) * n, offsets[row] + us, offsets[row] + vs)
+    return labels.reshape(len(oracles), n) - offsets[:, None]
 
 
 def naive_connectivity(oracle, delta: float) -> bool:
@@ -215,13 +242,21 @@ def naive_connectivity(oracle, delta: float) -> bool:
     (m*b + (C(n,2) - m)*a) / (1 - 2p) queries; the hard instances have
     m = n - 1 or n - 2.
     """
-    return _reconstruct([oracle], delta)[0].component_count == 1
+    # connected exactly when every vertex's least connected vertex is 0
+    return not _reconstruct([oracle], delta)[0].any()
 
 
 def naive_st_connectivity(oracle, s: int, t: int, delta: float) -> bool:
-    """Decide whether s and t are connected, by full reconstruction."""
+    """Decide whether s and t are connected, by full reconstruction.
+
+    A terminal that is not an integer (numpy's too, not bool) or lies
+    outside [0, n) raises ValueError before any query.
+    """
     n = oracle.n
     for name, v in (("s", s), ("t", t)):
+        if not _is_count(v):
+            raise ValueError(f"terminal {name} must be an integer, got {v!r}")
         if not 0 <= v < n:
             raise ValueError(f"terminal {name}={v} out of range [0, {n})")
-    return _reconstruct([oracle], delta)[0].connected(s, t)
+    labels = _reconstruct([oracle], delta)[0]
+    return bool(labels[s] == labels[t])

@@ -129,27 +129,25 @@ def _threshold_scans(oracles, k: int, delta: float) -> list[int]:
     each bit with the barriers of :func:`threshold_barriers`, and stop as
     soon as k ones are confirmed.
 
-    The oracles' bits are stacked into one channel and walked index-major
+    The oracles are stacked into one block and walked index-major
     (index 0 of every oracle, then index 1, ...), so every scan advances
     at the same pace. The scans follow the walks of
     :func:`~noisyquery.walks.walk_rounds` round by round over the indices
-    ended in every oracle, and each oracle is charged only for the
-    indices up to the one that ends its scan.
+    ended in every oracle; the block is charged each oracle's indices up
+    to the one that ends its scan, and unstacked once.
     """
     count, n = len(oracles), oracles[0].n
     a, b = threshold_barriers(oracles[0].noise, n, k, delta)
-    every = np.arange(n)
-    # a scratch copy: each oracle is charged its scanned prefix directly
-    stacked = stack(oracles)
+    block = stack(oracles)
     # key i * count + t of the walk is index i of oracle t, its slot t * n + i
-    keys = (np.arange(count) * n + every[:, None]).ravel()
+    keys = (np.arange(count) * n + np.arange(n)[:, None]).ravel()
     decided = np.empty(keys.size, dtype=np.int8)
     steps = np.empty(keys.size, dtype=np.int64)
     found = np.zeros(count, dtype=np.int64)
     last = np.full(count, n - 1)
     scanning = np.ones(count, dtype=bool)
     scanned = 0
-    for ended in walk_rounds(stacked, keys, a, b, decided, steps):
+    for ended in walk_rounds(block, keys, a, b, decided, steps):
         rows = ended // count
         if rows == scanned:
             continue
@@ -161,20 +159,22 @@ def _threshold_scans(oracles, k: int, delta: float) -> list[int]:
         found, scanned = ones[-1], rows
         if not scanning.any():
             break
-    decided, steps = decided.reshape(n, count), steps.reshape(n, count)
+    # row t of the block is charged its scan's indices before its last, in
+    # one pass over every slot; walks past them are not charged
+    charged = np.arange(n) < last[:, None]
+    block._charge(np.s_[:], np.where(charged, steps.reshape(n, count).T, 0).ravel())
+    unstack(block, oracles)
+    ones = np.where(charged, decided.reshape(n, count).T, 0).sum(axis=1)
     policy = WalkPolicy(a, b)
-    values = []
-    for t, oracle in enumerate(oracles):
-        stop = int(last[t])
-        oracle._charge(every[:stop], steps[:stop, t])
-        # Stopgap: the index that ends the scan is walked again, one key
-        # through asymmetric_check_bit with the scan's barriers as its policy,
-        # so with the same answers and verdict. perfbench's tracer wraps that
-        # name and raises KeyError on a scan with no wrapped walk; once it
-        # wraps the kernel, this is oracle._charge(every[: stop + 1], ...).
-        ones = int(np.count_nonzero(decided[:stop, t]))
-        values.append(ones + asymmetric_check_bit(oracle, stop, delta, delta, policy=policy).decided_bit)
-    return values
+    # Stopgap: the index that ends each scan is walked again, one key
+    # through asymmetric_check_bit with the scan's barriers as its policy,
+    # so with the same answers and verdict. perfbench's tracer wraps that
+    # name and raises KeyError on a scan with no wrapped walk; once it
+    # wraps the kernel, these indices are charged with the others.
+    return [
+        before + asymmetric_check_bit(oracle, stop, delta, delta, policy=policy).decided_bit
+        for oracle, before, stop in zip(oracles, ones.tolist(), last.tolist())
+    ]
 
 
 def counting_levels(noise, n: int, count: int, delta: float) -> tuple[int, int]:

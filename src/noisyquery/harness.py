@@ -373,10 +373,11 @@ def _connectivity_block(spec: ExperimentSpec, trials: range) -> list[tuple[bool,
             oracles.append(_conn_oracle(spec, trial, graph))
         cases.append((truth, terminals))
     with _naming(spec, trials):
-        forests = _reconstruct(oracles, spec.delta)
+        labels = _reconstruct(oracles, spec.delta).tolist()
     records = []
-    for (truth, terminals), forest, oracle in zip(cases, forests, oracles):
-        answer = forest.component_count == 1 if terminals is None else forest.connected(*terminals)
+    for (truth, terminals), row, oracle in zip(cases, labels, oracles):
+        # each vertex is labelled with its component's least vertex
+        answer = not any(row) if terminals is None else row[terminals[0]] == row[terminals[1]]
         records.append((answer == truth, oracle.ledger.total_queries))
     return records
 

@@ -18,12 +18,18 @@ walk over many keys can compute all its answers at once
 (:func:`noisyquery.walks.walks`), bit for bit equal to repeated
 ``query`` calls. Query counts and answers are reproducible functions of
 (stream key, hidden input, p).
+
+An oracle keeps its stream key and forms its counters' bases the first
+time they are read, so building one costs no mixing. Stacking a block of
+oracles (:func:`noisyquery.walks.stack`) forms the bases of every one
+not read yet in one :func:`mix_array` call (:func:`_read_counters`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -59,6 +65,23 @@ def mix_array(z: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
     np.right_shift(z, 31, out=tmp)
     z ^= tmp
     return z
+
+
+def _read_counters(channels) -> None:
+    """Form the counters of every channel in ``channels`` not read yet, in
+    one :func:`mix_array` call; the channels share their slot count.
+
+    Each gets a row of one array, with the values its own first read gives.
+    """
+    fresh = [channel for channel in channels if "_counters" not in vars(channel)]
+    if fresh:
+        keys = np.array([channel._key for channel in fresh], dtype=np.uint64)
+        # base(s) = mix(key0 + (s + 1) * GAMMA) ^ key1, one row per channel
+        bases = np.arange(1, fresh[0]._bits.size + 1, dtype=np.uint64) * np.uint64(GAMMA) + keys[:, :1]
+        mix_array(bases)
+        bases ^= keys[:, 1:]
+        for channel, row in zip(fresh, bases):
+            channel._counters = row
 
 
 @dataclass(frozen=True)
@@ -108,7 +131,8 @@ class _CounterChannel:
     slot s is flipped when mix(_counters[s] + GAMMA) < ``_flip_below``.
     GAMMA is odd, so the counters are the one per-key record: j is
     (_counters[s] - base(s)) * GAMMA^-1 modulo 2^64. The ledger holds
-    the total over all slots.
+    the total over all slots. The counters are formed from ``_key``, the
+    pair (key0, key1), on first read, or by :func:`_read_counters`.
 
     Answers are computed one at a time by ``_answer`` (for ``query`` and
     single-bit checks) and many at once by
@@ -119,13 +143,22 @@ class _CounterChannel:
         if not isinstance(noise, NoiseModel):
             noise = NoiseModel(noise)
         self.noise = noise
-        key0, key1 = stream_key(rng)
+        self._key = stream_key(rng)
         # p * 2^64 is exact in binary floating point, so the flip chance is p to within 2^-64
         self._flip_below = int(noise.p * 2.0**64)
         self._bits = bits
-        bases = np.arange(1, bits.size + 1, dtype=np.uint64) * np.uint64(GAMMA) + np.uint64(key0)
-        self._counters = mix_array(bases) ^ np.uint64(key1)
         self.ledger = QueryLedger()
+
+    @cached_property
+    def _counters(self) -> np.ndarray:
+        # the bases, formed on first read; afterwards the instance attribute is read directly
+        _read_counters([self])
+        return vars(self)["_counters"]
+
+    @property
+    def _owner(self) -> "_CounterChannel":
+        """The channel whose counters these are: itself, or a complement view's inner oracle."""
+        return self
 
     def query(self, key) -> int:
         """One noisy answer about ``key``: a bit index, or a vertex pair in either order."""
@@ -139,7 +172,8 @@ class _CounterChannel:
         return self._bits.item(slot) ^ (mix(counter) < self._flip_below)
 
     def _charge(self, slots: np.ndarray, steps: np.ndarray) -> None:
-        """Count ``steps[i]`` more answers about ``slots[i]``; slots are distinct."""
+        """Count ``steps[i]`` more answers about ``slots[i]``; ``slots`` are
+        distinct slots, or a slice of them."""
         self._counters[slots] += steps.astype(np.uint64) * np.uint64(GAMMA)
         self.ledger.total_queries += int(steps.sum())
 
@@ -192,10 +226,14 @@ class EdgeOracle(_CounterChannel):
             pairs = pairs.reshape(0, 2)
         if pairs.ndim != 2 or pairs.shape[1] != 2:
             raise ValueError(f"edges must be vertex pairs, got an array of shape {pairs.shape}")
-        us = pairs.min(axis=1)
-        vs = pairs.max(axis=1)
-        bad = (us == vs) | (us < 0) | (vs >= self._n)
-        if bad.any():
+        us = np.minimum(pairs[:, 0], pairs[:, 1])
+        vs = np.maximum(pairs[:, 0], pairs[:, 1])
+        # a pair is bad when u == v, u < 0 or v >= n; as unsigned words a
+        # negative vertex is at least 2^63, so two comparisons find all three
+        unsigned = vs.view(np.uint64)
+        bad = us.view(np.uint64) >= unsigned
+        bad |= unsigned >= self._n
+        if np.count_nonzero(bad):
             # the first bad pair raises query's own error; should the two
             # checks ever disagree, the constructor still stops here
             pair = pairs[bad.argmax()].tolist()
@@ -215,9 +253,10 @@ class EdgeOracle(_CounterChannel):
         return (u, v) if u < v else (v, u)
 
     def _pair_slot(self, u, v):
-        # pairs (0,1), (0,2), ..., (0,n-1), (1,2), ...: row u starts after u rows of n-1, n-2, ... pairs;
-        # u and v may be ints or integer arrays
-        return u * (2 * self._n - u - 1) // 2 + v - u - 1
+        # pairs (0,1), (0,2), ..., (0,n-1), (1,2), ...: row u starts after u rows of n-1, n-2, ... pairs,
+        # u (2n - u - 1) / 2 of them, so (u, v) is slot u (2n - u - 3) / 2 + v - 1, where the
+        # product is always even; u and v may be ints or integer arrays
+        return u * (2 * self._n - 3 - u) // 2 + v - 1
 
     @property
     def n(self) -> int:
@@ -252,7 +291,8 @@ class ComplementBitOracle(BitOracle):
     same channel about bit 1-b, so the view's answers are the inner
     oracle's flipped. It shares the inner oracle's answer counters and
     ledger: its answers continue the inner's answer counts, and its
-    queries are recorded in the inner's ledger.
+    queries are recorded in the inner's ledger. Building a view reads
+    no counters.
     """
 
     def __init__(self, inner: BitOracle) -> None:
@@ -261,5 +301,13 @@ class ComplementBitOracle(BitOracle):
         self.noise = inner.noise
         self._flip_below = inner._flip_below
         self._bits = inner._bits ^ 1
-        self._counters = inner._counters
+        self._inner = inner
         self.ledger = inner.ledger
+
+    @property
+    def _counters(self) -> np.ndarray:
+        return self._inner._counters
+
+    @property
+    def _owner(self) -> _CounterChannel:
+        return self._inner._owner

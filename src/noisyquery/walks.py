@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oracles import GAMMA, BitOracle, NoiseModel, QueryLedger, _CounterChannel, mix_array
+from .oracles import GAMMA, BitOracle, NoiseModel, QueryLedger, _CounterChannel, _read_counters, mix_array
 
 
 def snapped_ceil(value: float, rel_tol: float = 1e-9) -> int:
@@ -239,9 +239,11 @@ def stack(oracles) -> _CounterChannel:
     The block holds copies of the oracles' bits and answer counters and
     has its own ledger, so walks on it give each slot the answers its
     own oracle would give next, and change no oracle until
-    :func:`unstack` writes the rows back. The oracles must share p and
-    their slot count, and must not share answer counters, or writing
-    back would count some answers twice.
+    :func:`unstack` writes the rows back. The counters of every oracle
+    not read yet are formed first, in one
+    :func:`~noisyquery.oracles._read_counters` call. The oracles must
+    share p and their slot count, and must not share answer counters,
+    or writing back would count some answers twice.
     """
     channels = [_channel(oracle) for oracle in oracles]
     if not channels:
@@ -251,9 +253,11 @@ def stack(oracles) -> _CounterChannel:
         raise ValueError("oracles walked together must share their flip probability p")
     if any(c._bits.size != first._bits.size for c in channels):
         raise ValueError("oracles walked together must have the same number of slots")
-    if len({id(c._counters) for c in channels}) < len(channels):
+    owners = [c._owner for c in channels]
+    if len({id(owner) for owner in owners}) < len(owners):
         # an oracle listed twice, or a complement view beside its inner oracle
         raise ValueError("oracles walked together must not share answer counters")
+    _read_counters(owners)
     block = _CounterChannel()
     block.noise = first.noise
     block._flip_below = first._flip_below
@@ -268,15 +272,17 @@ def unstack(block, oracles) -> np.ndarray:
 
     Row t's counters replace those of ``oracles[t]``, and the answers
     they moved by, (advance * GAMMA^-1) modulo 2^64 summed over the row,
-    are added to its ledger. Returns those answer counts, one per row.
+    are added to its ledger. Returns those answer counts, one per row,
+    computed for every row at once.
     """
     rows = block._counters.reshape(len(oracles), -1)
-    answered = np.empty(len(oracles), dtype=np.int64)
-    for t, oracle in enumerate(oracles):
-        answered[t] = ((rows[t] - oracle._counters) * _GAMMA_INVERSE).sum()
+    moved = rows - np.concatenate([oracle._counters for oracle in oracles]).reshape(rows.shape)
+    moved *= _GAMMA_INVERSE
+    answered = moved.sum(axis=1).astype(np.int64)
+    for oracle, row, count in zip(oracles, rows, answered.tolist()):
         # in place: a complement view shares this array with its inner oracle
-        oracle._counters[:] = rows[t]
-        oracle.ledger.total_queries += int(answered[t])
+        oracle._counters[:] = row
+        oracle.ledger.total_queries += count
     return answered
 
 
@@ -296,6 +302,8 @@ def walk_rounds(oracle, keys, a, b, decided: np.ndarray, steps: np.ndarray):
     a, b = (x if isinstance(x, (int, np.integer)) else np.asarray(x, dtype=np.int64) for x in (a, b))
     if any(isinstance(x, np.ndarray) and x.shape != keys.shape for x in (a, b)):
         raise ValueError("per-key barriers need one value per key")
+    if not keys.size:
+        return
     width = block_width(channel.noise.p, a, b)
     capacity = max(1, _ROUND_ANSWERS // width)
     below = np.uint64(channel._flip_below)

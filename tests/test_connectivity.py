@@ -33,7 +33,7 @@ from noisyquery import (
     seed_sequence,
     theory_bound,
 )
-from noisyquery.connectivity import HardInstance, _reconstruct, pair_barriers
+from noisyquery.connectivity import HardInstance, _component_labels, _reconstruct, pair_barriers
 from noisyquery.walks import barrier
 
 from conftest import exact_check
@@ -339,21 +339,66 @@ def test_naive_st_connectivity():
 
 
 def test_reconstruct_a_block_equals_each_oracle_alone():
-    # one walk over five oracles' pairs: the same forests, counters and
-    # ledgers as five reconstructions of one oracle each
+    # one walk over five oracles' pairs: the same component labels,
+    # counters and ledgers as five reconstructions of one oracle each
     n, p, delta = 15, 0.25, 0.2
     graphs = [sample_hard_instance(n, derive_rng(85, "block", t)).graph for t in range(5)]
     twins = [[EdgeOracle(n, g, p, seed_sequence(85, "noise", t)) for t, g in enumerate(graphs)] for _ in range(2)]
-    forests = _reconstruct(twins[0], delta)
-    for forest, together, alone in zip(forests, *twins):
+    labels = _reconstruct(twins[0], delta)
+    assert labels.shape == (5, n)
+    for row, together, alone in zip(labels, *twins):
         (own,) = _reconstruct([alone], delta)
-        assert [forest.find(v) for v in range(n)] == [own.find(v) for v in range(n)]
+        assert row.tolist() == own.tolist()
         assert together._counters.tolist() == alone._counters.tolist()
         assert together.ledger == alone.ledger
     singletons = _reconstruct([NoiselessEdgeOracle(1, []), NoiselessEdgeOracle(1, [])], delta)
-    assert [forest.component_count for forest in singletons] == [1, 1]
+    assert singletons.tolist() == [[0], [0]]
     with pytest.raises(ValueError, match="must share n"):
         _reconstruct([NoiselessEdgeOracle(1, []), NoiselessEdgeOracle(2, [])], delta)
+
+
+def least_vertices(n, edges):
+    """Each vertex's least connected vertex, from a union-find forest."""
+    forest = components_of(n, edges)
+    return [min(x for x in range(n) if forest.connected(x, v)) for v in range(n)]
+
+
+def graph_kinds(n):
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return st.one_of(st.just([]), st.just(pairs), st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+
+
+@hypothesis.given(n=st.integers(1, 12), data=st.data())
+def test_block_labels_match_union_find_components(n, data):
+    # a block of graphs on n vertices (none, all, or some of the pairs)
+    # labels every vertex with its component's least vertex, as a
+    # union-find forest per graph gives it; so does one label call over
+    # the block's edges in any order, reversed, repeated or as self-loops
+    graphs = data.draw(st.lists(graph_kinds(n), min_size=1, max_size=5))
+    expected = [least_vertices(n, graph) for graph in graphs]
+    oracles = [NoiselessEdgeOracle(n, graph) for graph in graphs]
+    assert _reconstruct(oracles, 0.1).tolist() == expected
+    for oracle, graph, labels in zip(oracles, graphs, expected):
+        assert naive_connectivity(oracle, 0.1) == (components_of(n, graph).component_count == 1)
+        s, t = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        assert naive_st_connectivity(oracle, s, t, 0.1) == (labels[s] == labels[t])
+    edges = [(t * n + u, t * n + v) for t, graph in enumerate(graphs) for u, v in graph]
+    edges += [(v, v) for v in data.draw(st.lists(st.integers(0, len(graphs) * n - 1), max_size=3))]
+    edges = data.draw(st.permutations(edges + data.draw(st.lists(st.sampled_from(edges), max_size=5) if edges else st.just([]))))
+    edges = [edge[:: data.draw(st.sampled_from([1, -1]))] for edge in edges]
+    us, vs = (np.array([edge[i] for edge in edges], dtype=np.int64) for i in (0, 1))
+    labels = _component_labels(len(graphs) * n, us, vs).reshape(len(graphs), n)
+    assert (labels - np.arange(len(graphs))[:, None] * n).tolist() == expected
+
+
+@pytest.mark.parametrize("s, t", [(0, 3.5), (3.0, 0), (True, 0), (0, False), ("1", 2), (None, 0)])
+def test_naive_st_connectivity_refuses_terminals_that_are_not_integers(s, t):
+    # 3.5 passed the range check and then failed as a list index; True read as vertex 1
+    oracle = NoiselessEdgeOracle(5, [(0, 1), (1, 2)])
+    with pytest.raises(ValueError, match="must be an integer"):
+        naive_st_connectivity(oracle, s, t, 0.05)
+    assert oracle.ledger.total_queries == 0
+    assert naive_st_connectivity(oracle, np.int64(0), np.int32(2), 0.05)
 
 
 def test_naive_connectivity_validation():

@@ -572,6 +572,62 @@ def test_walk_oracles_equals_walking_each_alone(n, count, on_edges, p, a, b, see
         assert together.ledger == alone.ledger
 
 
+@hypothesis.given(
+    n=st.integers(1, 12),
+    p=st.floats(0.02, 0.45),
+    a=st.integers(1, 12),
+    b=st.integers(1, 12),
+    seed=st.integers(0, 2**32),
+    data=st.data(),
+)
+def test_blocks_of_fresh_used_and_viewed_oracles_match_each_alone(n, p, a, b, seed, data):
+    # a block may mix oracles whose counters were never read, oracles
+    # already queried or walked, and complement views of either; stacked,
+    # walked and unstacked, each gets the answers, counters and ledger
+    # that walking it alone gives
+    states = data.draw(st.lists(st.sampled_from(["fresh", "used", "fresh view", "used view"]), min_size=1, max_size=5))
+    hidden = [data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)) for _ in states]
+
+    def build(i, state):
+        base = BitOracle(hidden[i], p, seed_sequence(seed, "mixed", i))
+        return base, ComplementBitOracle(base) if state.endswith("view") else base
+
+    twins = [[build(i, state) for i, state in enumerate(states)] for _ in range(2)]
+    for i, state in enumerate(states):
+        if state.startswith("used"):
+            queried = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=10))
+            walked = data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+            for oracles in twins:
+                base, view = oracles[i]
+                for key in queried:
+                    data.draw(st.sampled_from([base, view])).query(key)
+                walks(view, walked, a, b)
+    together = [view for _, view in twins[0]]
+    assert [("_counters" in vars(base)) for base, _ in twins[0]] == [s.startswith("used") for s in states]
+    before = [view.ledger.total_queries for view in together]
+    block = stack(together)
+    decided, steps = walks(block, np.arange(len(states) * n), a, b)
+    answered = unstack(block, together)
+    assert answered.tolist() == [view.ledger.total_queries - q for view, q in zip(together, before)]
+    for i, ((base, _), (alone, view)) in enumerate(zip(*twins)):
+        own_decided, own_steps = walks(view, np.arange(n), a, b)
+        assert decided[i * n : (i + 1) * n].tolist() == own_decided.tolist()
+        assert steps[i * n : (i + 1) * n].tolist() == own_steps.tolist()
+        assert base._counters.tolist() == alone._counters.tolist()
+        assert base.ledger == alone.ledger
+
+
+def test_walks_of_no_keys_return_empty_arrays():
+    # scalar barriers, and per-key barrier arrays with no values
+    oracle = BitOracle([0, 1, 1], 0.3, seed_sequence(4, "none"))
+    empty = np.array([], dtype=np.int64)
+    for a, b in ((2, 3), (empty, empty), ([], 3), (2, [])):
+        decided, steps = walks(oracle, [], a, b)
+        assert decided.shape == steps.shape == (0,)
+        assert list(walk_rounds(oracle, empty, a, b, decided, steps)) == []
+    assert oracle.ledger.total_queries == 0
+
+
 def _refused_stacks():
     base = BitOracle([0, 1, 1], 0.3, seed_sequence(4, "base"))
     return {
