@@ -31,8 +31,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .streams import as_generator
-from .trees import Edge, LabeledTree, _balance, _is_count, _vertex_count, _wilson, as_balance_threshold
+from .streams import _is_integer, as_generator
+from .trees import Edge, LabeledTree, _balance, _vertex_count, _wilson, as_balance_threshold
 from .unionfind import UnionFind
 from .walks import _check_delta, barrier, stack, unstack, walks
 
@@ -211,18 +211,17 @@ def _reconstruct(oracles: Sequence, delta: float) -> np.ndarray:
     components: row t, column v is the least vertex of v's component in
     the graph declared for ``oracles[t]``. The graph's connectivity, and
     whether any one pair s, t is connected, inherit their guarantee; the
-    edge set as a whole does not. The oracles must share n and p, every
-    pair of every oracle is walked in one :func:`~noisyquery.walks.walks`
-    call on their stacked block, and every vertex of every graph is
-    labelled in one :func:`_component_labels` call.
+    edge set as a whole does not. The oracles must share n and p, as
+    :func:`~noisyquery.walks.stack` checks; every pair of every oracle is
+    walked in one :func:`~noisyquery.walks.walks` call on their stacked
+    block, and every vertex of every graph is labelled in one
+    :func:`_component_labels` call.
     """
     _check_delta(delta, "delta")
+    block = stack(oracles)
     n = oracles[0].n
-    if any(oracle.n != n for oracle in oracles):
-        raise ValueError("oracles reconstructed together must share n")
     if n == 1:
         return np.zeros((len(oracles), 1), dtype=np.int64)
-    block = stack(oracles)
     decided, _ = walks(block, np.arange(block._bits.size), *pair_barriers(block.noise, n, delta))
     unstack(block, oracles)
     # declared pair slot t * C(n,2) + s joins vertices t * n + u and t * n + v of the block
@@ -254,7 +253,7 @@ def naive_st_connectivity(oracle, s: int, t: int, delta: float) -> bool:
     """
     n = oracle.n
     for name, v in (("s", s), ("t", t)):
-        if not _is_count(v):
+        if not _is_integer(v):
             raise ValueError(f"terminal {name} must be an integer, got {v!r}")
         if not 0 <= v < n:
             raise ValueError(f"terminal {name}={v} out of range [0, {n})")

@@ -18,12 +18,15 @@ Three procedures over a :class:`~noisyquery.oracles.BitOracle`:
 
 Each procedure also runs on a block of oracles of one size and one p
 (``threshold_counts``, ``counts_one_sided``, ``counts_two_sided``); a
-single oracle is the block of one. The block is stacked into one channel
-(:func:`~noisyquery.walks.stack`), whose keys the kernel walks many per
-call; only the index that ends a threshold scan is checked alone, by a
-single-bit check. Answers are counter-based, so this gives the same
-answers, counts and ledgers as checking each oracle's keys one at a time
-in the order described.
+single oracle is the block of one. The oracles are stacked once into one
+channel (:func:`~noisyquery.walks.stack`), which is the only check of
+the block, and each procedure reads, flips, walks and charges only that
+channel: the kernel walks its keys many per call, a complement is its
+bits flipped, and the index that ends a threshold scan is checked alone
+on it, by a single-bit check. One :func:`~noisyquery.walks.unstack`
+writes the rows back and gives each oracle's queries. Answers are
+counter-based, so this gives the same answers, counts and ledgers as
+checking each oracle's keys one at a time in the order described.
 """
 
 from __future__ import annotations
@@ -33,8 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oracles import ComplementBitOracle
-from .streams import as_generator
+from .streams import _is_integer, as_generator
 # check_bit is not called here but stays a module attribute: walk
 # instrumentation, such as perfbench's tracer, wraps it by this name
 from .walks import (  # noqa: F401
@@ -81,35 +83,32 @@ def threshold_count(oracle, k: int, delta: float) -> ThresholdResult:
     checked and at least k ones are present: return k. Otherwise return
     k - 1, "fewer than k", not a count. Either way a bit the scan does not
     count walks down to about log(2 min(k, n - k + 1)/delta)/log((1-p)/p),
-    so the cost follows min(k, n - k + 1), not k. The view shares the
-    oracle's counters and ledger, so ``queries`` is read off its ledger.
+    so the cost follows min(k, n - k + 1), not k.
     """
     return threshold_counts([oracle], k, delta)[0]
 
 
 def threshold_counts(oracles, k: int, delta: float) -> list[ThresholdResult]:
     """:func:`threshold_count` on each of several oracles of one size and
-    one p, their scans advancing together through one round loop."""
-    n = _common_size(oracles)
-    if isinstance(k, bool) or not isinstance(k, int) or not 1 <= k <= n:
+    one p, their scans advancing together through one round loop.
+
+    For 2k > n + 1 the stacked block's bits are flipped, which reads each
+    row as its complement view would, and the scans look for n - k + 1
+    zeros. Unstacking the block once gives each oracle's queries.
+    """
+    block = stack(oracles)
+    n = oracles[0].n
+    if not _is_integer(k) or not 1 <= k <= n:
         raise ValueError(f"threshold k must be an integer in [1, {n}], got {k!r}")
     _check_delta(delta, "delta")
-    starts = [oracle.ledger.total_queries for oracle in oracles]
+    k = int(k)
     if 2 * k > n + 1:
-        zeros = _threshold_scans([ComplementBitOracle(oracle) for oracle in oracles], n - k + 1, delta)
+        block._bits ^= 1
+        zeros = _threshold_scans(block, len(oracles), n, n - k + 1, delta)
         values = [k if found < n - k + 1 else k - 1 for found in zeros]
     else:
-        values = _threshold_scans(oracles, k, delta)
-    return [ThresholdResult(v, o.ledger.total_queries - s) for v, o, s in zip(values, oracles, starts)]
-
-
-def _common_size(oracles) -> int:
-    if not oracles:
-        raise ValueError("a block of oracles needs at least one oracle")
-    n = oracles[0].n
-    if any(oracle.n != n for oracle in oracles):
-        raise ValueError("oracles counted together must have the same number of bits")
-    return n
+        values = _threshold_scans(block, len(oracles), n, k, delta)
+    return [ThresholdResult(v, int(q)) for v, q in zip(values, unstack(block, oracles))]
 
 
 def threshold_barriers(noise, n: int, k: int, delta: float) -> tuple[int, int]:
@@ -124,21 +123,18 @@ def threshold_barriers(noise, n: int, k: int, delta: float) -> tuple[int, int]:
     return barrier(noise, 2 * k, delta), barrier(noise, 2 * n, delta)
 
 
-def _threshold_scans(oracles, k: int, delta: float) -> list[int]:
-    """min(k, #ones) of each oracle: scan its indices in order, checking
-    each bit with the barriers of :func:`threshold_barriers`, and stop as
-    soon as k ones are confirmed.
+def _threshold_scans(block, count: int, n: int, k: int, delta: float) -> list[int]:
+    """min(k, #ones) of each of the ``count`` rows of n bits of a block:
+    scan its indices in order, checking each bit with the barriers of
+    :func:`threshold_barriers`, and stop as soon as k ones are confirmed.
 
-    The oracles are stacked into one block and walked index-major
-    (index 0 of every oracle, then index 1, ...), so every scan advances
-    at the same pace. The scans follow the walks of
-    :func:`~noisyquery.walks.walk_rounds` round by round over the indices
-    ended in every oracle; the block is charged each oracle's indices up
-    to the one that ends its scan, and unstacked once.
+    The block is walked index-major (index 0 of every row, then index 1,
+    ...), so every scan advances at the same pace. The scans follow the
+    walks of :func:`~noisyquery.walks.walk_rounds` round by round over
+    the indices ended in every row; the block is charged each row's
+    indices up to the one that ends its scan.
     """
-    count, n = len(oracles), oracles[0].n
-    a, b = threshold_barriers(oracles[0].noise, n, k, delta)
-    block = stack(oracles)
+    a, b = threshold_barriers(block.noise, n, k, delta)
     # key i * count + t of the walk is index i of oracle t, its slot t * n + i
     keys = (np.arange(count) * n + np.arange(n)[:, None]).ravel()
     decided = np.empty(keys.size, dtype=np.int8)
@@ -163,17 +159,16 @@ def _threshold_scans(oracles, k: int, delta: float) -> list[int]:
     # one pass over every slot; walks past them are not charged
     charged = np.arange(n) < last[:, None]
     block._charge(np.s_[:], np.where(charged, steps.reshape(n, count).T, 0).ravel())
-    unstack(block, oracles)
     ones = np.where(charged, decided.reshape(n, count).T, 0).sum(axis=1)
     policy = WalkPolicy(a, b)
-    # Stopgap: the index that ends each scan is walked again, one key
-    # through asymmetric_check_bit with the scan's barriers as its policy,
-    # so with the same answers and verdict. perfbench's tracer wraps that
-    # name and raises KeyError on a scan with no wrapped walk; once it
-    # wraps the kernel, these indices are charged with the others.
+    # Stopgap: the index that ends each scan is walked again on the block,
+    # one key through asymmetric_check_bit with the scan's barriers as its
+    # policy, so with the same answers and verdict. perfbench's tracer
+    # wraps that name and raises KeyError on a scan with no wrapped walk;
+    # once it wraps the kernel, these indices are charged with the others.
     return [
-        before + asymmetric_check_bit(oracle, stop, delta, delta, policy=policy).decided_bit
-        for oracle, before, stop in zip(oracles, ones.tolist(), last.tolist())
+        before + asymmetric_check_bit(block, t * n + stop, delta, delta, policy=policy).decided_bit
+        for t, (before, stop) in enumerate(zip(ones.tolist(), last.tolist()))
     ]
 
 
@@ -221,11 +216,11 @@ def counts_one_sided(oracles, delta: float) -> list[CountResult]:
     and one p: stacked once into a block (:func:`~noisyquery.walks.stack`),
     counted row by row in lockstep by :func:`_count_rows`, and unstacked
     once, which gives each oracle's queries."""
+    block = stack(oracles)
     _check_delta(delta, "delta")
-    n = _common_size(oracles)
+    n = oracles[0].n
     if n == 0:
         return [CountResult(0, 0) for _ in oracles]
-    block = stack(oracles)
     counts = _count_rows(block, len(oracles), n, delta)
     return [CountResult(int(c), int(q)) for c, q in zip(counts, unstack(block, oracles))]
 
@@ -291,8 +286,9 @@ def counts_two_sided(oracles, delta: float, rngs, *, asymptotic_presample: bool 
     counts every row's minority bit. Unstacking the block once gives
     each oracle's queries over both phases.
     """
+    block = stack(oracles)
     _check_delta(delta, "delta")
-    n = _common_size(oracles)
+    n = oracles[0].n
     if len(rngs) != len(oracles):
         raise ValueError("counts_two_sided needs one rng per oracle")
     if n == 0:
@@ -307,7 +303,6 @@ def counts_two_sided(oracles, delta: float, rngs, *, asymptotic_presample: bool 
         presample_size = math.ceil(math.sqrt(n))
         presample_error = 1.0 / max(n, 2) ** 2
 
-    block = stack(oracles)
     policy = WalkPolicy.for_error_bounds(block.noise, presample_error, presample_error)
     draws = [np.unique(as_generator(rng).integers(0, n, size=presample_size), return_counts=True) for rng in rngs]
     ones_seen = np.zeros(len(oracles), dtype=np.int64)

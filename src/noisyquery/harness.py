@@ -41,7 +41,7 @@ from .connectivity import (
 )
 from .counting import counts_one_sided, counts_two_sided, threshold_counts
 from .oracles import BitOracle, EdgeOracle, NoiseModel
-from .streams import derive_rng, seed_sequence
+from .streams import _is_integer, derive_rng, seed_sequence
 from .trees import ScalingReport
 from .walks import expected_hitting_time, hitting_probability, simulate_first_passage, simulate_hitting
 
@@ -177,11 +177,6 @@ def _require(condition: bool, message: str) -> None:
         raise ValueError(message)
 
 
-def _is_int(value) -> bool:
-    # bool is an int subclass, but trials=True or seed=False is a slip, not a number
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class Param:
     """One spec field a kind reads: its rule, what None stands for, its flag.
@@ -209,10 +204,13 @@ class Param:
 
     def admits(self, value) -> bool:
         """Whether ``value`` is of this field's type: a bool only for bool
-        fields, an integer for int fields, a real number for the others."""
+        fields, an integer for int fields, an int or a float for float
+        fields, and a real number for the others."""
         if isinstance(value, bool) or self.type is bool:
             return isinstance(value, bool) and self.type is bool
-        return isinstance(value, numbers.Integral if self.type is int else numbers.Real)
+        if self.type is int:
+            return _is_integer(value)
+        return isinstance(value, (int, float) if self.type is float else numbers.Real)
 
 
 N = Param("n", int, "n >= 1", lambda v, s: v >= 1)
@@ -525,12 +523,15 @@ KINDS = {
 }
 
 
-def validate_spec(spec: ExperimentSpec) -> None:
+def validate_spec(spec: ExperimentSpec) -> ExperimentSpec:
+    """Raise ValueError unless ``spec`` can run; return it with numpy scalars as the Python numbers they equal."""
+    numpy = {f.name: v.item() for f in fields(spec) if isinstance(v := getattr(spec, f.name), np.generic)}
+    spec = replace(spec, **numpy)
     known = f"{', '.join(KINDS)}; ust-stats tables come from structure_scaling_report"
     _require(spec.kind in KINDS, f"unknown experiment kind {spec.kind!r} (kinds: {known})")
-    _require(_is_int(spec.seed), "seed must be an integer")
-    _require(_is_int(spec.trials) and spec.trials >= 1, "trials must be a positive integer")
-    _require(_is_int(spec.jobs) and spec.jobs >= 1, "jobs must be a positive integer")
+    _require(_is_integer(spec.seed), "seed must be an integer")
+    _require(_is_integer(spec.trials) and spec.trials >= 1, "trials must be a positive integer")
+    _require(_is_integer(spec.jobs) and spec.jobs >= 1, "jobs must be a positive integer")
     params = KINDS[spec.kind].params
     read = {param.field for param in params} | {"kind", "trials", "seed", "jobs"}
     unread = [f.name for f in fields(ExperimentSpec) if f.name not in read and getattr(spec, f.name) != f.default]
@@ -542,6 +543,7 @@ def validate_spec(spec: ExperimentSpec) -> None:
         _require(
             value is not None and param.admits(value) and param.ok(value, spec), f"{spec.kind} needs {param.rule}"
         )
+    return spec
 
 
 class _TrialFailed(RuntimeError):
@@ -569,7 +571,7 @@ def run_trial(spec: ExperimentSpec, trial: int) -> tuple[bool, int]:
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     """Execute every trial of ``spec`` and aggregate one report."""
-    validate_spec(spec)
+    spec = validate_spec(spec)
     kind = KINDS[spec.kind]
     start = time.perf_counter()
     errors, mean_queries, stddev_queries = kind.run(spec)

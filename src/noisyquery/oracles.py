@@ -34,7 +34,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .streams import stream_key
+from .streams import _is_integer, stream_key
+from .trees import _vertex_count
 
 GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -123,8 +124,9 @@ class QueryLedger:
 class _CounterChannel:
     """Shared machinery: counter-based answers, per-key counters, ledger.
 
-    The hidden keys are numbered by slots 0..size-1; a subclass's
-    ``_slot`` maps a key to its slot. ``_bits[s]`` is the hidden bit of
+    The hidden keys are numbered by slots 0..size-1; ``_slot`` maps a key
+    to its slot: a bit index, or a slot of a stacked block, is its own
+    slot, and :class:`EdgeOracle` maps vertex pairs. ``_bits[s]`` is the hidden bit of
     slot s and ``_counters[s]`` the counter of its latest answer:
     base(s) + j * GAMMA after j answers, modulo 2^64, where
     base(s) = mix(key0 + (s + 1) * GAMMA) ^ key1. The next answer about
@@ -164,6 +166,13 @@ class _CounterChannel:
         """One noisy answer about ``key``: a bit index, or a vertex pair in either order."""
         return self._answer(self._slot(key))
 
+    def _slot(self, i) -> int:
+        if not _is_integer(i):
+            raise IndexError(f"bit index must be an integer, got {i!r}")
+        if not 0 <= i < self._bits.size:
+            raise IndexError(f"bit index {i} out of range [0, {self._bits.size})")
+        return int(i)
+
     def _answer(self, slot: int) -> int:
         """The next answer about ``slot``: advance its counter and count one query."""
         counter = (self._counters.item(slot) + GAMMA) & _MASK
@@ -201,13 +210,6 @@ class BitOracle(_CounterChannel):
     def hidden(self) -> tuple[int, ...]:
         return tuple(self._bits.tolist())
 
-    def _slot(self, i) -> int:
-        if not isinstance(i, (int, np.integer)):
-            raise IndexError(f"bit index must be an integer, got {i!r}")
-        if not 0 <= i < self._bits.size:
-            raise IndexError(f"bit index {i} out of range [0, {self._bits.size})")
-        return int(i)
-
 
 class EdgeOracle(_CounterChannel):
     """Noisy membership queries over the edge set of a hidden graph on [n].
@@ -218,14 +220,22 @@ class EdgeOracle(_CounterChannel):
     """
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]], noise: NoiseModel | float, rng) -> None:
-        if n < 1:
-            raise ValueError(f"vertex count must be >= 1, got {n}")
-        self._n = int(n)
-        pairs = np.array(list(edges), dtype=np.int64)
+        self._n = _vertex_count(n)
+        bits = np.zeros(self._n * (self._n - 1) // 2, dtype=np.uint8)
+        bits[self._slots(list(edges))] = 1
+        self._init_channel(noise, rng, bits)
+
+    def _slots(self, pairs) -> np.ndarray:
+        """Slots of vertex pairs in either order, for the constructor and ``query``. The first bad pair
+        raises: ValueError for a vertex that is not an integer or a self-loop, IndexError out of range."""
+        pairs = np.array(pairs)
         if pairs.size == 0:
-            pairs = pairs.reshape(0, 2)
+            pairs = pairs.reshape(0, 2).astype(np.int64)
         if pairs.ndim != 2 or pairs.shape[1] != 2:
             raise ValueError(f"edges must be vertex pairs, got an array of shape {pairs.shape}")
+        if pairs.dtype.kind not in "iu":
+            raise ValueError(f"vertex pairs must hold integers, got {pairs.dtype} vertices")
+        pairs = pairs.astype(np.int64, copy=False)
         us = np.minimum(pairs[:, 0], pairs[:, 1])
         vs = np.maximum(pairs[:, 0], pairs[:, 1])
         # a pair is bad when u == v, u < 0 or v >= n; as unsigned words a
@@ -234,23 +244,11 @@ class EdgeOracle(_CounterChannel):
         bad = us.view(np.uint64) >= unsigned
         bad |= unsigned >= self._n
         if np.count_nonzero(bad):
-            # the first bad pair raises query's own error; should the two
-            # checks ever disagree, the constructor still stops here
-            pair = pairs[bad.argmax()].tolist()
-            self._normalize(*pair)
-            raise AssertionError(f"vertex pair {tuple(pair)} failed the array check only")
-        bits = np.zeros(self._n * (self._n - 1) // 2, dtype=np.uint8)
-        bits[self._pair_slot(us, vs)] = 1
-        self._init_channel(noise, rng, bits)
-
-    def _normalize(self, u, v) -> tuple[int, int]:
-        u = int(u)
-        v = int(v)
-        if u == v:
-            raise ValueError(f"self-loop ({u}, {v}) is not a valid query")
-        if not (0 <= u < self._n and 0 <= v < self._n):
+            u, v = pairs[bad.argmax()].tolist()
+            if u == v:
+                raise ValueError(f"self-loop ({u}, {v}) is not a valid query")
             raise IndexError(f"vertex pair ({u}, {v}) out of range [0, {self._n})")
-        return (u, v) if u < v else (v, u)
+        return self._pair_slot(us, vs)
 
     def _pair_slot(self, u, v):
         # pairs (0,1), (0,2), ..., (0,n-1), (1,2), ...: row u starts after u rows of n-1, n-2, ... pairs,
@@ -269,8 +267,7 @@ class EdgeOracle(_CounterChannel):
         return frozenset(zip(us.tolist(), vs.tolist()))
 
     def _slot(self, key) -> int:
-        u, v = key
-        return self._pair_slot(*self._normalize(u, v))
+        return int(self._slots([key])[0])
 
     def _pairs(self, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Endpoint arrays (u, v), u < v, of the pairs at ``slots``.

@@ -18,6 +18,12 @@ _TAG_NEGATIVE = 2
 _TAG_STR = 3
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an integer, numpy's too; bool is an int
+    subclass, but a count, index or barrier of True is a slip."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _entropy_words(part: int | str) -> list[int]:
     """Map a tag to 32-bit words suitable for SeedSequence entropy.
 

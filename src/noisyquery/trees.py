@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import numbers
 import statistics
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,7 +41,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .streams import as_generator, derive_rng
+from .streams import _is_integer, as_generator, derive_rng
 from .unionfind import UnionFind
 
 ENUMERATION_LIMIT = 7
@@ -55,15 +54,10 @@ _LONG_WALK = 128
 Edge = tuple[int, int]
 
 
-def _is_count(value) -> bool:
-    # bool is an Integral, but samples=True is a slip, not a count
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 def _vertex_count(n) -> int:
     """``n`` as an int, or ValueError unless it is an integer (numpy's too,
     not bool) of at least 1."""
-    if not _is_count(n):
+    if not _is_integer(n):
         raise ValueError(f"vertex count must be an integer, got {n!r}")
     if n < 1:
         raise ValueError(f"vertex count must be >= 1, got {n}")
@@ -458,7 +452,7 @@ def structure_scaling_report(
     """
     frac = as_balance_threshold(beta)
     sizes = list(n_grid)
-    if not all(_is_count(v) for v in (*sizes, samples)):
+    if not all(_is_integer(v) for v in (*sizes, samples)):
         raise ValueError(f"sizes and samples must be integers, got {sizes!r} and {samples!r}")
     sizes = [int(n) for n in sizes]
     samples = int(samples)

@@ -39,6 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .oracles import GAMMA, BitOracle, NoiseModel, QueryLedger, _CounterChannel, _read_counters, mix_array
+from .streams import _is_integer
 
 
 def snapped_ceil(value: float, rel_tol: float = 1e-9) -> int:
@@ -75,7 +76,8 @@ class WalkPolicy:
     up_threshold_b: int
 
     def __post_init__(self) -> None:
-        if self.down_threshold_a < 1 or self.up_threshold_b < 1:
+        a, b = self.down_threshold_a, self.up_threshold_b
+        if not (_is_integer(a) and _is_integer(b)) or a < 1 or b < 1:
             raise ValueError("walk thresholds must be positive integers")
 
     @classmethod
@@ -107,7 +109,7 @@ def _check_delta(delta: float, name: str) -> None:
 def _check_walk_params(p: float, x: int) -> None:
     if not (isinstance(p, (int, float)) and math.isfinite(p) and 0.0 < p < 0.5):
         raise ValueError(f"step-up probability must lie in (0, 1/2), got {p!r}")
-    if not isinstance(x, (int, np.integer)) or x < 0:
+    if not _is_integer(x) or x < 0:
         raise ValueError(f"barrier distance must be a non-negative integer, got {x!r}")
 
 

@@ -353,7 +353,7 @@ def test_reconstruct_a_block_equals_each_oracle_alone():
         assert together.ledger == alone.ledger
     singletons = _reconstruct([NoiselessEdgeOracle(1, []), NoiselessEdgeOracle(1, [])], delta)
     assert singletons.tolist() == [[0], [0]]
-    with pytest.raises(ValueError, match="must share n"):
+    with pytest.raises(ValueError, match="same number of slots"):
         _reconstruct([NoiselessEdgeOracle(1, []), NoiselessEdgeOracle(2, [])], delta)
 
 

@@ -14,6 +14,7 @@ from noisyquery import (
     BitOracle,
     ComplementBitOracle,
     CountResult,
+    EdgeOracle,
     ExperimentSpec,
     NoiseModel,
     WalkPolicy,
@@ -29,6 +30,7 @@ from noisyquery import (
     threshold_count,
 )
 from noisyquery import counting as counting_module
+from noisyquery.connectivity import _reconstruct
 from noisyquery.counting import counting_levels, threshold_barriers
 from noisyquery.harness import error_bound
 from noisyquery.walks import block_width, walks
@@ -395,6 +397,30 @@ def test_blocks_of_mixed_rows_match_each_oracle_alone(n, rows, p, delta, k_share
             assert results[t] == run([single], t)[0], (name, t)
             assert mixed._counters.tolist() == single._counters.tolist(), (name, t)
             assert mixed.ledger == single.ledger, (name, t)
+            # a flip of the block's bits must not reach an oracle's own
+            assert mixed.hidden == single.hidden == tuple(hidden[t].tolist()), (name, t)
+
+
+@pytest.mark.parametrize("name", ["threshold", "one-sided", "two-sided", "reconstruct"])
+def test_block_functions_refuse_empty_and_mixed_blocks(name):
+    # stack is the one check of a block: no oracles, or oracles of two
+    # sizes, raise ValueError before any oracle is charged
+    edges = name == "reconstruct"
+    run = {
+        "threshold": lambda oracles: counting_module.threshold_counts(oracles, 1, 0.1),
+        "one-sided": lambda oracles: counting_module.counts_one_sided(oracles, 0.1),
+        "two-sided": lambda oracles: counting_module.counts_two_sided(oracles, 0.1, [0] * len(oracles)),
+        "reconstruct": lambda oracles: _reconstruct(oracles, 0.1),
+    }[name]
+
+    def oracle(n, t):
+        rng = seed_sequence(3, "mixed-sizes", t)
+        return EdgeOracle(n, [(0, 1)], 0.2, rng) if edges else BitOracle([1] * n, 0.2, rng)
+
+    for oracles, message in (([], "at least one oracle"), ([oracle(3, 0), oracle(4, 1)], "same number of slots")):
+        with pytest.raises(ValueError, match=message):
+            run(oracles)
+        assert [o.ledger.total_queries for o in oracles] == [0] * len(oracles)
 
 
 def test_results_report_exact_query_deltas():

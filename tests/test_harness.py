@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import hypothesis
 from hypothesis import strategies as st
+import numpy as np
 import pytest
 from scipy.stats import beta as beta_dist
 
@@ -320,6 +321,47 @@ def test_every_spec_fails_validation_or_runs(kind, data):
     hypothesis.event("ran" + (" at subnormal delta" if spec.delta < sys.float_info.min else ""))
     correct, queries = run_trial(spec, 0)
     assert queries >= 0
+
+
+_SMALL_SPECS = {
+    "threshold": dict(n=10, k=3, p=0.2, delta=0.1),
+    "counting2": dict(n=10, ones=3, p=0.2, delta=0.1),
+    "connectivity": dict(n=8, p=0.2, delta=0.1, beta=Fraction(1, 5)),
+    "influence": dict(n=3, q=0.3),
+}
+
+
+@pytest.mark.parametrize(
+    "kind,field,value",
+    [
+        ("threshold", "n", np.int64(10)),
+        ("threshold", "k", np.int64(3)),
+        ("threshold", "p", np.float32(0.2)),
+        ("threshold", "delta", np.float64(0.1)),
+        ("threshold", "delta", np.float32(0.1)),
+        ("threshold", "seed", np.uint32(7)),
+        ("threshold", "trials", np.int16(3)),
+        ("counting2", "ones", np.int8(3)),
+        ("counting2", "asymptotic_presample", np.bool_(True)),
+        ("connectivity", "beta", np.float32(0.2)),
+        ("influence", "q", np.float64(0.3)),
+        ("threshold", "p", Fraction(1, 5)),
+        ("influence", "q", Fraction(3, 10)),
+    ],
+)
+def test_admitted_specs_run_as_python_numbers(kind, field, value):
+    # what validate_spec admits runs: a numpy scalar gives the rows and
+    # JSON of the Python number it equals, and a Fraction where a float
+    # belongs is refused before any trial
+    spec = ExperimentSpec(kind, **{"trials": 3, "seed": 5, **_SMALL_SPECS[kind], field: value})
+    if not isinstance(value, np.generic):
+        with pytest.raises(ValueError, match="needs"):
+            run_experiment(spec)
+        return
+    plain = run_experiment(dataclasses.replace(spec, **{field: value.item()}))
+    report = run_experiment(spec)
+    assert reports_to_csv([report]) == reports_to_csv([plain])
+    assert reports_to_json([report]) == reports_to_json([plain])
 
 
 @pytest.mark.parametrize("field,value", [("trials", True), ("seed", False), ("jobs", True)])

@@ -179,6 +179,30 @@ def test_edge_oracle_rejects_the_first_bad_pair():
         EdgeOracle(3, [(0, 1, 2)], 0.2, 0)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: EdgeOracle(3, [(0, 1.5)], 0.2, 0),
+        lambda: EdgeOracle(3, [("1", "2")], 0.2, 0),
+        lambda: EdgeOracle(3.5, [(0, 1)], 0.2, 0),
+        lambda: EdgeOracle(True, [], 0.2, 0),
+        lambda: EdgeOracle(3, [(0, 1)], 0.2, 0).query((0, 1.7)),
+    ],
+    ids=["float vertex", "str vertices", "float n", "bool n", "float query"],
+)
+def test_edge_oracle_refuses_vertices_that_are_not_integers(build):
+    # no vertex, or vertex count, is truncated to an integer
+    with pytest.raises(ValueError, match="integer"):
+        build()
+
+
+def test_edge_oracle_accepts_numpy_integers():
+    oracle = EdgeOracle(np.int64(4), np.array([[2, 0]], dtype=np.uint8), 0.2, seed_sequence(6, "np"))
+    twin = EdgeOracle(4, [(0, 2)], 0.2, seed_sequence(6, "np"))
+    assert oracle.n == 4 and oracle.edges == twin.edges == {(0, 2)}
+    assert [oracle.query((np.int64(2), 0)) for _ in range(20)] == [twin.query((0, 2)) for _ in range(20)]
+
+
 def test_complement_view_flips_channel():
     base = BitOracle([1, 0], 0.2, seed_sequence(8, "comp"))
     view = ComplementBitOracle(base)

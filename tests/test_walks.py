@@ -22,6 +22,7 @@ from noisyquery import (
     simulate_first_passage,
     simulate_hitting,
     snapped_ceil,
+    threshold_count,
 )
 from noisyquery import walks as walks_module
 from noisyquery.walks import barrier, block_width, stack, unstack, walk_rounds, walks
@@ -649,6 +650,35 @@ def test_walk_oracles_refuses_what_it_cannot_stack(case):
     with pytest.raises(ValueError, match=message):
         stack(oracles)
     assert [(oracle._counters.tolist(), oracle.ledger.total_queries) for oracle in oracles] == before
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: WalkPolicy(2.5, 3),
+        lambda: WalkPolicy(True, 3),
+        lambda: WalkPolicy(3, False),
+        lambda: hitting_probability(0.2, True),
+        lambda: expected_hitting_time(0.2, 1.5),
+        lambda: BitOracle([0, 1], 0.2, 0).query(True),
+        lambda: threshold_count(BitOracle([0, 1], 0.2, 0), True, 0.1),
+    ],
+    ids=["float a", "bool a", "bool b", "bool distance", "float distance", "bool index", "bool k"],
+)
+def test_integer_arguments_refuse_bools_and_floats(call):
+    # one rule: any integer, numpy's too, and never a bool
+    with pytest.raises((ValueError, IndexError), match="integer"):
+        call()
+
+
+def test_integer_arguments_accept_numpy_integers():
+    two = np.int64(2)
+    assert WalkPolicy(two, 3) == WalkPolicy(2, 3)
+    assert hitting_probability(0.2, two) == hitting_probability(0.2, 2)
+    oracles = [BitOracle([1, 0, 1, 1], 0.2, seed_sequence(7, "np-int")) for _ in range(2)]
+    assert oracles[0].query(np.int64(1)) == oracles[1].query(1)
+    assert threshold_count(oracles[0], two, 0.1) == threshold_count(oracles[1], 2, 0.1)
+    assert oracles[0].ledger == oracles[1].ledger
 
 
 def test_walks_reject_keys_outside_the_oracle():
