@@ -24,7 +24,6 @@ come from one label array over every vertex of the block
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -67,7 +66,8 @@ def check_balance_feasible(n: int, beta) -> Fraction:
     """
     n = _vertex_count(n)
     frac = as_balance_threshold(beta)
-    if math.ceil(frac * n) > n // 2:
+    # ceil(beta n) > floor(n/2), on the integers
+    if -(-frac.numerator * n // frac.denominator) > n // 2:
         raise InfeasibleBalance(
             f"no tree on {n} vertices has a {frac}-balanced edge: needs ceil({frac}*n) <= floor(n/2)"
         )

@@ -172,22 +172,30 @@ def _threshold_scans(block, count: int, n: int, k: int, delta: float) -> list[in
     ]
 
 
+# K_r of counting_levels: the zeros' retire walks spend delta/K_r of the
+# error, the stop levels the rest
+_RETIRE_SHARE = 3
+
+
 def counting_levels(noise, n: int, count: int, delta: float) -> tuple[int, int]:
     """Stop level and retire barrier of :func:`counting_one_sided` at ``count``.
 
-    (stop, retire) = (barrier(6(count+1)), barrier(6n)). With r = (1-p)/p,
-    rho_c = r^-stop(c) <= delta/6(c+1) and r^-retire <= delta/6n. Given m
-    ones, the run errs only if a zero's walk climbs to retire, or the run
-    stops at some count c < m; then each of m - c uncounted ones has
-    fallen to -stop(c), and distinct indices walk independently. The
+    (stop, retire) = (barrier(K_s (count+1)), barrier(K_r n)) with K_r = 3
+    and K_s = K_r/(K_r - 1) + delta = 3/2 + delta. With r = (1-p)/p,
+    rho_c = r^-stop(c) <= delta/K_s(c+1) and r^-retire <= delta/K_r n.
+    Given m ones, the run errs only if a zero's walk climbs to retire, or
+    the run stops at some count c < m; then each of m - c uncounted ones
+    has fallen to -stop(c), and distinct indices walk independently. The
     per-level error sum is
 
         n r^-retire + sum_{c=0}^{m-1} C(m, m-c) rho_c^(m-c)
-            <= delta/6 + sum_{j>=1} (delta/6)^j < delta/6 + delta/5,
+            <= delta/K_r + sum_{j>=1} (delta/K_s)^j = delta/K_r + delta/(K_s - delta),
 
-    using C(m, j) <= (m-j+1)^j. The constant 6 leaves the rest of delta unspent.
+    using C(m, j) <= (m-j+1)^j, and delta/(K_s - delta) = delta (1 - 1/K_r),
+    so the two parts spend exactly delta.
     """
-    return barrier(noise, 6 * (count + 1), delta), barrier(noise, 6 * n, delta)
+    stop_share = _RETIRE_SHARE / (_RETIRE_SHARE - 1) + delta
+    return barrier(noise, stop_share * (count + 1), delta), barrier(noise, _RETIRE_SHARE * n, delta)
 
 
 def counting_one_sided(oracle, delta: float) -> CountResult:
@@ -199,7 +207,8 @@ def counting_one_sided(oracle, delta: float) -> CountResult:
     Every index runs a +-1 walk on its answers, always advancing the highest
     walk (lowest index on ties). An index is counted, and leaves, when its
     walk reaches ``retire_at``; the run ends when the highest walk is at or
-    below ``-stop_at(count)``. Both come from :func:`counting_levels`. Each
+    below ``-stop_at(count)``. Both come from :func:`counting_levels`, whose
+    union bound over the two ways to err spends exactly ``delta``. Each
     kernel call runs one stop-level extension: every remaining walk goes
     from ``-reached`` (0 at first) to the first of ``retire_at`` and
     ``-floor``, ``floor = stop_at(count)``. The heap's level sweeps over

@@ -35,14 +35,15 @@ def _entropy_words(part: int | str) -> list[int]:
     give distinct word lists, and since no header is zero, no list is
     another with zero words appended, which SeedSequence would not tell
     apart. Nothing depends on the builtin ``hash``, which is salted per
-    process.
+    process. A bool is refused, as :func:`_is_integer` refuses it: True
+    would otherwise name the stream of 1.
     """
     if isinstance(part, str):
         data = part.encode("utf-8")
         padded = data + bytes(-len(data) % 4)
         payload = [int.from_bytes(padded[i : i + 4], "little") for i in range(0, len(padded), 4)]
         return [4 * len(data) + _TAG_STR, *payload]
-    if isinstance(part, (int, np.integer)):
+    if _is_integer(part):
         value = int(part)
         kind = _TAG_NONNEGATIVE if value >= 0 else _TAG_NEGATIVE
         value = abs(value)
@@ -78,10 +79,11 @@ def derive_rng(*parts: int | str) -> np.random.Generator:
 def as_generator(
     rng: np.random.Generator | np.random.SeedSequence | int,
 ) -> np.random.Generator:
-    """Coerce a seed, SeedSequence or Generator into a Generator."""
+    """Coerce a seed, SeedSequence or Generator into a Generator; a bool
+    is not a seed."""
     if isinstance(rng, np.random.Generator):
         return rng
-    if isinstance(rng, (int, np.integer, np.random.SeedSequence)):
+    if _is_integer(rng) or isinstance(rng, np.random.SeedSequence):
         return np.random.default_rng(rng)
     raise TypeError(f"expected Generator, SeedSequence or int, got {type(rng).__name__}")
 
@@ -95,7 +97,7 @@ def stream_key(rng: np.random.Generator | np.random.SeedSequence | int) -> tuple
     """
     if isinstance(rng, np.random.Generator):
         words = rng.integers(0, 1 << 64, size=2, dtype=np.uint64)
-    elif isinstance(rng, (int, np.integer, np.random.SeedSequence)):
+    elif _is_integer(rng) or isinstance(rng, np.random.SeedSequence):
         seq = rng if isinstance(rng, np.random.SeedSequence) else np.random.SeedSequence(int(rng))
         words = seq.generate_state(2, dtype=np.uint64)
     else:

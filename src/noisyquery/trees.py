@@ -345,9 +345,20 @@ def cayley_tree_count(n: int) -> int:
 
 
 def as_balance_threshold(beta) -> Fraction:
-    """Coerce a balance threshold to an exact Fraction in (0, 1/2)."""
-    frac = Fraction(beta) if not isinstance(beta, Fraction) else beta
-    if not 0 < frac < Fraction(1, 2):
+    """Coerce a balance threshold to an exact Fraction in (0, 1/2).
+
+    A numpy scalar is the exact value ``.item()`` gives, and a string is
+    read as ``Fraction`` reads it. Anything else that is not a real number
+    in (0, 1/2), such as None, nan or inf, raises ValueError.
+    """
+    value = beta.item() if isinstance(beta, np.generic) else beta
+    try:
+        frac = value if isinstance(value, Fraction) else Fraction(value)
+        # 0 < frac < 1/2, on the integers: a Fraction's denominator is positive
+        inside = 0 < frac.numerator and 2 * frac.numerator < frac.denominator
+    except (TypeError, ValueError, OverflowError):
+        inside = False
+    if not inside:
         raise ValueError(f"balance threshold must lie in (0, 1/2), got {beta!r}")
     return frac
 

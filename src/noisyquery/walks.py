@@ -57,7 +57,7 @@ def snapped_ceil(value: float, rel_tol: float = 1e-9) -> int:
     return max(result, 1)
 
 
-def barrier(noise: NoiseModel, count: int, delta: float) -> int:
+def barrier(noise: NoiseModel, count: float, delta: float) -> int:
     """Smallest barrier x with count * r^-x <= delta, r = (1-p)/p (up to the snap).
 
     A walk drifting away from a barrier x steps off ever reaches it with

@@ -1,12 +1,13 @@
 """Test-wide settings, the scalar reference walk, its exact law, the
-exact threshold error built on it, per-slot answer counts read off an
-oracle's counters, and a switch to small kernel rounds.
+exact threshold and counting errors built on it, per-slot answer counts
+read off an oracle's counters, and a switch to small kernel rounds.
 
 Property tests run under a derandomised hypothesis profile: the same
 examples on every run, no example database, no deadline, so the suite
 gives the same result wherever it runs.
 """
 
+import itertools
 import math
 from contextlib import contextmanager
 from unittest import mock
@@ -17,7 +18,7 @@ from scipy.stats import binom
 
 from noisyquery import NoiseModel
 from noisyquery import walks as walks_module
-from noisyquery.counting import threshold_barriers
+from noisyquery.counting import counting_levels, threshold_barriers
 from noisyquery.oracles import GAMMA
 
 settings.register_profile("derandomised", max_examples=40, derandomize=True, database=None, deadline=None)
@@ -110,3 +111,46 @@ def exact_threshold_error(n, k, p, delta, ones):
     if complement:
         return at_least(target) if m < target else below(target)
     return below(target) if m >= target else below(m) + at_least(m + 1)
+
+
+def exact_counting_error(n, ones, p, delta):
+    """Error of ``counting_one_sided(oracle, delta)`` on n bits with
+    ``ones`` ones, bounded from above by the chance that its ones miss
+    their count or one of its zeros retires.
+
+    Index i retires under a floor s exactly when its walk reaches
+    +retire before -s: for a one with chance F(s) = 1 - e1(s), e1 from
+    :func:`exact_check`, and the floor only rises. So the run reaches
+    count c + 1 from c exactly when at least c + 1 indices retire under
+    the stop level s(c) of :func:`counting_levels`. With m ones and no
+    zero retiring, the run counts all m exactly when, for every c < m, at
+    least c + 1 ones retire under s(c), and then it ends at floor s(m).
+    The ones' walks are independent, so that is a DP over the distinct
+    levels of s(0..m-1): of the ones still out under the last floor, each
+    stays out under the next with chance e1(next)/e1(last), a binomial
+    increment, and the states with fewer than c + 1 retired ones at the
+    last c of a level are the error's. Their mass is summed directly,
+    never as 1 - x, so it keeps its precision far below 1e-16. A zero
+    retires under s(m) with chance e0(s(m)), and the zeros walk
+    independently of the ones, so the two parts combine as P(A or B).
+    """
+    noise = NoiseModel(p)
+    m = ones
+    retire = counting_levels(noise, n, 0, delta)[1]
+    levels = [counting_levels(noise, n, c, delta)[0] for c in range(m + 1)]
+    alive = np.zeros(m + 1)  # alive[k]: no error yet, k ones retired
+    alive[0] = 1.0
+    missed = 0.0
+    out_before = 1.0
+    for floor, group in itertools.groupby(range(m), key=levels.__getitem__):
+        need = list(group)[-1] + 1
+        out = exact_check(p, floor, retire, 1)[0]
+        rows = np.flatnonzero(alive)
+        # ones out under the last floor that stay out under this one
+        stay = binom.pmf(m - np.arange(m + 1), (m - rows)[:, None], out / out_before)
+        alive = alive[rows] @ stay
+        out_before = out
+        missed += float(alive[:need].sum())
+        alive[:need] = 0.0
+    zero_retires = -math.expm1((n - m) * math.log1p(-exact_check(p, levels[m], retire, 0)[0]))
+    return missed + zero_retires - missed * zero_retires

@@ -205,6 +205,18 @@ def test_balance_feasibility_returns_the_checked_fraction():
     assert isinstance(check_balance_feasible(20, "1/5"), Fraction)
     # numpy integers are vertex counts too
     assert check_balance_feasible(np.int64(30), "1/21") == Fraction(1, 21)
+    # a numpy scalar is the exact value .item() gives
+    assert check_balance_feasible(50, np.float32(0.05)) == Fraction(np.float32(0.05).item())
+
+
+@pytest.mark.parametrize(
+    "beta", [None, float("inf"), float("-inf"), float("nan"), 1j, [0.1], np.float32(0.5), np.float64("inf")]
+)
+@pytest.mark.parametrize("call", [check_balance_feasible, sample_hard_instance])
+def test_balance_thresholds_that_are_not_reals_in_range_raise_value_error(call, beta):
+    # every refused threshold is a parameter error, whatever its type
+    with pytest.raises(ValueError):
+        call(50, beta) if call is check_balance_feasible else call(50, derive_rng(79, "beta"), beta=beta)
 
 
 def test_st_instance_terminals_uniform():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from noisyquery import BitOracle, derive_rng, seed_sequence
+from noisyquery.streams import as_generator, stream_key
 
 tags = st.one_of(st.integers(-(2**70), 2**70), st.text(max_size=6))
 
@@ -42,3 +43,17 @@ def test_oracle_stream_sources_replay(source):
 def test_oracle_rejects_other_stream_sources():
     with pytest.raises(TypeError):
         BitOracle([0, 1], 0.2, "seed")
+
+
+@pytest.mark.parametrize(
+    "name_stream",
+    [lambda v: seed_sequence(v, "x"), lambda v: derive_rng(7, v), stream_key, as_generator],
+    ids=["seed_sequence", "derive_rng", "stream_key", "as_generator"],
+)
+def test_a_bool_never_names_a_stream(name_stream):
+    # True is an int subclass, but as a seed or tag it would name the
+    # stream of 1; numpy integers stay seeds
+    for flag in (True, False, np.bool_(True)):
+        with pytest.raises(TypeError):
+            name_stream(flag)
+    assert name_stream(np.int64(1)) is not None
