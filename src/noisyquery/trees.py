@@ -7,16 +7,18 @@ vertex after its parent. It walks in two phases. While the tree is small
 its walks are long, a few of them taking most of the draws, and each is
 read a draw chunk at a time in numpy, loop-erased from its last visits
 (``_chunk_walk``); once |tree| * ``_LONG_WALK`` reaches n-1, the rest
-are walked one draw at a time in Python. Either way every draw comes
-from chunks of ``gen.integers(0, n - 1, size=_CHUNK)``, each drawn only
-when a draw is needed, so trees and the generator's later draws are the
-same as those of a walk that reads one draw at a time.
+are walked one draw at a time in Python, converting a chunk to Python
+ints ``_SLICE`` draws at a time as they are read. Either way every draw
+comes from chunks of ``gen.integers(0, n - 1, size=_CHUNK)``, each drawn
+only when a draw is needed, so trees and the generator's later draws
+are the same as those of a walk that reads one draw at a time.
 
-``_splits`` turns that pair into subtree sizes in one children-first
-pass, which are the sides of the split each edge's removal leaves.
-``_balance`` on top of ``_splits`` is the one home of the balance rule:
-it returns the subtree sizes, the balanced edges and the sum of smaller
-sides. ``sample_ust`` wraps the parent array in a :class:`LabeledTree`;
+``_balance`` turns that pair into subtree sizes, the sides of the split
+each edge's removal leaves, in one children-first pass that also checks
+the pair is a tree. It is the one home of the split and balance rules:
+the same pass classifies each edge as it reaches it, and returns the
+subtree sizes, the balanced edges and the sum of smaller sides.
+``sample_ust`` wraps the parent array in a :class:`LabeledTree`;
 ``balanced_edges`` recovers parents of any tree by BFS;
 ``structure_scaling_report`` and the hard connectivity instances
 (``connectivity.sample_hard_instance``) go from ``_wilson`` to
@@ -26,7 +28,8 @@ Prufer decoding (each sequence in [n]^(n-2) maps to its own labeled
 tree) enumerates all trees for small n.
 
 Thresholds are compared in exact integer arithmetic, so a side of size
-s is "at least beta*n" iff s * denom(beta) >= numer(beta) * n.
+s is "at least beta*n" iff s * denom(beta) >= numer(beta) * n, that is
+iff s >= ceil(numer(beta) * n / denom(beta)).
 """
 
 from __future__ import annotations
@@ -46,10 +49,13 @@ from .unionfind import UnionFind
 
 ENUMERATION_LIMIT = 7
 
-# _wilson's draws per chunk, and the expected walk length (n-1)/|tree|
-# below which a numpy pass over a chunk costs more than it saves
+# _wilson's draws per chunk, the expected walk length (n-1)/|tree|
+# below which a numpy pass over a chunk costs more than it saves, and
+# the draws its scalar phase converts to Python ints at a time (a tree
+# at n = 50 reads about 94 draws)
 _CHUNK = 1024
 _LONG_WALK = 128
+_SLICE = 128
 
 Edge = tuple[int, int]
 
@@ -64,9 +70,20 @@ def _vertex_count(n) -> int:
     return int(n)
 
 
+def _vertex(x) -> int:
+    """``x`` as an int, or ValueError unless it is an integer (numpy's
+    too, not bool)."""
+    if not _is_integer(x):
+        raise ValueError(f"vertex must be an integer, got {x!r}")
+    return int(x)
+
+
 def _normalize_edge(u: int, v: int, n: int) -> Edge:
-    u = int(u)
-    v = int(v)
+    # a plain int skips the check, which a tree's n-1 edges would pay twice each
+    if type(u) is not int:
+        u = _vertex(u)
+    if type(v) is not int:
+        v = _vertex(v)
     if u == v:
         raise ValueError(f"self-loop ({u}, {v}) cannot appear in a tree")
     if not (0 <= u < n and 0 <= v < n):
@@ -82,8 +99,7 @@ class LabeledTree:
     edges: tuple[Edge, ...]
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"vertex count must be >= 1, got {self.n}")
+        object.__setattr__(self, "n", _vertex_count(self.n))
         normalized = tuple(sorted(_normalize_edge(u, v, self.n) for u, v in self.edges))
         if len(set(normalized)) != len(normalized):
             raise ValueError("duplicate edge in tree")
@@ -178,10 +194,7 @@ def _wilson(n: int, gen) -> tuple[list[int], list[int]]:
             path.reverse()
             order += path
             size += len(path)
-    draws = chain(
-        chunk[pos:].tolist(),
-        chain.from_iterable(iter(lambda: gen.integers(0, top, size=_CHUNK).tolist(), None)),
-    )
+    draws = chain.from_iterable(_draw_slices(chunk, pos, gen, top))
     for start in range(start, n):
         if in_tree[start]:
             continue
@@ -209,6 +222,17 @@ def _wilson(n: int, gen) -> tuple[list[int], list[int]]:
         path.reverse()
         order += path
     return parent, order
+
+
+def _draw_slices(chunk, pos: int, gen, top: int) -> Iterator[list[int]]:
+    """The draws ``chunk[pos:]`` and then fresh chunks, as lists of at
+    most ``_SLICE`` Python ints; a chunk is drawn only when the slice
+    before it has been read."""
+    while True:
+        for i in range(pos, len(chunk), _SLICE):
+            yield chunk[i : i + _SLICE].tolist()
+        chunk = gen.integers(0, top, size=_CHUNK)
+        pos = 0
 
 
 def _chunk_walk(start: int, chunk, pos: int, tree_mask, gen, top: int):
@@ -244,48 +268,55 @@ def _chunk_walk(start: int, chunk, pos: int, tree_mask, gen, top: int):
         cur = int(x[-1])
 
 
-def _splits(n: int, parent: Sequence[int], order: Sequence[int]) -> list[int]:
-    """Subtree sizes of the tree rooted at 0 that ``parent`` describes.
-
-    ``subtree[v]`` is the side of the split at edge (v, parent[v]) that
-    holds v; the other side has n - subtree[v] vertices. Raises
-    ValueError unless ``order`` is a permutation of the vertices 1..n-1
-    and the pass carries all n vertices to the root, which holds exactly
-    when the parents form a tree rooted at 0 and ``order`` puts each
-    vertex after its parent.
-    """
-    if len(order) != n - 1 or set(order) != set(range(1, n)):
-        raise ValueError(f"order must list each of the vertices 1..{n - 1} once")
-    if min(parent) < 0 or max(parent) >= n:
-        raise ValueError(f"parent out of vertex range [0, {n})")
-    subtree = [1] * n
-    for v in reversed(order):
-        subtree[parent[v]] += subtree[v]
-    if subtree[0] != n:
-        raise ValueError("parents do not form a tree rooted at 0, or order lists a child before its parent")
-    return subtree
-
-
 def _balance(n: int, parent: Sequence[int], order: Sequence[int], frac: Fraction) -> tuple[list[int], list[Edge], int]:
     """Split sizes, the frac-balanced edges and the sum of smaller sides.
 
-    Returns ``_splits``' subtree sizes, the edges whose removal leaves
-    at least frac*n vertices on both sides, sorted, and the sum over all
-    edges of the smaller side's size. Edge tuples are built for the
-    balanced edges only.
+    ``parent`` and ``order`` describe a tree rooted at 0, as ``_wilson``
+    returns it. One children-first pass over ``order`` reversed reaches
+    each vertex v once its subtree size is final: ``subtree[v]`` is the
+    side of the split at edge (v, parent[v]) that holds v, and the other
+    side has n - subtree[v] vertices. The same step adds the size to the
+    parent's, adds the smaller side to the sum, and tests the balance
+    rule: both sides hold at least frac*n vertices, that is
+    lo <= subtree[v] <= n - lo with lo = ceil(frac*n), exactly. Returns
+    the subtree sizes, the balanced edges sorted and the sum; edge tuples
+    are built for the balanced edges only.
+
+    Raises ValueError unless ``order`` lists each of the vertices 1..n-1
+    once, every parent lies in [0, n), and the pass carries all n
+    vertices to the root, which holds exactly when the parents form a
+    tree rooted at 0 and ``order`` puts each vertex after its parent.
     """
-    subtree = _splits(n, parent, order)
-    bar = frac.numerator * n
-    den = frac.denominator
+    if len(parent) != n or len(order) != n - 1:
+        raise ValueError(f"need {n} parents and an order of the {n - 1} vertices 1..{n - 1}")
+    lo = -(-frac.numerator * n // frac.denominator)
+    hi = n - lo
+    half = n // 2
+    subtree = [1] * n
+    # the root counts as listed, so an order entry 0 reads as a repeat
+    seen = bytearray(n)
+    seen[0] = 1
     balanced: list[Edge] = []
     s_sum = 0
-    for v in order:
-        side = subtree[v]
-        other = n - side
-        s_sum += side if side < other else other
-        if side * den >= bar and other * den >= bar:
+    try:
+        if min(parent) < 0 or max(parent) >= n:
+            raise ValueError(f"parent out of vertex range [0, {n})")
+        for v in reversed(order):
+            # a negative v would index from the end
+            if seen[v] or v < 0:
+                raise ValueError(f"order must list each of the vertices 1..{n - 1} once, got {v!r}")
+            seen[v] = 1
+            side = subtree[v]
             u = parent[v]
-            balanced.append((v, u) if v < u else (u, v))
+            subtree[u] += side
+            s_sum += side if side <= half else n - side
+            if lo <= side <= hi:
+                balanced.append((v, u) if v < u else (u, v))
+    except (IndexError, TypeError):
+        # an order entry >= n, or an entry or parent that is not an integer
+        raise ValueError(f"order and parents must be integer vertices in [0, {n})") from None
+    if subtree[0] != n:
+        raise ValueError("parents do not form a tree rooted at 0, or order lists a child before its parent")
     balanced.sort()
     return subtree, balanced, s_sum
 
@@ -299,9 +330,8 @@ def sample_ust(n: int, rng) -> LabeledTree:
 
 def prufer_to_tree(seq: Sequence[int], n: int) -> LabeledTree:
     """Decode a Prufer sequence (length n-2, entries in [0, n)) to its tree."""
-    if n < 1:
-        raise ValueError(f"vertex count must be >= 1, got {n}")
-    seq = [int(v) for v in seq]
+    n = _vertex_count(n)
+    seq = [v if type(v) is int else _vertex(v) for v in seq]
     if len(seq) != max(n - 2, 0):
         raise ValueError(f"sequence for {n} vertices must have length {max(n - 2, 0)}, got {len(seq)}")
     if any(not 0 <= v < n for v in seq):
@@ -328,7 +358,8 @@ def prufer_to_tree(seq: Sequence[int], n: int) -> LabeledTree:
 
 def enumerate_trees(n: int) -> Iterator[LabeledTree]:
     """All labeled trees on [n], via exhaustive Prufer enumeration."""
-    if not 1 <= n <= ENUMERATION_LIMIT:
+    n = _vertex_count(n)
+    if n > ENUMERATION_LIMIT:
         raise ValueError(f"enumeration supported for 1 <= n <= {ENUMERATION_LIMIT}, got {n}")
     if n == 1:
         yield LabeledTree(1, ())
@@ -339,8 +370,7 @@ def enumerate_trees(n: int) -> Iterator[LabeledTree]:
 
 def cayley_tree_count(n: int) -> int:
     """Number of labeled trees on n vertices: n^(n-2)."""
-    if n < 1:
-        raise ValueError(f"vertex count must be >= 1, got {n}")
+    n = _vertex_count(n)
     return 1 if n <= 2 else n ** (n - 2)
 
 

@@ -19,7 +19,7 @@ from noisyquery import (
     sample_ust,
     structure_scaling_report,
 )
-from noisyquery.trees import _CHUNK, _LONG_WALK, _splits, _wilson
+from noisyquery.trees import _CHUNK, _LONG_WALK, _balance, _wilson
 
 
 def reference_wilson(n, gen):
@@ -57,6 +57,28 @@ def reference_wilson(n, gen):
         path.reverse()
         order += path
     return parent, order
+
+
+def reference_balance(n, parent, order, frac):
+    """Subtree sizes in one pass and the balance rule in a second, as
+    ``side * den >= num * n`` on both sides: the reference the one-pass
+    ``_balance`` must match exactly on trees."""
+    subtree = [1] * n
+    for v in reversed(order):
+        subtree[parent[v]] += subtree[v]
+    bar = frac.numerator * n
+    den = frac.denominator
+    balanced = []
+    s_sum = 0
+    for v in order:
+        side = subtree[v]
+        other = n - side
+        s_sum += min(side, other)
+        if side * den >= bar and other * den >= bar:
+            u = parent[v]
+            balanced.append((min(u, v), max(u, v)))
+    balanced.sort()
+    return subtree, balanced, s_sum
 
 
 def tree_to_prufer(tree):
@@ -152,6 +174,40 @@ def test_prufer_validation():
         prufer_to_tree([0, 1], 3)
     with pytest.raises(ValueError):
         prufer_to_tree([5], 3)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: LabeledTree(2.5, ((0, 1),)),
+        lambda: LabeledTree(True, ()),
+        lambda: LabeledTree(3, ((0, 1.5), (1, 2))),  # int() would read the edge as (0, 1)
+        lambda: LabeledTree(3, ((0, "1"), (1, 2))),
+        lambda: LabeledTree(3, ((0, True), (1, 2))),
+        lambda: LabeledTree(3, ((0, 1), (1, np.float64(2.0)))),
+        lambda: prufer_to_tree([0.5], 3),
+        lambda: prufer_to_tree(["1"], 3),
+        lambda: prufer_to_tree([True], 3),
+        lambda: prufer_to_tree([0], 3.0),
+        lambda: prufer_to_tree([], True),
+        lambda: list(enumerate_trees(3.0)),
+        lambda: list(enumerate_trees(True)),
+        lambda: cayley_tree_count(2.5),
+        lambda: cayley_tree_count(True),
+    ],
+)
+def test_trees_refuse_non_integer_counts_and_vertices(call):
+    with pytest.raises(ValueError, match="integer"):
+        call()
+
+
+def test_trees_accept_numpy_integer_counts_and_vertices():
+    tree = LabeledTree(np.int64(3), ((np.int64(1), np.int32(0)), (np.uint8(2), 1)))
+    assert tree == LabeledTree(3, ((0, 1), (1, 2)))
+    assert type(tree.n) is int
+    assert all(type(v) is int for edge in tree.edges for v in edge)
+    assert prufer_to_tree(np.array([0, 1]), np.int64(4)) == prufer_to_tree([0, 1], 4)
+    assert len(list(enumerate_trees(np.int64(4)))) == cayley_tree_count(np.int64(4)) == 16
 
 
 def test_wilson_uniformity_n4():
@@ -337,10 +393,10 @@ def test_scaling_path_matches_balanced_edges(n, seed):
         assert (row.balanced_mean, row.s_sum_mean) == (len(reference.balanced_edges), reference.s_sum)
 
 
-def test_splits_sizes_on_a_path():
-    # 0 - 1 - 2 - 3, rooted at 0
-    assert _splits(4, [0, 0, 1, 2], [1, 2, 3]) == [4, 3, 2, 1]
-    assert _splits(1, [0], []) == [1]
+def test_balance_sizes_on_a_path():
+    # 0 - 1 - 2 - 3, rooted at 0: at beta 1/3 both sides need 2 vertices
+    assert _balance(4, [0, 0, 1, 2], [1, 2, 3], Fraction(1, 3)) == ([4, 3, 2, 1], [(1, 2)], 4)
+    assert _balance(1, [0], [], Fraction(1, 3)) == ([1], [], 0)
 
 
 @pytest.mark.parametrize(
@@ -354,11 +410,41 @@ def test_splits_sizes_on_a_path():
         ([0, 0, 1], [2, 1]),  # child 2 before its parent 1
         ([0, 0, 3], [1, 2]),  # parent outside the vertex range
         ([0, 0, -1], [1, 2]),  # negative parent, which list indexing would wrap
+        ([0, 0, 1.0], [1, 2]),  # a parent that is not an integer
+        ([0, 0, 1], [1, 2.0]),  # an order entry that is not an integer
+        ([0, 0, 0], [-1, 1]),  # -1 would index vertex 2, so the pass alone would reach 3
+        ([0, 0, 1], [1, 3]),  # an order entry past the last vertex
+        ([0, 0], [1, 2]),  # too few parents
+        ([0, 0, 1, 1], [1, 2]),  # too many parents
     ],
 )
-def test_splits_rejects_non_trees(parent, order):
+def test_balance_rejects_non_trees(parent, order):
     with pytest.raises(ValueError):
-        _splits(3, parent, order)
+        _balance(3, parent, order, Fraction(1, 3))
+
+
+@hypothesis.given(
+    st.integers(1, 300),
+    st.integers(0, 2**32),
+    st.sampled_from(["wilson", "prufer", "path"]),
+    st.sampled_from([Fraction(1, 21), Fraction(1, 3), 0.3, "exact"]),
+    st.integers(1, 149),
+)
+def test_balance_matches_two_pass_reference(n, seed, source, beta, m):
+    if source == "wilson":
+        parent, order = _wilson(n, derive_rng(seed, "balance-ref", n))
+    elif source == "prufer":
+        seq = derive_rng(seed, "balance-ref", n).integers(0, n, size=max(n - 2, 0)).tolist()
+        parent, order = prufer_to_tree(seq, n)._rooted()
+    else:
+        parent, order = path_tree(n)._rooted()
+    if beta == "exact":
+        # m/n with m < n/2 puts the balance bound on an integer side, m
+        if n < 3:
+            return
+        beta = Fraction(min(m, (n - 1) // 2), n)
+    frac = Fraction(beta)
+    assert _balance(n, parent, order, frac) == reference_balance(n, parent, order, frac)
 
 
 class ScriptedGen:
