@@ -48,10 +48,8 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}") from None
 
 
-def _add_common(sub: argparse.ArgumentParser, *, trials_default: int = 1000) -> None:
-    sub.add_argument("--trials", type=int, default=trials_default, help="number of independent trials")
+def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=0, help="master seed; all streams derive from it")
-    sub.add_argument("--jobs", type=int, default=1, help="worker processes for trials")
     sub.add_argument("--out", type=Path, default=None, help="write the report rows to this file")
     sub.add_argument("--format", choices=("csv", "json"), default="csv", help="output file format")
     sub.add_argument(
@@ -79,17 +77,16 @@ def build_parser() -> argparse.ArgumentParser:
             required = not param.optional and param.cli_default is None
             arg_type = _fraction if param.type is Fraction else param.type
             sub.add_argument(flag, type=arg_type, required=required, default=param.cli_default, help=param.help)
-        _add_common(sub, trials_default=kind.trials_default)
+        sub.add_argument("--trials", type=int, default=kind.trials_default, help="number of independent trials")
+        sub.add_argument("--jobs", type=int, default=1, help="worker processes for trials")
+        _add_common(sub)
         sub.set_defaults(func=_cmd_kind, kind=kind.name)
 
     ust = commands.add_parser("ust-stats", help="balanced-edge scaling of uniform spanning trees")
     ust.add_argument("--n-grid", type=_int_list, default=DEFAULT_UST_GRID, help=f"sizes (default {DEFAULT_UST_GRID})")
     ust.add_argument("--samples", type=int, default=200, help="trees per size")
     ust.add_argument("--beta", type=_fraction, default=Fraction(1, 3))
-    ust.add_argument("--seed", type=int, default=0)
-    ust.add_argument("--out", type=Path, default=None)
-    ust.add_argument("--format", choices=("csv", "json"), default="csv")
-    ust.add_argument("--assert", dest="assert_gates", action="store_true")
+    _add_common(ust)
     ust.set_defaults(func=_cmd_ust_stats)
 
     return parser

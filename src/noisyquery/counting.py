@@ -21,10 +21,9 @@ Each procedure also runs on a block of oracles of one size and one p
 single oracle is the block of one. The oracles are stacked once into one
 channel (:func:`~noisyquery.walks.stack`), which is the only check of
 the block, and each procedure reads, flips, walks and charges only that
-channel: the kernel walks its keys many per call, a complement is its
-bits flipped, and the index that ends a threshold scan is checked alone
-on it, by a single-bit check. One :func:`~noisyquery.walks.unstack`
-writes the rows back and gives each oracle's queries. Answers are
+channel: the kernel walks its keys many per call, and a complement is
+its bits flipped. One :func:`~noisyquery.walks.unstack` writes the rows
+back and gives each oracle's queries. Answers are
 counter-based, so this gives the same answers, counts and ledgers as
 checking each oracle's keys one at a time in the order described.
 """
@@ -37,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .streams import _is_integer, as_generator
-# check_bit is not called here but stays a module attribute: walk
-# instrumentation, such as perfbench's tracer, wraps it by this name
+# asymmetric_check_bit and check_bit are not called here but stay: walk
+# instrumentation, such as perfbench's tracer, wraps them by these names
 from .walks import (  # noqa: F401
     WalkPolicy,
     _check_delta,
@@ -132,7 +131,7 @@ def _threshold_scans(block, count: int, n: int, k: int, delta: float) -> list[in
     ...), so every scan advances at the same pace. The scans follow the
     walks of :func:`~noisyquery.walks.walk_rounds` round by round over
     the indices ended in every row; the block is charged each row's
-    indices up to the one that ends its scan.
+    indices through the one that ends its scan.
     """
     a, b = threshold_barriers(block.noise, n, k, delta)
     # key i * count + t of the walk is index i of oracle t, its slot t * n + i
@@ -155,21 +154,13 @@ def _threshold_scans(block, count: int, n: int, k: int, delta: float) -> list[in
         found, scanned = ones[-1], rows
         if not scanning.any():
             break
-    # row t of the block is charged its scan's indices before its last, in
-    # one pass over every slot; walks past them are not charged
-    charged = np.arange(n) < last[:, None]
+    # row t of the block is charged its scan's indices through its last,
+    # in one pass over every slot; walks past them are not charged
+    charged = np.arange(n) <= last[:, None]
     block._charge(np.s_[:], np.where(charged, steps.reshape(n, count).T, 0).ravel())
-    ones = np.where(charged, decided.reshape(n, count).T, 0).sum(axis=1)
-    policy = WalkPolicy(a, b)
-    # Stopgap: the index that ends each scan is walked again on the block,
-    # one key through asymmetric_check_bit with the scan's barriers as its
-    # policy, so with the same answers and verdict. perfbench's tracer
-    # wraps that name and raises KeyError on a scan with no wrapped walk;
-    # once it wraps the kernel, these indices are charged with the others.
-    return [
-        before + asymmetric_check_bit(block, t * n + stop, delta, delta, policy=policy).decided_bit
-        for t, (before, stop) in enumerate(zip(ones.tolist(), last.tolist()))
-    ]
+    # a stopped scan has found at least k ones; one that never stopped
+    # scanned all n indices, and found is its count
+    return np.minimum(found, k).tolist()
 
 
 # K_r of counting_levels: the zeros' retire walks spend delta/K_r of the

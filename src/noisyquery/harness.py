@@ -137,7 +137,6 @@ def theory_bound(kind: str, *, n: int | None = None, k: int | None = None, delta
     threshold: n log(min(k, n-k+1)/delta) / D_KL
     counting (k = true count): n log((min(k, n-k)+1)/delta) / D_KL
     connectivity: C(n,2) log(C(n,2)/delta) / D_KL  (naive-solver comparator)
-    check-bit: log(1/delta) / D_KL
 
     Each log(c/delta) is computed as written while c/delta is finite,
     and as log(c) - log(delta) once it overflows a double.
@@ -160,8 +159,6 @@ def theory_bound(kind: str, *, n: int | None = None, k: int | None = None, delta
             raise ValueError(f"connectivity bound needs n >= 2, got {n}")
         pairs = n * (n - 1) // 2
         return pairs * _log_over(pairs, delta) / noise.dkl
-    if kind == "check-bit":
-        return _log_over(1.0, delta) / noise.dkl
     raise ValueError(f"no theory bound for kind {kind!r}")
 
 

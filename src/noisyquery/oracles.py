@@ -157,11 +157,6 @@ class _CounterChannel:
         _read_counters([self])
         return vars(self)["_counters"]
 
-    @property
-    def _owner(self) -> "_CounterChannel":
-        """The channel whose counters these are: itself, or a complement view's inner oracle."""
-        return self
-
     def query(self, key) -> int:
         """One noisy answer about ``key``: a bit index, or a vertex pair in either order."""
         return self._answer(self._slot(key))
@@ -286,10 +281,10 @@ class ComplementBitOracle(BitOracle):
 
     Flipping a binary-symmetric-channel answer about bit b gives the
     same channel about bit 1-b, so the view's answers are the inner
-    oracle's flipped. It shares the inner oracle's answer counters and
+    oracle's flipped. It holds the inner oracle's answer counters and
     ledger: its answers continue the inner's answer counts, and its
-    queries are recorded in the inner's ledger. Building a view reads
-    no counters.
+    queries are recorded in the inner's ledger. Building a view forms
+    the inner's counters if they were not read yet.
     """
 
     def __init__(self, inner: BitOracle) -> None:
@@ -298,13 +293,5 @@ class ComplementBitOracle(BitOracle):
         self.noise = inner.noise
         self._flip_below = inner._flip_below
         self._bits = inner._bits ^ 1
-        self._inner = inner
+        self._counters = inner._counters
         self.ledger = inner.ledger
-
-    @property
-    def _counters(self) -> np.ndarray:
-        return self._inner._counters
-
-    @property
-    def _owner(self) -> _CounterChannel:
-        return self._inner._owner

@@ -286,6 +286,9 @@ def _balance(n: int, parent: Sequence[int], order: Sequence[int], frac: Fraction
     once, every parent lies in [0, n), and the pass carries all n
     vertices to the root, which holds exactly when the parents form a
     tree rooted at 0 and ``order`` puts each vertex after its parent.
+    The vertices must be ints, not bools, as ``_wilson`` and
+    ``LabeledTree._rooted`` give them: a bool would pass as the vertex
+    it equals, and a check for one costs about a quarter of the pass.
     """
     if len(parent) != n or len(order) != n - 1:
         raise ValueError(f"need {n} parents and an order of the {n - 1} vertices 1..{n - 1}")

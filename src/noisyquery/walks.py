@@ -244,8 +244,9 @@ def stack(oracles) -> _CounterChannel:
     :func:`unstack` writes the rows back. The counters of every oracle
     not read yet are formed first, in one
     :func:`~noisyquery.oracles._read_counters` call. The oracles must
-    share p and their slot count, and must not share answer counters,
-    or writing back would count some answers twice.
+    share p and their slot count, and no two may hold one counter array
+    (a view beside its inner oracle), or writing back would count some
+    answers twice.
     """
     channels = [_channel(oracle) for oracle in oracles]
     if not channels:
@@ -255,11 +256,10 @@ def stack(oracles) -> _CounterChannel:
         raise ValueError("oracles walked together must share their flip probability p")
     if any(c._bits.size != first._bits.size for c in channels):
         raise ValueError("oracles walked together must have the same number of slots")
-    owners = [c._owner for c in channels]
-    if len({id(owner) for owner in owners}) < len(owners):
+    _read_counters(channels)
+    if len({id(c._counters) for c in channels}) < len(channels):
         # an oracle listed twice, or a complement view beside its inner oracle
         raise ValueError("oracles walked together must not share answer counters")
-    _read_counters(owners)
     block = _CounterChannel()
     block.noise = first.noise
     block._flip_below = first._flip_below

@@ -90,7 +90,6 @@ def test_theory_bound_values():
     a = theory_bound("threshold", n=1001, k=300, delta=0.05, p=0.2)
     b = theory_bound("threshold", n=1001, k=1001 - 300 + 1, delta=0.05, p=0.2)
     assert a == b
-    assert theory_bound("check-bit", delta=0.1, p=0.25) == pytest.approx(math.log(10.0) / dkl)
     with pytest.raises(ValueError):
         theory_bound("sorting", n=10, k=1, delta=0.1, p=0.25)
     with pytest.raises(ValueError):

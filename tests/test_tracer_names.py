@@ -7,9 +7,11 @@ those module attributes breaks ``--trace 1``; ``perfbench/micro.py`` and
 goes away breaks the benchmark itself. Both are read with ``ast``, so
 this test does not import perfbench.
 
-The tracer also expects every threshold scan to call one of the walk
-names it wraps in ``counting``; a scan that calls none makes
-``--trace 1`` fail with a ``KeyError``.
+The tracer reads the walks under a ``counting.threshold`` span, and
+raises ``KeyError`` for one with none. It opens that span only around
+``harness.threshold_count``, which no experiment calls: every kind runs
+its block function, so the single-oracle names it wraps in ``harness``
+are never reached and a threshold scan need call no wrapped walk.
 
 No linter runs on ``src/``, so the last test here stands in for one:
 every name a module imports must be read in that module, unless its
@@ -23,8 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from noisyquery import BitOracle, derive_rng, seed_sequence, threshold_count
-from noisyquery import counting
+from noisyquery import ExperimentSpec, harness, run_experiment, run_trial
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SRC = Path(__file__).resolve().parents[1] / "src" / "noisyquery"
@@ -70,36 +71,32 @@ def test_benchmark_imports_resolve():
         assert not missing, script
 
 
+# the harness names the tracer wraps that no experiment calls
+TRACER_ONLY = ("threshold_count", "counting_one_sided", "counting_two_sided", "naive_connectivity")
+
+
 @pytest.mark.parametrize(
-    "n, k",
+    "spec",
     [
-        (1, 1),
-        (9, 3),
-        (40, 20),  # 2k <= n + 1: a scan for k ones
-        (40, 21),
-        (40, 39),
-        (9, 9),  # 2k > n + 1: a scan of the complement for n - k + 1 zeros
+        ExperimentSpec("threshold", n=40, k=20, p=0.2, delta=0.1, trials=3),  # 2k <= n + 1
+        ExperimentSpec("threshold", n=40, k=39, p=0.2, delta=0.1, trials=3),  # 2k > n + 1
+        ExperimentSpec("counting", n=40, p=0.2, delta=0.1, ones=5, trials=3),
+        ExperimentSpec("counting2", n=40, p=0.2, delta=0.1, ones=35, trials=3),
+        ExperimentSpec("connectivity", n=8, p=0.2, delta=0.1, trials=3),
+        ExperimentSpec("st-connectivity", n=8, p=0.2, delta=0.1, trials=3),
     ],
+    ids=lambda spec: f"{spec.kind}-{spec.k}",
 )
-def test_every_threshold_scan_calls_a_traced_walk(monkeypatch, n, k):
-    calls = []
+def test_experiments_call_no_tracer_only_harness_name(monkeypatch, spec):
+    assert {("harness", name) for name in TRACER_ONLY} <= set(boundary_names())
 
-    def shim(name):
-        original = getattr(counting, name)
+    def refuse(*args, **kwargs):
+        raise AssertionError("an experiment called a tracer-only harness name")
 
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return original(*args, **kwargs)
-
-        return wrapper
-
-    for name in ("asymmetric_check_bit", "check_bit"):
-        monkeypatch.setattr(counting, name, shim(name))
-    for seed in range(4):
-        hidden = derive_rng(seed, "traced-bits", n).integers(0, 2, size=n)
-        before = len(calls)
-        threshold_count(BitOracle(hidden, 0.2, seed_sequence(seed, "traced", n)), k, 0.1)
-        assert len(calls) > before, (seed, n, k)
+    for name in TRACER_ONLY:
+        monkeypatch.setattr(harness, name, refuse)
+    assert run_experiment(spec).spec.trials == spec.trials
+    run_trial(spec, 1)
 
 
 def unread_imports(path):
