@@ -41,7 +41,7 @@ class TruthTable:
     __slots__ = ("_values", "_labels", "_positions")
 
     def __init__(self, values: Sequence[int] | np.ndarray, labels: Sequence[int] | None = None):
-        arr = np.asarray(values, dtype=np.uint8)
+        arr = np.asarray(values)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("truth table must be a non-empty flat bit array")
         arity = arr.size.bit_length() - 1
@@ -49,6 +49,7 @@ class TruthTable:
             raise ValueError(f"truth table length must be a power of two, got {arr.size}")
         if arity > MAX_ARITY:
             raise ValueError(f"arity {arity} exceeds the supported maximum {MAX_ARITY}")
+        # checked as given, as BitOracle checks its bits, and then cast
         if not np.all((arr == 0) | (arr == 1)):
             raise ValueError("truth table entries must be 0/1 bits")
         if labels is None:
@@ -56,7 +57,7 @@ class TruthTable:
         labels = tuple(int(v) for v in labels)
         if len(labels) != arity or len(set(labels)) != arity:
             raise ValueError(f"need {arity} distinct variable labels, got {labels!r}")
-        arr = arr.copy()
+        arr = arr.astype(np.uint8)
         arr.flags.writeable = False
         self._values = arr
         self._labels = labels

@@ -30,6 +30,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .oracles import EdgeOracle
 from .streams import _is_integer, as_generator
 from .trees import Edge, LabeledTree, _balance, _vertex_count, _wilson, as_balance_threshold
 from .unionfind import UnionFind
@@ -41,6 +42,7 @@ from .trees import balanced_edges, sample_ust  # noqa: F401
 from .walks import check_bit  # noqa: F401
 
 HARD_BALANCE = Fraction(1, 21)
+# trees without a balanced edge in a row before a sampler gives up; read per call
 DEFAULT_REJECTION_CAP = 10_000
 
 
@@ -106,32 +108,26 @@ class STInstance:
     t: int
 
 
-def sample_hard_instance(
-    n: int,
-    rng,
-    *,
-    beta=HARD_BALANCE,
-    rejection_cap: int = DEFAULT_REJECTION_CAP,
-) -> HardInstance:
+def sample_hard_instance(n: int, rng, *, beta=HARD_BALANCE) -> HardInstance:
     """Draw one labeled connectivity instance.
 
     The label is the ground truth: 1 iff the emitted graph is the full
     tree. Raises :class:`InfeasibleBalance` up front when no tree on n
     vertices has a balanced edge, and :class:`RejectionCapExceeded` when
-    ``rejection_cap`` consecutive trees have none. A vertex count that is
-    not an integer, or is bool, raises ValueError before any draw.
+    :data:`DEFAULT_REJECTION_CAP` trees in a row have none. A vertex count
+    that is not an integer, or is bool, raises ValueError before any draw.
     """
     n = _vertex_count(n)
     frac = check_balance_feasible(n, beta)
     gen = as_generator(rng)
-    for _ in range(rejection_cap):
+    for _ in range(DEFAULT_REJECTION_CAP):
         parent, order = _wilson(n, gen)
         _, candidates, _ = _balance(n, parent, order, frac)
         if candidates:
             break
     else:
         raise RejectionCapExceeded(
-            f"no {frac}-balanced edge found in {rejection_cap} sampled trees on {n} vertices"
+            f"no {frac}-balanced edge found in {DEFAULT_REJECTION_CAP} sampled trees on {n} vertices"
         )
     chosen = candidates[int(gen.integers(0, len(candidates)))]
     label = int(gen.integers(0, 2))
@@ -140,16 +136,10 @@ def sample_hard_instance(
     return HardInstance(n, edges - {removed}, label, removed)
 
 
-def sample_st_instance(
-    n: int,
-    rng,
-    *,
-    beta=HARD_BALANCE,
-    rejection_cap: int = DEFAULT_REJECTION_CAP,
-) -> STInstance:
+def sample_st_instance(n: int, rng, *, beta=HARD_BALANCE) -> STInstance:
     """Hard instance together with two independent uniform vertices."""
     gen = as_generator(rng)
-    instance = sample_hard_instance(n, gen, beta=beta, rejection_cap=rejection_cap)
+    instance = sample_hard_instance(n, gen, beta=beta)
     s = int(gen.integers(0, n))
     t = int(gen.integers(0, n))
     return STInstance(instance, s, t)
@@ -215,9 +205,13 @@ def _reconstruct(oracles: Sequence, delta: float) -> np.ndarray:
     :func:`~noisyquery.walks.stack` checks; every pair of every oracle is
     walked in one :func:`~noisyquery.walks.walks` call on their stacked
     block, and every vertex of every graph is labelled in one
-    :func:`_component_labels` call.
+    :func:`_component_labels` call. Anything but an
+    :class:`~noisyquery.oracles.EdgeOracle` raises TypeError first.
     """
     _check_delta(delta, "delta")
+    for oracle in oracles:
+        if not isinstance(oracle, EdgeOracle):
+            raise TypeError(f"connectivity needs EdgeOracles, got {type(oracle).__name__}")
     block = stack(oracles)
     n = oracles[0].n
     if n == 1:

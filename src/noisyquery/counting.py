@@ -1,6 +1,6 @@
 """Counting ones in a noisy bit vector.
 
-Three procedures over a :class:`~noisyquery.oracles.BitOracle`:
+Three procedures over a :class:`~noisyquery.oracles.BitOracle`, and no other oracle:
 
 * ``threshold_count``: decide whether at least k ones are present, via
   one asymmetric bit check per index with early exit at k hits. When
@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .oracles import BitOracle
 from .streams import _is_integer, as_generator
 # asymmetric_check_bit and check_bit are not called here but stay: walk
 # instrumentation, such as perfbench's tracer, wraps them by these names
@@ -95,7 +96,7 @@ def threshold_counts(oracles, k: int, delta: float) -> list[ThresholdResult]:
     row as its complement view would, and the scans look for n - k + 1
     zeros. Unstacking the block once gives each oracle's queries.
     """
-    block = stack(oracles)
+    block = _stack_bits(oracles)
     n = oracles[0].n
     if not _is_integer(k) or not 1 <= k <= n:
         raise ValueError(f"threshold k must be an integer in [1, {n}], got {k!r}")
@@ -108,6 +109,14 @@ def threshold_counts(oracles, k: int, delta: float) -> list[ThresholdResult]:
     else:
         values = _threshold_scans(block, len(oracles), n, k, delta)
     return [ThresholdResult(v, int(q)) for v, q in zip(values, unstack(block, oracles))]
+
+
+def _stack_bits(oracles):
+    # stack, of BitOracles only: an EdgeOracle's n counts vertices, not slots
+    for oracle in oracles:
+        if not isinstance(oracle, BitOracle):
+            raise TypeError(f"counting needs BitOracles, got {type(oracle).__name__}")
+    return stack(oracles)
 
 
 def threshold_barriers(noise, n: int, k: int, delta: float) -> tuple[int, int]:
@@ -216,7 +225,7 @@ def counts_one_sided(oracles, delta: float) -> list[CountResult]:
     and one p: stacked once into a block (:func:`~noisyquery.walks.stack`),
     counted row by row in lockstep by :func:`_count_rows`, and unstacked
     once, which gives each oracle's queries."""
-    block = stack(oracles)
+    block = _stack_bits(oracles)
     _check_delta(delta, "delta")
     n = oracles[0].n
     if n == 0:
@@ -286,7 +295,7 @@ def counts_two_sided(oracles, delta: float, rngs, *, asymptotic_presample: bool 
     counts every row's minority bit. Unstacking the block once gives
     each oracle's queries over both phases.
     """
-    block = stack(oracles)
+    block = _stack_bits(oracles)
     _check_delta(delta, "delta")
     n = oracles[0].n
     if len(rngs) != len(oracles):

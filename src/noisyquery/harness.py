@@ -112,15 +112,18 @@ class ExperimentReport:
     wall_time: float
 
 
-def wilson_interval(errors: int, trials: int, confidence: float = 0.95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if not 0 <= errors <= trials:
-        raise ValueError(f"errors must lie in [0, {trials}], got {errors}")
-    if not 0.0 < confidence < 1.0:
-        raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
-    z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
+# every report's error-rate interval is at this level; _WILSON_Z is its normal quantile
+WILSON_CONFIDENCE = 0.95
+_WILSON_Z = NormalDist().inv_cdf(0.5 + WILSON_CONFIDENCE / 2.0)
+
+
+def wilson_interval(errors: int, trials: int) -> tuple[float, float]:
+    """Wilson score interval for a binomial proportion, at :data:`WILSON_CONFIDENCE`."""
+    if not _is_integer(trials) or trials < 1:
+        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
+    if not _is_integer(errors) or not 0 <= errors <= trials:
+        raise ValueError(f"errors must be an integer in [0, {trials}], got {errors!r}")
+    z = _WILSON_Z
     phat = errors / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2.0 * trials)) / denom
@@ -560,10 +563,14 @@ def _naming(spec: ExperimentSpec, trials: range):
 
 
 def run_trial(spec: ExperimentSpec, trial: int) -> tuple[bool, int]:
-    """Run a single trial, the block of one; exposed for order-independence testing."""
+    """Run a single trial, the block of one, of a spec that :func:`validate_spec`
+    admits; exposed for order-independence testing. Walk-laws runs only whole."""
+    spec = validate_spec(spec)
+    block = KINDS[spec.kind].block
+    _require(block is not None, f"{spec.kind} has no single trials; run_experiment runs it whole")
     trials = range(trial, trial + 1)
     with _naming(spec, trials):
-        return KINDS[spec.kind].block(spec, trials)[0]
+        return block(spec, trials)[0]
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentReport:

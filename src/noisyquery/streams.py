@@ -76,16 +76,21 @@ def derive_rng(*parts: int | str) -> np.random.Generator:
     return np.random.default_rng(seed_sequence(*parts))
 
 
-def as_generator(
-    rng: np.random.Generator | np.random.SeedSequence | int,
-) -> np.random.Generator:
-    """Coerce a seed, SeedSequence or Generator into a Generator; a bool
-    is not a seed."""
-    if isinstance(rng, np.random.Generator):
+def _random_source(rng) -> np.random.Generator | np.random.SeedSequence:
+    """``rng`` if it is a Generator or a SeedSequence, an integer seed as
+    its SeedSequence, or TypeError; a bool is not a seed."""
+    if isinstance(rng, (np.random.Generator, np.random.SeedSequence)):
         return rng
-    if _is_integer(rng) or isinstance(rng, np.random.SeedSequence):
-        return np.random.default_rng(rng)
+    if _is_integer(rng):
+        return np.random.SeedSequence(int(rng))
     raise TypeError(f"expected Generator, SeedSequence or int, got {type(rng).__name__}")
+
+
+def as_generator(rng: np.random.Generator | np.random.SeedSequence | int) -> np.random.Generator:
+    """Coerce a seed, SeedSequence or Generator into a Generator; a seed n
+    gives ``default_rng(n)``'s stream."""
+    source = _random_source(rng)
+    return source if isinstance(source, np.random.Generator) else np.random.default_rng(source)
 
 
 def stream_key(rng: np.random.Generator | np.random.SeedSequence | int) -> tuple[int, int]:
@@ -95,11 +100,9 @@ def stream_key(rng: np.random.Generator | np.random.SeedSequence | int) -> tuple
     state words; a Generator is asked for two uniform 64-bit words, which
     advances it.
     """
-    if isinstance(rng, np.random.Generator):
-        words = rng.integers(0, 1 << 64, size=2, dtype=np.uint64)
-    elif _is_integer(rng) or isinstance(rng, np.random.SeedSequence):
-        seq = rng if isinstance(rng, np.random.SeedSequence) else np.random.SeedSequence(int(rng))
-        words = seq.generate_state(2, dtype=np.uint64)
+    source = _random_source(rng)
+    if isinstance(source, np.random.Generator):
+        words = source.integers(0, 1 << 64, size=2, dtype=np.uint64)
     else:
-        raise TypeError(f"expected Generator, SeedSequence or int, got {type(rng).__name__}")
+        words = source.generate_state(2, dtype=np.uint64)
     return int(words[0]), int(words[1])

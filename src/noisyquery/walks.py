@@ -42,15 +42,20 @@ from .oracles import GAMMA, BitOracle, NoiseModel, QueryLedger, _CounterChannel,
 from .streams import _is_integer
 
 
-def snapped_ceil(value: float, rel_tol: float = 1e-9) -> int:
+SNAP_TOLERANCE = 1e-9
+
+
+def snapped_ceil(value: float) -> int:
     """Ceiling with a relative snap for values within rounding of an integer.
 
     Thresholds are computed in double precision; without the snap, a
     quotient that is mathematically an integer could ceil to either of
-    two neighbours depending on rounding. Result is clamped to >= 1.
+    two neighbours depending on rounding. A value within
+    :data:`SNAP_TOLERANCE` (relative) of an integer is that integer.
+    Result is clamped to >= 1.
     """
     nearest = round(value)
-    if abs(value - nearest) <= rel_tol * max(1.0, abs(value)):
+    if abs(value - nearest) <= SNAP_TOLERANCE * max(1.0, abs(value)):
         result = int(nearest)
     else:
         result = math.ceil(value)
@@ -76,9 +81,8 @@ class WalkPolicy:
     up_threshold_b: int
 
     def __post_init__(self) -> None:
-        a, b = self.down_threshold_a, self.up_threshold_b
-        if not (_is_integer(a) and _is_integer(b)) or a < 1 or b < 1:
-            raise ValueError("walk thresholds must be positive integers")
+        _barrier(self.down_threshold_a)
+        _barrier(self.up_threshold_b)
 
     @classmethod
     def for_error_bounds(cls, noise: NoiseModel, delta0: float, delta1: float) -> "WalkPolicy":
@@ -99,6 +103,25 @@ class WalkOutcome:
 
     decided_bit: int
     steps_used: int
+
+
+def _barrier(x, size: int | None = None):
+    """``x`` and its smallest value if it is a barrier, else ValueError: an
+    integer >= 1 by :func:`~noisyquery.streams._is_integer` or, given ``size``,
+    an integer array of ``size`` such values, as int64 (empty: any dtype)."""
+    if _is_integer(x):
+        if x >= 1:
+            return x, x
+    elif size is not None and np.ndim(x):
+        x = np.asarray(x)
+        if x.shape != (size,):
+            raise ValueError("per-key barriers need one value per key")
+        if x.dtype.kind in "iu" or not size:
+            x = x.astype(np.int64, copy=False)
+            if (low := x.min(initial=_UNREACHABLE)) >= 1:
+                return x, int(low)
+    per_key = "" if size is None else ", or arrays of one per key"
+    raise ValueError(f"walk barriers must be integers >= 1{per_key}, got {x!r}")
 
 
 def _check_delta(delta: float, name: str) -> None:
@@ -178,8 +201,12 @@ def _channel(oracle) -> _CounterChannel:
 
 
 def _slots(channel, keys) -> np.ndarray:
-    # keys as an int64 array of distinct slots of the channel, or an error
-    keys = np.asarray(keys, dtype=np.int64)
+    # keys as an int64 array of distinct slots of the channel, or an error;
+    # slots are integers, as query's are, and an empty key list has none
+    keys = np.asarray(keys)
+    if keys.size and keys.dtype.kind not in "iu":
+        raise IndexError(f"walk keys must be integer slots, got {keys.dtype} keys")
+    keys = keys.astype(np.int64, copy=False)
     size = channel._bits.size
     if keys.size and not 0 <= keys.min() <= keys.max() < size:
         raise IndexError(f"walk keys must be slots in [0, {size})")
@@ -207,8 +234,8 @@ def block_width(p: float, a, b) -> int:
 def walks(oracle, keys, a, b) -> tuple[np.ndarray, np.ndarray]:
     """Walk every key from 0 to the first of -a (declared 0) and +b (declared 1).
 
-    ``a`` and ``b`` are integers, or arrays of one integer per key.
-    ``keys`` are distinct slots of the oracle: bit indices of a
+    ``a`` and ``b`` are integers >= 1, or arrays of one such integer per
+    key. ``keys`` are distinct integer slots of the oracle: bit indices of a
     :class:`~noisyquery.oracles.BitOracle`, pair slots of an
     :class:`~noisyquery.oracles.EdgeOracle`, or slots of a :func:`stack`
     block. Each walk steps +1 on an answer 1 and -1 on an answer 0, and
@@ -220,9 +247,9 @@ def walks(oracle, keys, a, b) -> tuple[np.ndarray, np.ndarray]:
     The walks run in :func:`walk_rounds`, one round loop over an active
     set of walks that it tops up with the next keys after every round,
     so a call of any size pays the last rounds of its slowest walks only
-    once. A key out of range raises ``IndexError``, a repeated key or a
-    barrier array of the wrong shape ``ValueError``; either way nothing
-    is charged.
+    once. A key that is not an integer or is out of range raises
+    ``IndexError``, a repeated key or a barrier outside that rule
+    ``ValueError``; either way nothing is charged.
     """
     channel = _channel(oracle)
     keys = _slots(channel, keys)
@@ -292,7 +319,7 @@ def walk_rounds(oracle, keys, a, b, decided: np.ndarray, steps: np.ndarray):
     """The walks of :func:`walks`, one round at a time, charging nothing.
 
     ``keys`` is a valid int64 array of distinct slots, and ``a`` and
-    ``b`` are integers or arrays of one integer per key. Keys start walking
+    ``b`` are barriers as :func:`walks` takes them. Keys start walking
     in their order, up to ``_ROUND_ANSWERS // block_width`` at once, and
     a round advances every walking key by the same number of steps. When
     a walk ends, its declared bit and steps are written to ``decided``
@@ -301,12 +328,10 @@ def walk_rounds(oracle, keys, a, b, decided: np.ndarray, steps: np.ndarray):
     can stop at any round; nothing is charged.
     """
     channel = _channel(oracle)
-    a, b = (x if isinstance(x, (int, np.integer)) else np.asarray(x, dtype=np.int64) for x in (a, b))
-    if any(isinstance(x, np.ndarray) and x.shape != keys.shape for x in (a, b)):
-        raise ValueError("per-key barriers need one value per key")
+    (a, low_a), (b, low_b) = _barrier(a, keys.size), _barrier(b, keys.size)
     if not keys.size:
         return
-    width = block_width(channel.noise.p, a, b)
+    width = block_width(channel.noise.p, low_a, low_b)
     capacity = max(1, _ROUND_ANSWERS // width)
     below = np.uint64(channel._flip_below)
     # Each walk is tracked by e = 2 * flips - steps, which is its level d
@@ -475,8 +500,8 @@ def simulate_hitting(p: float, x: int, count: int, rng, *, precision: float = 1e
     biased low by at most ``precision``.
     """
     _check_walk_params(p, x)
-    if count < 1:
-        raise ValueError("need at least one walk")
+    if not _is_integer(count) or count < 1:
+        raise ValueError(f"need an integer count of at least one walk, got {count!r}")
     if x == 0:
         return HitTally(walks=count, hits=count)
     noise = NoiseModel(p)
@@ -496,8 +521,8 @@ def simulate_first_passage(p: float, x: int, count: int, rng) -> PassageTally:
     truncation is applied; step counts are summed as exact integers.
     """
     _check_walk_params(p, x)
-    if count < 1:
-        raise ValueError("need at least one walk")
+    if not _is_integer(count) or count < 1:
+        raise ValueError(f"need an integer count of at least one walk, got {count!r}")
     if x == 0:
         return PassageTally(walks=count, steps_total=0, steps_squared_total=0)
     oracle = BitOracle(np.zeros(count, dtype=np.uint8), NoiseModel(p), rng)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from noisyquery import TruthTable, derive_rng, restriction_identity_residual
+from noisyquery import TruthTable, boolfn, derive_rng, restriction_identity_residual
 
 
 def brute_force_average_sensitivity(table):
@@ -178,6 +178,18 @@ def test_arity_cap_and_value_validation():
         TruthTable([0, 1, 1])
     with pytest.raises(ValueError):
         TruthTable([0, 1, 1, 0], labels=(0, 0))
+    with pytest.raises(ValueError, match="non-empty"):
+        TruthTable([])
+    # values are checked as given, as BitOracle checks its bits, not after a cast
+    for values in ([0.5, 1.7], [256, 0], [0, 1, -1, 1]):
+        with pytest.raises(ValueError, match="0/1 bits"):
+            TruthTable(values)
+    assert TruthTable([0.0, 1.0]) == TruthTable([0, 1])
+    with pytest.raises(ValueError, match="out of range"):
+        TruthTable.dictator(3, 5)
+    for q in (-0.1, 1.1):
+        with pytest.raises(ValueError, match="bias q"):
+            TruthTable.parity(2).q_biased_influence(0, q)
 
 
 def test_named_tables_match_direct():
@@ -191,3 +203,11 @@ def test_random_tables_deterministic():
     a = TruthTable.random(8, derive_rng(49, "det"))
     b = TruthTable.random(8, derive_rng(49, "det"))
     assert a == b
+
+
+def test_popcount_without_bitwise_count(monkeypatch):
+    # numpy before 2.0 has no bitwise_count; the 16-bit table stands in
+    monkeypatch.delattr(np, "bitwise_count")
+    monkeypatch.setattr(boolfn, "_PC_TABLE", None)
+    indices = np.arange(1 << 20, dtype=np.int64)
+    assert boolfn._popcount(indices).tolist() == [bin(i).count("1") for i in range(1 << 20)]

@@ -216,6 +216,21 @@ def test_cli_rejects_unknown_command():
     assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["connectivity", "--n", "20", "--p", "0.2", "--delta", "0.1", "--beta", "abc"],
+        ["ust-stats", "--n-grid", "1,x"],
+    ],
+    ids=["beta", "n-grid"],
+)
+def test_cli_rejects_unparsable_values(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == EXIT_INVALID
+    assert "not a" in capsys.readouterr().err
+
+
 # sha256 of the --out file of each subcommand in both formats; a refactor
 # of the CLI or the harness that keeps every realisation keeps these. The
 # counting and counting2 entries were re-recorded when counting_levels took

@@ -33,6 +33,7 @@ from noisyquery import (
     seed_sequence,
     theory_bound,
 )
+from noisyquery import connectivity
 from noisyquery.connectivity import HardInstance, _component_labels, _reconstruct, pair_barriers
 from noisyquery.walks import barrier
 
@@ -149,12 +150,17 @@ def test_hard_instance_coin_is_fair():
     assert abs(connected / samples - 0.5) <= 3.0 * math.sqrt(0.25 / samples)
 
 
-def test_hard_instance_rejection_cap():
-    with pytest.raises(RejectionCapExceeded):
-        sample_hard_instance(1, derive_rng(71, "cap"), rejection_cap=5)
-    # n=11 with beta just under 1/2 is unsatisfiable: sides would need >= 5.39
-    with pytest.raises(RejectionCapExceeded):
-        sample_hard_instance(11, derive_rng(71, "cap2"), beta=Fraction(49, 100), rejection_cap=20)
+def test_hard_instance_rejection_cap(monkeypatch):
+    # beta = 5/11 is feasible on 11 vertices (a 5/6 split), but the first
+    # tree of this stream has no such edge: the cap itself gives up
+    beta = Fraction(5, 11)
+    for sampler in (sample_hard_instance, sample_st_instance):
+        monkeypatch.setattr(connectivity, "DEFAULT_REJECTION_CAP", 1)
+        with pytest.raises(RejectionCapExceeded, match="in 1 sampled trees") as raised:
+            sampler(11, derive_rng(71, "cap", 3), beta=beta)
+        assert not isinstance(raised.value, InfeasibleBalance)
+        monkeypatch.undo()
+        assert sampler(11, derive_rng(71, "cap", 3), beta=beta)
 
 
 def balance_check(n, gen):
@@ -180,11 +186,12 @@ def test_instance_samplers_accept_numpy_integers(sampler):
     assert type(instance.n) is int
 
 
-def test_infeasible_balance_fails_before_sampling():
+def test_infeasible_balance_fails_before_sampling(monkeypatch):
     # a cap no run could exhaust: the check must fire before any tree
+    monkeypatch.setattr(connectivity, "DEFAULT_REJECTION_CAP", 10**12)
     for n, beta in ((1, Fraction(1, 21)), (3, Fraction(49, 100)), (11, Fraction(49, 100))):
         with pytest.raises(InfeasibleBalance) as raised:
-            sample_hard_instance(n, derive_rng(71, "infeasible", n), beta=beta, rejection_cap=10**12)
+            sample_hard_instance(n, derive_rng(71, "infeasible", n), beta=beta)
         assert isinstance(raised.value, ValueError)
 
 

@@ -404,7 +404,9 @@ def test_blocks_of_mixed_rows_match_each_oracle_alone(n, rows, p, delta, k_share
 @pytest.mark.parametrize("name", ["threshold", "one-sided", "two-sided", "reconstruct"])
 def test_block_functions_refuse_empty_and_mixed_blocks(name):
     # stack is the one check of a block: no oracles, or oracles of two
-    # sizes, raise ValueError before any oracle is charged
+    # sizes, raise ValueError before any oracle is charged; an oracle of
+    # the class the algorithm does not read raises TypeError first (an
+    # EdgeOracle's n counts vertices, not its pair slots)
     edges = name == "reconstruct"
     run = {
         "threshold": lambda oracles: counting_module.threshold_counts(oracles, 1, 0.1),
@@ -417,10 +419,25 @@ def test_block_functions_refuse_empty_and_mixed_blocks(name):
         rng = seed_sequence(3, "mixed-sizes", t)
         return EdgeOracle(n, [(0, 1)], 0.2, rng) if edges else BitOracle([1] * n, 0.2, rng)
 
-    for oracles, message in (([], "at least one oracle"), ([oracle(3, 0), oracle(4, 1)], "same number of slots")):
-        with pytest.raises(ValueError, match=message):
+    wrong = BitOracle([1, 0, 1], 0.1, 2) if edges else EdgeOracle(4, [(2, 3), (1, 3)], 0.01, 1)
+    for oracles, error, message in (
+        ([], ValueError, "at least one oracle"),
+        ([oracle(3, 0), oracle(4, 1)], ValueError, "same number of slots"),
+        ([wrong], TypeError, "needs EdgeOracles" if edges else "needs BitOracles"),
+        ([oracle(3, 0), wrong], TypeError, "got BitOracle" if edges else "got EdgeOracle"),
+    ):
+        before = [o._counters.tolist() for o in oracles]
+        with pytest.raises(error, match=message):
             run(oracles)
         assert [o.ledger.total_queries for o in oracles] == [0] * len(oracles)
+        assert [o._counters.tolist() for o in oracles] == before
+
+
+def test_counting_no_bits_costs_nothing():
+    oracles = [BitOracle([], 0.2, seed_sequence(9, "no-bits", t)) for t in range(2)]
+    assert counting_module.counts_one_sided(oracles, 0.1) == [CountResult(0, 0)] * 2
+    assert counting_module.counts_two_sided(oracles, 0.1, [1, 2]) == [CountResult(0, 0)] * 2
+    assert [o.ledger.total_queries for o in oracles] == [0, 0]
 
 
 def test_results_report_exact_query_deltas():

@@ -74,8 +74,10 @@ def test_wilson_validation():
         wilson_interval(-1, 10)
     with pytest.raises(ValueError):
         wilson_interval(11, 10)
-    with pytest.raises(ValueError):
-        wilson_interval(1, 10, confidence=1.0)
+    # counts follow the integer rule
+    for errors, trials in ((1, 10.5), (True, 10), (1.0, 10)):
+        with pytest.raises(ValueError, match="integer"):
+            wilson_interval(errors, trials)
 
 
 def test_theory_bound_values():
@@ -94,6 +96,14 @@ def test_theory_bound_values():
         theory_bound("sorting", n=10, k=1, delta=0.1, p=0.25)
     with pytest.raises(ValueError):
         theory_bound("threshold", n=10, k=11, delta=0.1, p=0.25)
+    for delta in (0.0, 1.0):
+        with pytest.raises(ValueError, match="delta must lie in"):
+            theory_bound("threshold", n=10, k=1, delta=delta, p=0.25)
+    for k in (-1, 11):
+        with pytest.raises(ValueError, match="counting bound needs"):
+            theory_bound("counting", n=10, k=k, delta=0.1, p=0.25)
+    with pytest.raises(ValueError, match="connectivity bound needs n >= 2"):
+        theory_bound("connectivity", n=1, delta=0.1, p=0.25)
 
 
 @pytest.mark.parametrize("kind", ["counting2", "st-connectivity"])
@@ -158,6 +168,8 @@ def test_report_internal_consistency():
     assert report.errors == sum(1 for ok, _ in records if not ok)
     assert report.theory_queries > 0
     assert report.ratio == report.mean_queries / report.theory_queries
+    # one trial has no sample stddev
+    assert math.isnan(run_experiment(dataclasses.replace(COUNTING_SPEC, trials=1)).stddev_queries)
 
 
 def test_run_experiment_parallel_matches_serial():
@@ -240,6 +252,15 @@ def test_validation_rejects_bad_specs():
         validate_spec(ExperimentSpec("threshold", n=10, k=3, p=0.25, delta=0.1, beta=Fraction(1, 3), trials=5))
     with pytest.raises(ValueError, match="does not read asymptotic_presample"):
         validate_spec(ExperimentSpec("counting", n=10, p=0.25, delta=0.1, ones=2, asymptotic_presample=True, trials=5))
+    # a single trial takes its spec as run_experiment does, and a kind
+    # that runs only whole has no single trial
+    for spec, message in (
+        (ExperimentSpec("threshold", n=10, k=20, p=0.2, delta=0.1, trials=1), "threshold needs 1 <= k <= n"),
+        (ExperimentSpec("threshold", n=10, k=2, p=0.2, delta=0.1, q=0.5, trials=1), "threshold does not read q"),
+        (ExperimentSpec("walk-laws", p=0.25, k=2, trials=10), "walk-laws has no single trials"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            run_trial(spec, 0)
     # each field must have its declared type, before any trial runs: an
     # integer field takes no bool or float, a real one no bool or str
     for spec, rule in (

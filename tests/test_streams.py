@@ -57,3 +57,8 @@ def test_a_bool_never_names_a_stream(name_stream):
         with pytest.raises(TypeError):
             name_stream(flag)
     assert name_stream(np.int64(1)) is not None
+
+
+def test_seed_sequence_needs_a_part():
+    with pytest.raises(ValueError, match="at least one entropy part"):
+        seed_sequence()

@@ -234,6 +234,8 @@ def test_tree_validation_rejects_malformed():
         LabeledTree(3, ((0, 1), (0, 1), (1, 2)))  # duplicate edge
     with pytest.raises(ValueError):
         LabeledTree(3, ((0, 0), (1, 2)))  # self loop
+    with pytest.raises(ValueError, match="out of vertex range"):
+        LabeledTree(3, ((0, 1), (1, 3)))  # vertex 3 of 3
     with pytest.raises(ValueError):
         balanced_edges(LabeledTree(4, ((0, 1), (2, 3))), Fraction(1, 3))
 

@@ -334,8 +334,19 @@ def test_simulate_validation():
         simulate_hitting(0.25, 2, 0, 1)
     with pytest.raises(ValueError):
         simulate_first_passage(0.6, 2, 10, 1)
+    # a walk count follows the integer rule, at x = 0 too, where no walk runs
+    for simulate in (simulate_hitting, simulate_first_passage):
+        for x, count in ((2, 0), (2, 2.0), (0, 2.5), (0, True)):
+            with pytest.raises(ValueError, match="integer count of at least one walk"):
+                simulate(0.25, x, count, 1)
     assert simulate_hitting(0.25, 0, 10, 1).fraction == 1.0
     assert simulate_first_passage(0.25, 0, 10, 1).mean == 0.0
+    # at p = 1/4 and precision 1e-6 the truncation barrier is 13: from x = 13
+    # up, reaching +x is below the precision, so no walk runs and none hits
+    assert barrier(NoiseModel(0.25), 1, 1e-6) == 13
+    assert simulate_hitting(0.25, 13, 10, 1).hits == 0
+    one = simulate_first_passage(0.25, 2, 1, 1)
+    assert one.walks == 1 and one.mean >= 2 and math.isnan(one.stddev)
 
 
 def _twin_bit_oracles(n, p, seed, complement, warmup):
@@ -439,6 +450,25 @@ def test_per_key_barriers_match_query_walks(n, p, capacity, seed, complement, wa
     assert list(zip(decided.tolist(), steps.tolist())) == reference
     assert bases[0].ledger == bases[1].ledger
     assert bases[0]._counters.tolist() == bases[1]._counters.tolist()
+
+
+@pytest.mark.parametrize(
+    "a",
+    [True, 0, -2, 2.5, np.int64(0), [1.5, 2, 3, 4], [True, True, True, True], [2, 0, 3, 1], np.array([3, -1, 2, 2])],
+    ids=["bool", "zero", "negative", "float", "numpy zero", "float array", "bool array", "array with 0", "negative in array"],
+)
+def test_walk_barriers_follow_the_policy_rule(a):
+    # one rule for WalkPolicy and the kernel: an integer >= 1, never a
+    # bool, or an integer array of one such value per key
+    oracle = BitOracle([0, 1, 0, 1], 0.2, 3)
+    for args in ((a, 3), (3, a)):
+        with pytest.raises(ValueError, match="walk barriers must be integers >= 1"):
+            walks(oracle, [0, 1, 2, 3], *args)
+        if np.ndim(a) == 0:
+            with pytest.raises(ValueError, match="walk barriers must be integers >= 1, got"):
+                WalkPolicy(*args)
+    assert oracle.ledger.total_queries == 0
+    assert oracle._counters.tolist() == BitOracle([0, 1, 0, 1], 0.2, 3)._counters.tolist()
 
 
 def test_per_key_barriers_need_one_value_per_key():
@@ -697,6 +727,10 @@ def test_walks_reject_keys_outside_the_oracle():
         ([0, 5, 1, 5, 5], ValueError, "slot 5 more than once"),
         ([-1], IndexError, r"slots in \[0, 6\)"),
         ([0, 6], IndexError, r"slots in \[0, 6\)"),
+        # slots follow query's integer rule: nothing is cast to one
+        ([0.5, 1.7], IndexError, "integer slots, got float64"),
+        ([True, False], IndexError, "integer slots, got bool"),
+        (["1"], IndexError, "integer slots, got <U1"),
     ],
 )
 def test_walks_refuse_bad_keys(keys, error, message):
