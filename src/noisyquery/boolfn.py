@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .streams import as_generator
+from .streams import _is_integer, _is_real, as_generator
 
 MAX_ARITY = 20
 
@@ -33,6 +33,14 @@ def _popcount(arr: np.ndarray) -> np.ndarray:
         _PC_TABLE = np.array([bin(i).count("1") for i in range(1 << 16)], dtype=np.uint8)
     arr = np.asarray(arr, dtype=np.int64)
     return _PC_TABLE[arr & 0xFFFF] + _PC_TABLE[arr >> 16]
+
+
+def _table_size(arity: int) -> int:
+    """2^arity, the length of a table on ``arity`` variables, or ValueError
+    unless arity is an integer in [0, MAX_ARITY]."""
+    if not _is_integer(arity) or not 0 <= arity <= MAX_ARITY:
+        raise ValueError(f"arity must be an integer in [0, {MAX_ARITY}], got {arity!r}")
+    return 1 << arity
 
 
 class TruthTable:
@@ -52,11 +60,10 @@ class TruthTable:
         # checked as given, as BitOracle checks its bits, and then cast
         if not np.all((arr == 0) | (arr == 1)):
             raise ValueError("truth table entries must be 0/1 bits")
-        if labels is None:
-            labels = range(arity)
-        labels = tuple(int(v) for v in labels)
-        if len(labels) != arity or len(set(labels)) != arity:
-            raise ValueError(f"need {arity} distinct variable labels, got {labels!r}")
+        labels = tuple(range(arity) if labels is None else labels)
+        if not all(map(_is_integer, labels)) or len(labels) != arity or len(set(labels)) != arity:
+            raise ValueError(f"need {arity} distinct integer variable labels, got {labels!r}")
+        labels = tuple(map(int, labels))
         arr = arr.astype(np.uint8)
         arr.flags.writeable = False
         self._values = arr
@@ -67,25 +74,24 @@ class TruthTable:
 
     @classmethod
     def parity(cls, arity: int) -> "TruthTable":
-        idx = np.arange(1 << arity, dtype=np.int64)
+        idx = np.arange(_table_size(arity), dtype=np.int64)
         return cls((_popcount(idx) & 1).astype(np.uint8))
 
     @classmethod
     def dictator(cls, arity: int, label: int = 0) -> "TruthTable":
-        idx = np.arange(1 << arity, dtype=np.int64)
-        if not 0 <= label < arity:
-            raise ValueError(f"dictator variable {label} out of range")
+        idx = np.arange(_table_size(arity), dtype=np.int64)
+        if not _is_integer(label) or not 0 <= label < arity:
+            raise ValueError(f"dictator variable {label!r} out of range: need an integer in [0, {arity})")
         return cls(((idx >> label) & 1).astype(np.uint8))
 
     @classmethod
     def or_function(cls, arity: int) -> "TruthTable":
-        idx = np.arange(1 << arity, dtype=np.int64)
+        idx = np.arange(_table_size(arity), dtype=np.int64)
         return cls((idx != 0).astype(np.uint8))
 
     @classmethod
     def random(cls, arity: int, rng) -> "TruthTable":
-        gen = as_generator(rng)
-        return cls(gen.integers(0, 2, size=1 << arity, dtype=np.uint8))
+        return cls(as_generator(rng).integers(0, 2, size=_table_size(arity), dtype=np.uint8))
 
     # -- basic accessors -------------------------------------------------------
 
@@ -116,10 +122,9 @@ class TruthTable:
         return f"TruthTable(arity={self.arity}, labels={self._labels})"
 
     def _position(self, label: int) -> int:
-        try:
+        if _is_integer(label) and label in self._positions:
             return self._positions[label]
-        except KeyError:
-            raise ValueError(f"variable {label!r} is not among labels {self._labels}") from None
+        raise ValueError(f"variable {label!r} is not among labels {self._labels}")
 
     def _pair_views(self, pos: int) -> tuple[np.ndarray, np.ndarray]:
         # rows: index bits above pos, cols: bits below pos
@@ -144,8 +149,9 @@ class TruthTable:
 
     def q_biased_influence(self, label: int, q: float) -> float:
         """P over x ~ Bernoulli(q)^n that flipping ``label`` flips the value."""
-        if not 0.0 <= q <= 1.0:
+        if not (_is_real(q) and 0.0 <= q <= 1.0):
             raise ValueError(f"bias q must lie in [0, 1], got {q!r}")
+        q = float(q)
         pos = self._position(label)
         n = self.arity
         low, high = self._pair_views(pos)

@@ -15,7 +15,6 @@ from pathlib import Path
 
 from .harness import (
     KINDS,
-    ExperimentReport,
     ExperimentSpec,
     gate_failures,
     reports_to_csv,
@@ -101,16 +100,16 @@ def _cmd_kind(args) -> int:
         validate_spec(spec)  # before the rows for k = 1, 2, ... start
         specs = [dataclasses.replace(spec, k=x) for x in range(1, spec.k + 1)]
     reports = [run_experiment(s) for s in specs]
-    _emit(reports, args)
+    for report in reports:
+        print(summarize(report))
+    _write_out(args, reports, reports_to_csv, reports_to_json)
     return _finish([line for report in reports for line in gate_failures(report)], args)
 
 
-def _emit(reports: list[ExperimentReport], args) -> None:
-    for report in reports:
-        print(summarize(report))
+def _write_out(args, rows, to_csv, to_json) -> None:
+    # the rows to --out, if given, in --format
     if args.out is not None:
-        text = reports_to_csv(reports) if args.format == "csv" else reports_to_json(reports)
-        args.out.write_text(text)
+        args.out.write_text(to_csv(rows) if args.format == "csv" else to_json(rows))
         print(f"wrote {args.out}")
 
 
@@ -154,10 +153,7 @@ def _cmd_ust_stats(args) -> int:
         f"slopes: balanced_median={report.balanced_median_slope:.4f} "
         f"s_sum_median={report.s_sum_median_slope:.4f}"
     )
-    if args.out is not None:
-        text = _scaling_csv(report) if args.format == "csv" else _scaling_json(report)
-        args.out.write_text(text)
-        print(f"wrote {args.out}")
+    _write_out(args, report, _scaling_csv, _scaling_json)
     return _finish([f"ust-stats: {line}" for line in scaling_gate_failures(report)], args)
 
 

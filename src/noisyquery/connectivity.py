@@ -208,7 +208,7 @@ def _reconstruct(oracles: Sequence, delta: float) -> np.ndarray:
     :func:`_component_labels` call. Anything but an
     :class:`~noisyquery.oracles.EdgeOracle` raises TypeError first.
     """
-    _check_delta(delta, "delta")
+    delta = _check_delta(delta, "delta")
     for oracle in oracles:
         if not isinstance(oracle, EdgeOracle):
             raise TypeError(f"connectivity needs EdgeOracles, got {type(oracle).__name__}")

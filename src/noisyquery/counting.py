@@ -40,7 +40,6 @@ from .streams import _is_integer, as_generator
 # asymmetric_check_bit and check_bit are not called here but stay: walk
 # instrumentation, such as perfbench's tracer, wraps them by these names
 from .walks import (  # noqa: F401
-    WalkPolicy,
     _check_delta,
     asymmetric_check_bit,
     barrier,
@@ -100,7 +99,7 @@ def threshold_counts(oracles, k: int, delta: float) -> list[ThresholdResult]:
     n = oracles[0].n
     if not _is_integer(k) or not 1 <= k <= n:
         raise ValueError(f"threshold k must be an integer in [1, {n}], got {k!r}")
-    _check_delta(delta, "delta")
+    delta = _check_delta(delta, "delta")
     k = int(k)
     if 2 * k > n + 1:
         block._bits ^= 1
@@ -226,7 +225,7 @@ def counts_one_sided(oracles, delta: float) -> list[CountResult]:
     counted row by row in lockstep by :func:`_count_rows`, and unstacked
     once, which gives each oracle's queries."""
     block = _stack_bits(oracles)
-    _check_delta(delta, "delta")
+    delta = _check_delta(delta, "delta")
     n = oracles[0].n
     if n == 0:
         return [CountResult(0, 0) for _ in oracles]
@@ -296,7 +295,7 @@ def counts_two_sided(oracles, delta: float, rngs, *, asymptotic_presample: bool 
     each oracle's queries over both phases.
     """
     block = _stack_bits(oracles)
-    _check_delta(delta, "delta")
+    delta = _check_delta(delta, "delta")
     n = oracles[0].n
     if len(rngs) != len(oracles):
         raise ValueError("counts_two_sided needs one rng per oracle")
@@ -312,12 +311,12 @@ def counts_two_sided(oracles, delta: float, rngs, *, asymptotic_presample: bool 
         presample_size = math.ceil(math.sqrt(n))
         presample_error = 1.0 / max(n, 2) ** 2
 
-    policy = WalkPolicy.for_error_bounds(block.noise, presample_error, presample_error)
+    presample_barrier = barrier(block.noise, 1, presample_error)
     draws = [np.unique(as_generator(rng).integers(0, n, size=presample_size), return_counts=True) for rng in rngs]
     ones_seen = np.zeros(len(oracles), dtype=np.int64)
     for i in range(max(int(times.max()) for _, times in draws)):
         keys = np.concatenate([t * n + drawn[times > i] for t, (drawn, times) in enumerate(draws)])
-        decided, _ = walks(block, keys, policy.down_threshold_a, policy.up_threshold_b)
+        decided, _ = walks(block, keys, presample_barrier, presample_barrier)
         ones_seen += np.bincount(keys[decided == 1] // n, minlength=len(oracles))
     flipped = 2 * ones_seen > presample_size
     block._bits ^= np.repeat(flipped, n)

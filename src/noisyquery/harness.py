@@ -19,7 +19,6 @@ vectorised runner), its theory comparator, its ``k`` column and its gate.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
@@ -41,9 +40,11 @@ from .connectivity import (
 )
 from .counting import counts_one_sided, counts_two_sided, threshold_counts
 from .oracles import BitOracle, EdgeOracle, NoiseModel
-from .streams import _is_integer, derive_rng, seed_sequence
+from .streams import _is_integer, _is_real, derive_rng, seed_sequence
 from .trees import ScalingReport
-from .walks import expected_hitting_time, hitting_probability, simulate_first_passage, simulate_hitting
+from .walks import (
+    PassageTally, _check_delta, expected_hitting_time, hitting_probability, simulate_first_passage, simulate_hitting
+)
 
 # not called here but kept as module attributes: instrumentation such as
 # perfbench's tracer wraps them by these names
@@ -142,24 +143,24 @@ def theory_bound(kind: str, *, n: int | None = None, k: int | None = None, delta
     connectivity: C(n,2) log(C(n,2)/delta) / D_KL  (naive-solver comparator)
 
     Each log(c/delta) is computed as written while c/delta is finite,
-    and as log(c) - log(delta) once it overflows a double.
+    and as log(c) - log(delta) once it overflows a double. n and k must
+    be integers and delta a real number; a bool is neither.
     """
     noise = NoiseModel(p)
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    delta = _check_delta(delta, "delta")
     if kind == "threshold":
-        if n is None or k is None or not 1 <= k <= n:
-            raise ValueError(f"threshold bound needs 1 <= k <= n, got k={k}, n={n}")
+        if not (_is_integer(n) and _is_integer(k) and 1 <= k <= n):
+            raise ValueError(f"threshold bound needs integers 1 <= k <= n, got k={k!r}, n={n!r}")
         effective = min(k, n - k + 1)
         return n * _log_over(effective, delta) / noise.dkl
     if kind == "counting":
-        if n is None or k is None or not 0 <= k <= n:
-            raise ValueError(f"counting bound needs 0 <= k <= n, got k={k}, n={n}")
+        if not (_is_integer(n) and _is_integer(k) and 0 <= k <= n):
+            raise ValueError(f"counting bound needs integers 0 <= k <= n, got k={k!r}, n={n!r}")
         effective = min(k, n - k) + 1
         return n * _log_over(effective, delta) / noise.dkl
     if kind == "connectivity":
-        if n is None or n < 2:
-            raise ValueError(f"connectivity bound needs n >= 2, got {n}")
+        if not _is_integer(n) or n < 2:
+            raise ValueError(f"connectivity bound needs n >= 2 (an integer), got {n!r}")
         pairs = n * (n - 1) // 2
         return pairs * _log_over(pairs, delta) / noise.dkl
     raise ValueError(f"no theory bound for kind {kind!r}")
@@ -210,7 +211,7 @@ class Param:
             return isinstance(value, bool) and self.type is bool
         if self.type is int:
             return _is_integer(value)
-        return isinstance(value, (int, float) if self.type is float else numbers.Real)
+        return isinstance(value, (int, float)) if self.type is float else _is_real(value)
 
 
 N = Param("n", int, "n >= 1", lambda v, s: v >= 1)
@@ -308,18 +309,19 @@ def _pinned_ones(spec: ExperimentSpec, trial: int) -> int:
     return spec.k - 1 + int(coin_rng.integers(0, 2))
 
 
-def _bit_oracles(spec: ExperimentSpec, trials: range, ones) -> list[BitOracle]:
-    # each trial's oracle, over ones[i] ones, built as in the trial alone
-    oracles = []
-    for trial, count in zip(trials, ones):
+def _each_trial(spec: ExperimentSpec, build: Callable, trials: range, *columns) -> list:
+    # build(spec, trial, column values...) for each trial in order, as in
+    # the trial alone; a failure is named after its trial
+    built = []
+    for trial, *values in zip(trials, *columns):
         with _naming(spec, range(trial, trial + 1)):
-            oracles.append(_bit_oracle_for(spec, trial, count))
-    return oracles
+            built.append(build(spec, trial, *values))
+    return built
 
 
 def _threshold_block(spec: ExperimentSpec, trials: range) -> list[tuple[bool, int]]:
     pinned = [_pinned_ones(spec, trial) for trial in trials]
-    oracles = _bit_oracles(spec, trials, pinned)
+    oracles = _each_trial(spec, _bit_oracle_for, trials, pinned)
     with _naming(spec, trials):
         results = threshold_counts(oracles, spec.k, spec.delta)
     records = []
@@ -334,46 +336,41 @@ def _threshold_block(spec: ExperimentSpec, trials: range) -> list[tuple[bool, in
 
 
 def _counting_block(spec: ExperimentSpec, trials: range) -> list[tuple[bool, int]]:
-    oracles = _bit_oracles(spec, trials, repeat(spec.ones))
+    oracles = _each_trial(spec, _bit_oracle_for, trials, repeat(spec.ones))
     with _naming(spec, trials):
         results = counts_one_sided(oracles, spec.delta)
     return [(result.value == spec.ones, result.queries) for result in results]
 
 
 def _counting2_block(spec: ExperimentSpec, trials: range) -> list[tuple[bool, int]]:
-    oracles = _bit_oracles(spec, trials, repeat(spec.ones))
+    oracles = _each_trial(spec, _bit_oracle_for, trials, repeat(spec.ones))
     rngs = [derive_rng(spec.seed, spec.kind, "presample", trial) for trial in trials]
     with _naming(spec, trials):
         results = counts_two_sided(oracles, spec.delta, rngs, asymptotic_presample=spec.asymptotic_presample)
     return [(result.value == spec.ones, result.queries) for result in results]
 
 
-def _conn_oracle(spec: ExperimentSpec, trial: int, graph) -> EdgeOracle:
-    return EdgeOracle(spec.n, graph, NoiseModel(spec.p), seed_sequence(spec.seed, spec.kind, "noise", trial))
-
-
 def _connectivity_case(spec: ExperimentSpec, trial: int):
-    """A connectivity trial's hidden graph, its truth, and its terminals (None without)."""
+    """A connectivity trial's oracle, its truth, and its terminals (None without)."""
     instance_rng = derive_rng(spec.seed, spec.kind, "instance", trial)
     if spec.kind == "connectivity":
         instance = sample_hard_instance(spec.n, instance_rng, beta=BETA.of(spec))
-        return instance.graph, instance.connected, None
-    st = sample_st_instance(spec.n, instance_rng, beta=BETA.of(spec))
-    truth = components_of(spec.n, st.instance.graph).connected(st.s, st.t)
-    return st.instance.graph, truth, (st.s, st.t)
+        graph, truth, terminals = instance.graph, instance.connected, None
+    else:
+        st = sample_st_instance(spec.n, instance_rng, beta=BETA.of(spec))
+        graph, terminals = st.instance.graph, (st.s, st.t)
+        truth = components_of(spec.n, graph).connected(st.s, st.t)
+    oracle = EdgeOracle(spec.n, graph, NoiseModel(spec.p), seed_sequence(spec.seed, spec.kind, "noise", trial))
+    return oracle, truth, terminals
 
 
 def _connectivity_block(spec: ExperimentSpec, trials: range) -> list[tuple[bool, int]]:
-    cases, oracles = [], []
-    for trial in trials:
-        with _naming(spec, range(trial, trial + 1)):
-            graph, truth, terminals = _connectivity_case(spec, trial)
-            oracles.append(_conn_oracle(spec, trial, graph))
-        cases.append((truth, terminals))
+    cases = _each_trial(spec, _connectivity_case, trials)
+    oracles = [oracle for oracle, _, _ in cases]
     with _naming(spec, trials):
         labels = _reconstruct(oracles, spec.delta).tolist()
     records = []
-    for (truth, terminals), row, oracle in zip(cases, labels, oracles):
+    for (oracle, truth, terminals), row in zip(cases, labels):
         # each vertex is labelled with its component's least vertex
         answer = not any(row) if terminals is None else row[terminals[0]] == row[terminals[1]]
         records.append((answer == truth, oracle.ledger.total_queries))
@@ -398,11 +395,7 @@ def _trial_influence(spec: ExperimentSpec, trial: int) -> tuple[bool, int]:
 
 
 def _influence_block(spec: ExperimentSpec, trials: range) -> list[tuple[bool, int]]:
-    records = []
-    for trial in trials:
-        with _naming(spec, range(trial, trial + 1)):
-            records.append(_trial_influence(spec, trial))
-    return records
+    return _each_trial(spec, _trial_influence, trials)
 
 
 def _blocks(spec: ExperimentSpec, size: int) -> list[range]:
@@ -433,14 +426,8 @@ def _run_trials(spec: ExperimentSpec) -> tuple[int, float, float]:
         parts = [kind.block(spec, trials) for trials in blocks]
     records = [record for part in parts for record in part]
     errors = sum(1 for correct, _ in records if not correct)
-    total = sum(q for _, q in records)
-    total_sq = sum(q * q for _, q in records)
-    if spec.trials > 1:
-        variance = (total_sq - total * total / spec.trials) / (spec.trials - 1)
-        stddev = math.sqrt(max(variance, 0.0))
-    else:
-        stddev = float("nan")
-    return errors, total / spec.trials, stddev
+    queries = PassageTally(spec.trials, sum(q for _, q in records), sum(q * q for _, q in records))
+    return errors, queries.mean, queries.stddev
 
 
 def _run_walk_laws(spec: ExperimentSpec) -> tuple[int, float, float]:

@@ -34,7 +34,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .streams import _is_integer, stream_key
+from .streams import _is_integer, _is_real, stream_key
 from .trees import _vertex_count
 
 GAMMA = 0x9E3779B97F4A7C15
@@ -100,11 +100,9 @@ class NoiseModel:
 
     def __post_init__(self) -> None:
         p = self.p
-        if not isinstance(p, (float, int)) or isinstance(p, bool):
-            raise ValueError(f"flipping probability must be a real number, got {p!r}")
+        if not (_is_real(p) and 0.0 < p < 0.5):
+            raise ValueError(f"flipping probability must lie in (0, 1/2), got {p!r}")
         p = float(p)
-        if not math.isfinite(p) or not 0.0 < p < 0.5:
-            raise ValueError(f"flipping probability must lie strictly in (0, 1/2), got {p}")
         object.__setattr__(self, "p", p)
         # (1-p)/p as written wherever it is finite, so rows keep every
         # bit; at subnormal p it overflows, and the logs stay finite
@@ -134,22 +132,22 @@ class _CounterChannel:
     GAMMA is odd, so the counters are the one per-key record: j is
     (_counters[s] - base(s)) * GAMMA^-1 modulo 2^64. The ledger holds
     the total over all slots. The counters are formed from ``_key``, the
-    pair (key0, key1), on first read, or by :func:`_read_counters`.
+    pair (key0, key1) that an oracle sets after this constructor, on
+    first read, or by :func:`_read_counters`.
 
     Answers are computed one at a time by ``_answer`` (for ``query`` and
     single-bit checks) and many at once by
     :func:`noisyquery.walks.walk_rounds`, whose walks ``_charge`` records.
     """
 
-    def _init_channel(self, noise: NoiseModel, rng, bits: np.ndarray) -> None:
+    def __init__(self, noise: NoiseModel | float, bits: np.ndarray, ledger: QueryLedger | None = None) -> None:
         if not isinstance(noise, NoiseModel):
             noise = NoiseModel(noise)
         self.noise = noise
-        self._key = stream_key(rng)
         # p * 2^64 is exact in binary floating point, so the flip chance is p to within 2^-64
         self._flip_below = int(noise.p * 2.0**64)
         self._bits = bits
-        self.ledger = QueryLedger()
+        self.ledger = QueryLedger() if ledger is None else ledger
 
     @cached_property
     def _counters(self) -> np.ndarray:
@@ -195,7 +193,8 @@ class BitOracle(_CounterChannel):
         bits = np.asarray(hidden)
         if bits.ndim != 1 or not ((bits == 0) | (bits == 1)).all():
             raise ValueError("hidden input must consist of 0/1 bits")
-        self._init_channel(noise, rng, bits.astype(np.uint8))
+        super().__init__(noise, bits.astype(np.uint8))
+        self._key = stream_key(rng)
 
     @property
     def n(self) -> int:
@@ -218,7 +217,8 @@ class EdgeOracle(_CounterChannel):
         self._n = _vertex_count(n)
         bits = np.zeros(self._n * (self._n - 1) // 2, dtype=np.uint8)
         bits[self._slots(list(edges))] = 1
-        self._init_channel(noise, rng, bits)
+        super().__init__(noise, bits)
+        self._key = stream_key(rng)
 
     def _slots(self, pairs) -> np.ndarray:
         """Slots of vertex pairs in either order, for the constructor and ``query``. The first bad pair
@@ -290,8 +290,5 @@ class ComplementBitOracle(BitOracle):
     def __init__(self, inner: BitOracle) -> None:
         if not isinstance(inner, BitOracle):
             raise TypeError(f"a complement view needs a BitOracle, got {type(inner).__name__}")
-        self.noise = inner.noise
-        self._flip_below = inner._flip_below
-        self._bits = inner._bits ^ 1
+        _CounterChannel.__init__(self, inner.noise, inner._bits ^ 1, inner.ledger)
         self._counters = inner._counters
-        self.ledger = inner.ledger

@@ -11,6 +11,8 @@ reproduce bit-for-bit.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 _TAG_NONNEGATIVE = 1
@@ -22,6 +24,11 @@ def _is_integer(value) -> bool:
     """Whether ``value`` is an integer, numpy's too; bool is an int
     subclass, but a count, index or barrier of True is a slip."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """Whether ``value`` is a real number, numpy's too, and not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _entropy_words(part: int | str) -> list[int]:

@@ -38,8 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oracles import GAMMA, BitOracle, NoiseModel, QueryLedger, _CounterChannel, _read_counters, mix_array
-from .streams import _is_integer
+from .oracles import GAMMA, BitOracle, NoiseModel, _CounterChannel, _read_counters, mix_array
+from .streams import _is_integer, _is_real
 
 
 SNAP_TOLERANCE = 1e-9
@@ -124,28 +124,36 @@ def _barrier(x, size: int | None = None):
     raise ValueError(f"walk barriers must be integers >= 1{per_key}, got {x!r}")
 
 
-def _check_delta(delta: float, name: str) -> None:
-    if not (isinstance(delta, (int, float)) and 0.0 < float(delta) < 1.0):
-        raise ValueError(f"{name} must lie strictly in (0, 1), got {delta!r}")
+def _check_delta(delta: float, name: str) -> float:
+    # delta as the float it holds, or ValueError
+    if not (_is_real(delta) and 0.0 < delta < 1.0):
+        raise ValueError(f"{name} must lie in (0, 1), got {delta!r}")
+    return float(delta)
 
 
-def _check_walk_params(p: float, x: int) -> None:
-    if not (isinstance(p, (int, float)) and math.isfinite(p) and 0.0 < p < 0.5):
-        raise ValueError(f"step-up probability must lie in (0, 1/2), got {p!r}")
+def _check_walk_params(p: float, x: int) -> float:
+    # p as the float it holds, by the noise model's rule, or ValueError
+    p = NoiseModel(p).p
     if not _is_integer(x) or x < 0:
         raise ValueError(f"barrier distance must be a non-negative integer, got {x!r}")
+    return p
+
+
+def _check_simulation(p: float, x: int, count: int) -> None:
+    _check_walk_params(p, x)
+    if not _is_integer(count) or count < 1:
+        raise ValueError(f"need an integer count of at least one walk, got {count!r}")
 
 
 def hitting_probability(p: float, x: int) -> float:
     """Chance that a walk stepping +1 w.p. p, -1 w.p. 1-p ever reaches +x."""
-    _check_walk_params(p, x)
+    p = _check_walk_params(p, x)
     return (p / (1.0 - p)) ** x
 
 
 def expected_hitting_time(p: float, x: int) -> float:
     """Mean steps for the same down-drift walk to first reach -x."""
-    _check_walk_params(p, x)
-    return x / (1.0 - 2.0 * p)
+    return x / (1.0 - 2.0 * _check_walk_params(p, x))
 
 
 # A round costs about 35 numpy calls plus a few ns per answer. A full set
@@ -219,16 +227,15 @@ def _slots(channel, keys) -> np.ndarray:
     return keys
 
 
-def block_width(p: float, a, b) -> int:
+def block_width(p: float, a: int, b: int) -> int:
     """Steps per lockstep round: about the expected exit time of a walk.
 
     A walk drifts toward one barrier at speed 1-2p and most walks exit
     at the nearer one, so min(a, b)/(1-2p) steps finish most of them in
     one round without computing many answers past their exit. With
-    per-key barriers, the smallest barrier of any key sets the width.
+    per-key barriers, pass the smallest barrier of any key.
     """
-    nearest = min(int(x.min()) if isinstance(x, np.ndarray) else x for x in (a, b))
-    return min(_MAX_WIDTH, max(4, math.ceil(nearest / (1.0 - 2.0 * p))))
+    return min(_MAX_WIDTH, max(4, math.ceil(min(a, b) / (1.0 - 2.0 * p))))
 
 
 def walks(oracle, keys, a, b) -> tuple[np.ndarray, np.ndarray]:
@@ -287,12 +294,10 @@ def stack(oracles) -> _CounterChannel:
     if len({id(c._counters) for c in channels}) < len(channels):
         # an oracle listed twice, or a complement view beside its inner oracle
         raise ValueError("oracles walked together must not share answer counters")
-    block = _CounterChannel()
-    block.noise = first.noise
+    block = _CounterChannel(first.noise, np.concatenate([c._bits for c in channels]))
+    # copied, not recomputed from p, so a channel whose flip bound was set by hand walks as it would alone
     block._flip_below = first._flip_below
-    block._bits = np.concatenate([c._bits for c in channels])
     block._counters = np.concatenate([c._counters for c in channels])
-    block.ledger = QueryLedger()
     return block
 
 
@@ -471,7 +476,8 @@ class HitTally:
 
 @dataclass(frozen=True)
 class PassageTally:
-    """Exact step sums over simulated first-passage walks."""
+    """Exact sums of counts, the steps of simulated first-passage walks or
+    the queries of a harness's trials, and their mean and sample stddev."""
 
     walks: int
     steps_total: int
@@ -499,9 +505,7 @@ def simulate_hitting(p: float, x: int, count: int, rng, *, precision: float = 1e
     still reaching +x is below ``precision``; the estimate is therefore
     biased low by at most ``precision``.
     """
-    _check_walk_params(p, x)
-    if not _is_integer(count) or count < 1:
-        raise ValueError(f"need an integer count of at least one walk, got {count!r}")
+    _check_simulation(p, x, count)
     if x == 0:
         return HitTally(walks=count, hits=count)
     noise = NoiseModel(p)
@@ -520,9 +524,7 @@ def simulate_first_passage(p: float, x: int, count: int, rng) -> PassageTally:
     keyed by ``rng``, with the upper barrier out of reach, so no
     truncation is applied; step counts are summed as exact integers.
     """
-    _check_walk_params(p, x)
-    if not _is_integer(count) or count < 1:
-        raise ValueError(f"need an integer count of at least one walk, got {count!r}")
+    _check_simulation(p, x, count)
     if x == 0:
         return PassageTally(walks=count, steps_total=0, steps_squared_total=0)
     oracle = BitOracle(np.zeros(count, dtype=np.uint8), NoiseModel(p), rng)

@@ -185,11 +185,29 @@ def test_arity_cap_and_value_validation():
         with pytest.raises(ValueError, match="0/1 bits"):
             TruthTable(values)
     assert TruthTable([0.0, 1.0]) == TruthTable([0, 1])
-    with pytest.raises(ValueError, match="out of range"):
-        TruthTable.dictator(3, 5)
-    for q in (-0.1, 1.1):
+    # arities and labels follow the integer rule: no float and no bool
+    for labels in ([0.5, 1.7], [True, False]):
+        with pytest.raises(ValueError, match="distinct integer variable labels"):
+            TruthTable([0, 1, 1, 0], labels=labels)
+    assert TruthTable([0, 1, 1, 0], labels=[np.int64(3), 5]).labels == (3, 5)
+    for build in (TruthTable.parity, TruthTable.or_function, lambda a: TruthTable.random(a, 0)):
+        for arity in (True, 2.0, -1, 21):
+            with pytest.raises(ValueError, match="arity must be an integer"):
+                build(arity)
+    for label in (5, 1.0, True):
+        with pytest.raises(ValueError, match="out of range"):
+            TruthTable.dictator(3, label)
+    parity = TruthTable.parity(3)
+    for read in (parity.influence, lambda x: parity.q_biased_influence(x, 0.3), lambda x: parity.restrict({x: 1})):
+        for label in (True, 1.0):
+            with pytest.raises(ValueError, match="not among labels"):
+                read(label)
+    for q in (-0.1, 1.1, True):
         with pytest.raises(ValueError, match="bias q"):
             TruthTable.parity(2).q_biased_influence(0, q)
+    # a numpy float q is the float it holds
+    table = TruthTable.random(5, derive_rng(47, "np-q"))
+    assert table.q_biased_influence(2, np.float32(0.3)) == table.q_biased_influence(2, float(np.float32(0.3)))
 
 
 def test_named_tables_match_direct():

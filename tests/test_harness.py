@@ -96,14 +96,23 @@ def test_theory_bound_values():
         theory_bound("sorting", n=10, k=1, delta=0.1, p=0.25)
     with pytest.raises(ValueError):
         theory_bound("threshold", n=10, k=11, delta=0.1, p=0.25)
-    for delta in (0.0, 1.0):
+    for delta in (0.0, 1.0, True):
         with pytest.raises(ValueError, match="delta must lie in"):
             theory_bound("threshold", n=10, k=1, delta=delta, p=0.25)
-    for k in (-1, 11):
+    # n and k follow the integer rule: no float and no bool
+    for k in (-1, 11, 2.5, True):
         with pytest.raises(ValueError, match="counting bound needs"):
             theory_bound("counting", n=10, k=k, delta=0.1, p=0.25)
-    with pytest.raises(ValueError, match="connectivity bound needs n >= 2"):
-        theory_bound("connectivity", n=1, delta=0.1, p=0.25)
+    for n, k in ((10, True), (True, 1), (10.0, 2)):
+        with pytest.raises(ValueError, match="threshold bound needs"):
+            theory_bound("threshold", n=n, k=k, delta=0.1, p=0.25)
+    for n in (1, 5.5, True):
+        with pytest.raises(ValueError, match="connectivity bound needs n >= 2"):
+            theory_bound("connectivity", n=n, delta=0.1, p=0.25)
+    # a numpy float delta is the float it holds
+    for kind, k in (("threshold", 2), ("counting", 2), ("connectivity", None)):
+        held = theory_bound(kind, n=10, k=k, delta=np.float32(0.1), p=np.float32(0.2))
+        assert held == theory_bound(kind, n=10, k=k, delta=float(np.float32(0.1)), p=float(np.float32(0.2)))
 
 
 @pytest.mark.parametrize("kind", ["counting2", "st-connectivity"])

@@ -48,7 +48,7 @@ def test_noise_model_vanishes_near_half():
     assert 0.0 < model.dkl < 1e-4
 
 
-@pytest.mark.parametrize("p", [0.0, 0.5, -0.1, 0.7, 1.0, float("nan"), float("inf"), None, "0.2"])
+@pytest.mark.parametrize("p", [0.0, 0.5, -0.1, 0.7, 1.0, float("nan"), float("inf"), None, "0.2", True, np.bool_(True)])
 def test_noise_model_rejects_bad_probability(p):
     with pytest.raises(ValueError):
         NoiseModel(p)

@@ -13,10 +13,12 @@ raises ``KeyError`` for one with none. It opens that span only around
 its block function, so the single-oracle names it wraps in ``harness``
 are never reached and a threshold scan need call no wrapped walk.
 
-No linter runs on ``src/``, so the last test here stands in for one:
+No linter runs on ``src/``, so the last two tests here stand in for one:
 every name a module imports must be read in that module, unless its
 import statement carries ``# noqa: F401`` and the tracer wraps the name
-there.
+there; and the integer and real-number rules, ``streams._is_integer``
+and ``streams._is_real``, are the only numeric type tests outside the
+spec-field rule and the CSV cell formatter.
 """
 
 import ast
@@ -126,3 +128,38 @@ def test_src_imports_are_read_or_traced():
                 (kept if noqa else unread).append((path.stem, name))
     assert unread == []
     assert [pair for pair in kept if pair not in boundaries] == []
+
+
+# the only functions outside streams that test a number's type themselves:
+# the spec-field rule, which is narrower since its fields are printed into
+# rows, and the CSV formatter, which writes floats by repr
+OWN_NUMBER_TESTS = {("harness", "Param.admits"), ("harness", "_cell")}
+
+
+def number_type_tests(path):
+    """Qualified names of the functions of a module that call ``isinstance``
+    against ``bool``, ``int`` or ``float``, once per call."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = (*scope, child.name) if isinstance(child, (ast.ClassDef, ast.FunctionDef)) else scope
+            if isinstance(child, ast.Call) and getattr(child.func, "id", None) == "isinstance" and len(child.args) == 2:
+                types = {name.id for name in ast.walk(child.args[1]) if isinstance(name, ast.Name)}
+                if types & {"bool", "int", "float"}:
+                    found.append(".".join(scope))
+            visit(child, inner)
+
+    visit(ast.parse(path.read_text()), ())
+    return found
+
+
+def test_number_rules_live_in_streams():
+    found = {
+        (path.stem, name)
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "streams.py"
+        for name in number_type_tests(path)
+    }
+    assert OWN_NUMBER_TESTS <= found
+    assert sorted(found - OWN_NUMBER_TESTS) == []

@@ -15,6 +15,7 @@ from noisyquery import (
     WalkPolicy,
     asymmetric_check_bit,
     check_bit,
+    counting_one_sided,
     derive_rng,
     expected_hitting_time,
     hitting_probability,
@@ -444,7 +445,7 @@ def test_per_key_barriers_match_query_walks(n, p, capacity, seed, complement, wa
     if capacity is None:
         decided, steps = walks(views[0], keys, a, b)
     else:
-        with small_rounds(capacity * block_width(p, a, np.array(b))):
+        with small_rounds(capacity * block_width(p, int(a.min()), min(b))):
             decided, steps = walks(views[0], keys, a, b)
     reference = [query_walk(views[1], k, ka, kb) for k, ka, kb in zip(keys, a.tolist(), b)]
     assert list(zip(decided.tolist(), steps.tolist())) == reference
@@ -477,7 +478,6 @@ def test_per_key_barriers_need_one_value_per_key():
         with pytest.raises(ValueError, match="one value per key"):
             walks(oracle, [0, 1, 2], a, b)
     assert oracle.ledger.total_queries == 0
-    assert block_width(0.25, np.array([9, 4, 7]), 6) == block_width(0.25, 4, 6) == 8
 
 
 def test_walk_rounds_yield_the_ended_prefix():
@@ -710,6 +710,41 @@ def test_integer_arguments_accept_numpy_integers():
     assert oracles[0].query(np.int64(1)) == oracles[1].query(1)
     assert threshold_count(oracles[0], two, 0.1) == threshold_count(oracles[1], 2, 0.1)
     assert oracles[0].ledger == oracles[1].ledger
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda oracle: hitting_probability(True, 2),
+        lambda oracle: expected_hitting_time(True, 2),
+        lambda oracle: counting_one_sided(oracle, True),
+        lambda oracle: threshold_count(oracle, 1, True),
+        lambda oracle: check_bit(oracle, 0, True),
+        lambda oracle: WalkPolicy.for_error_bounds(oracle.noise, 0.1, True),
+    ],
+    ids=["bool p", "bool p of a passage", "bool delta", "bool threshold delta", "bool check delta", "bool delta1"],
+)
+def test_real_arguments_refuse_bools(call):
+    # the real-number rule beside the integer rule: any real number, numpy's too, and never a bool
+    oracle = BitOracle([0, 1, 0], 0.2, 1)
+    with pytest.raises(ValueError, match="must lie in"):
+        call(oracle)
+    assert oracle.ledger.total_queries == 0
+    assert oracle._counters.tolist() == BitOracle([0, 1, 0], 0.2, 1)._counters.tolist()
+
+
+def test_real_arguments_accept_numpy_floats():
+    # a numpy float is the float it holds: same results, answers and ledgers
+    p, delta = np.float32(0.2), np.float32(0.1)
+    assert NoiseModel(p) == NoiseModel(float(p))
+    assert hitting_probability(np.float32(0.25), 2) == hitting_probability(0.25, 2) == 1 / 9
+    assert expected_hitting_time(p, 3) == expected_hitting_time(float(p), 3)
+    oracles = [BitOracle([0, 1, 0, 1, 1, 0], 0.2, seed_sequence(7, "np-float")) for _ in range(4)]
+    assert counting_one_sided(oracles[0], delta) == counting_one_sided(oracles[1], float(delta))
+    assert threshold_count(oracles[2], 2, delta) == threshold_count(oracles[3], 2, float(delta))
+    assert oracles[0].ledger == oracles[1].ledger and oracles[2].ledger == oracles[3].ledger
+    simulated = [simulate_first_passage(q, 2, 50, seed_sequence(7, "np-passage")) for q in (p, float(p))]
+    assert simulated[0] == simulated[1]
 
 
 def test_walks_reject_keys_outside_the_oracle():
