@@ -9,17 +9,20 @@ the naive reconstruct-everything solver needs on the order of
 n^2 log n queries, which is also optimal.
 
 Instances come straight from Wilson's parent array (``trees._wilson``)
-and its balanced edges (``trees._balance``): no :class:`LabeledTree` is
+and its balanced edges (``trees._balance``): :func:`_hard_tree` gives
+the parent array, the cut child and the label, and the harness builds
+its trials from those, with no edge set. No :class:`LabeledTree` is
 built unless ``base_tree`` is read, and each read rebuilds it.
 
 The reconstruction stacks a sequence of oracles into one block
 (:func:`~noisyquery.walks.stack`) and walks every pair of every oracle
-in one :func:`~noisyquery.walks.walks` call, so the harness reconstructs
-a block of trials at once; the naive solvers pass one oracle. Answers
-are counter-based, so each oracle's verdicts, counters and ledger are
-what a reconstruction of it alone gives. The declared graphs' components
-come from one label array over every vertex of the block
-(:func:`_component_labels`), not from a union-find forest per oracle.
+in one :func:`~noisyquery.walks.walk_rounds` loop, so the harness
+reconstructs a block of trials at once; the naive solvers pass one
+oracle. Answers are counter-based, so each oracle's verdicts, counters
+and ledger are what a reconstruction of it alone gives. The declared
+graphs' components come from one label array over every vertex of the
+block (:func:`_component_labels`), not from a union-find forest per
+oracle.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .oracles import EdgeOracle
 from .streams import _is_integer, as_generator
 from .trees import Edge, LabeledTree, _balance, _vertex_count, _wilson, as_balance_threshold
 from .unionfind import UnionFind
-from .walks import _check_delta, barrier, stack, unstack, walks
+from .walks import _check_delta, barrier, stack, unstack, walk_rounds
 
 # not called here but kept as module attributes: instrumentation such as
 # perfbench's tracer wraps them by these names
@@ -108,6 +111,37 @@ class STInstance:
     t: int
 
 
+def _hard_tree(n: int, gen: np.random.Generator, frac: Fraction) -> tuple[list[int], list[int], int | None, int]:
+    """One hard instance as Wilson's parent array: ``(parent, order, removed, label)``.
+
+    ``parent`` and ``order`` are the tree as :func:`~noisyquery.trees._wilson`
+    gives it, ``label`` is 1 iff the instance is the whole tree, and
+    ``removed`` is the child v whose edge (v, parent[v]) is cut, or None
+    when the label is 1. The draws are Wilson's (redrawn while the tree
+    has no frac-balanced edge), then the candidate index, then the label.
+    ``n`` and ``frac`` must be as :func:`check_balance_feasible` returns them.
+    """
+    for _ in range(DEFAULT_REJECTION_CAP):
+        parent, order = _wilson(n, gen)
+        _, candidates, _ = _balance(n, parent, order, frac)
+        if candidates:
+            break
+    else:
+        raise RejectionCapExceeded(
+            f"no {frac}-balanced edge found in {DEFAULT_REJECTION_CAP} sampled trees on {n} vertices"
+        )
+    u, v = candidates[int(gen.integers(0, len(candidates)))]
+    label = int(gen.integers(0, 2))
+    return parent, order, None if label == 1 else (v if parent[v] == u else u), label
+
+
+def _under(parent: Sequence[int], vertex: int, child: int) -> bool:
+    """Whether ``vertex`` lies in the subtree of ``child`` (not the root 0) of a tree rooted at 0."""
+    while vertex != child and vertex:
+        vertex = parent[vertex]
+    return vertex == child
+
+
 def sample_hard_instance(n: int, rng, *, beta=HARD_BALANCE) -> HardInstance:
     """Draw one labeled connectivity instance.
 
@@ -119,21 +153,10 @@ def sample_hard_instance(n: int, rng, *, beta=HARD_BALANCE) -> HardInstance:
     """
     n = _vertex_count(n)
     frac = check_balance_feasible(n, beta)
-    gen = as_generator(rng)
-    for _ in range(DEFAULT_REJECTION_CAP):
-        parent, order = _wilson(n, gen)
-        _, candidates, _ = _balance(n, parent, order, frac)
-        if candidates:
-            break
-    else:
-        raise RejectionCapExceeded(
-            f"no {frac}-balanced edge found in {DEFAULT_REJECTION_CAP} sampled trees on {n} vertices"
-        )
-    chosen = candidates[int(gen.integers(0, len(candidates)))]
-    label = int(gen.integers(0, 2))
-    removed = None if label == 1 else chosen
-    edges = frozenset((v, parent[v]) if v < parent[v] else (parent[v], v) for v in order)
-    return HardInstance(n, edges - {removed}, label, removed)
+    parent, order, removed, label = _hard_tree(n, as_generator(rng), frac)
+    edges = frozenset((v, parent[v]) if v < parent[v] else (parent[v], v) for v in order if v != removed)
+    cut = None if removed is None else tuple(sorted((removed, parent[removed])))
+    return HardInstance(n, edges, label, cut)
 
 
 def sample_st_instance(n: int, rng, *, beta=HARD_BALANCE) -> STInstance:
@@ -203,8 +226,8 @@ def _reconstruct(oracles: Sequence, delta: float) -> np.ndarray:
     whether any one pair s, t is connected, inherit their guarantee; the
     edge set as a whole does not. The oracles must share n and p, as
     :func:`~noisyquery.walks.stack` checks; every pair of every oracle is
-    walked in one :func:`~noisyquery.walks.walks` call on their stacked
-    block, and every vertex of every graph is labelled in one
+    walked in one :func:`~noisyquery.walks.walk_rounds` loop on their
+    stacked block, and every vertex of every graph is labelled in one
     :func:`_component_labels` call. Anything but an
     :class:`~noisyquery.oracles.EdgeOracle` raises TypeError first.
     """
@@ -216,7 +239,13 @@ def _reconstruct(oracles: Sequence, delta: float) -> np.ndarray:
     n = oracles[0].n
     if n == 1:
         return np.zeros((len(oracles), 1), dtype=np.int64)
-    decided, _ = walks(block, np.arange(block._bits.size), *pair_barriers(block.noise, n, delta))
+    # every slot of the block walks, so the keys need no check and the charge runs by slice
+    keys = np.arange(block._bits.size)
+    decided = np.empty(keys.size, dtype=np.int8)
+    steps = np.empty(keys.size, dtype=np.int64)
+    for _ in walk_rounds(block, keys, *pair_barriers(block.noise, n, delta), decided, steps):
+        pass
+    block._charge(np.s_[:], steps)
     unstack(block, oracles)
     # declared pair slot t * C(n,2) + s joins vertices t * n + u and t * n + v of the block
     row, slot = np.divmod(np.flatnonzero(decided), n * (n - 1) // 2)

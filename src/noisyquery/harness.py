@@ -30,14 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .boolfn import MAX_ARITY, TruthTable, restriction_identity_residual
-from .connectivity import (
-    HARD_BALANCE,
-    _reconstruct,
-    check_balance_feasible,
-    components_of,
-    sample_hard_instance,
-    sample_st_instance,
-)
+from .connectivity import HARD_BALANCE, _hard_tree, _reconstruct, _under, check_balance_feasible
 from .counting import counts_one_sided, counts_two_sided, threshold_counts
 from .oracles import BitOracle, EdgeOracle, NoiseModel
 from .streams import _is_integer, _is_real, derive_rng, seed_sequence
@@ -48,7 +41,7 @@ from .walks import (
 
 # not called here but kept as module attributes: instrumentation such as
 # perfbench's tracer wraps them by these names
-from .connectivity import naive_connectivity  # noqa: F401
+from .connectivity import naive_connectivity, sample_hard_instance  # noqa: F401
 from .counting import counting_one_sided, counting_two_sided, threshold_count  # noqa: F401
 
 CSV_COLUMNS = (
@@ -294,11 +287,11 @@ def scaling_gate_failures(report: ScalingReport) -> list[str]:
 # call, named after the range, walks every oracle of the block together.
 
 
-def _bit_oracle_for(spec: ExperimentSpec, trial: int, ones: int) -> BitOracle:
+def _bit_oracle_for(spec: ExperimentSpec, trial: int, ones: int, noise: NoiseModel) -> BitOracle:
     instance_rng = derive_rng(spec.seed, spec.kind, "instance", trial)
     hidden = np.zeros(spec.n, dtype=np.uint8)
     hidden[instance_rng.permutation(spec.n)[:ones]] = 1
-    return BitOracle(hidden, NoiseModel(spec.p), seed_sequence(spec.seed, spec.kind, "noise", trial))
+    return BitOracle(hidden, noise, seed_sequence(spec.seed, spec.kind, "noise", trial))
 
 
 def _pinned_ones(spec: ExperimentSpec, trial: int) -> int:
@@ -321,7 +314,7 @@ def _each_trial(spec: ExperimentSpec, build: Callable, trials: range, *columns) 
 
 def _threshold_block(spec: ExperimentSpec, trials: range) -> list[tuple[bool, int]]:
     pinned = [_pinned_ones(spec, trial) for trial in trials]
-    oracles = _each_trial(spec, _bit_oracle_for, trials, pinned)
+    oracles = _each_trial(spec, _bit_oracle_for, trials, pinned, repeat(NoiseModel(spec.p)))
     with _naming(spec, trials):
         results = threshold_counts(oracles, spec.k, spec.delta)
     records = []
@@ -336,36 +329,45 @@ def _threshold_block(spec: ExperimentSpec, trials: range) -> list[tuple[bool, in
 
 
 def _counting_block(spec: ExperimentSpec, trials: range) -> list[tuple[bool, int]]:
-    oracles = _each_trial(spec, _bit_oracle_for, trials, repeat(spec.ones))
+    oracles = _each_trial(spec, _bit_oracle_for, trials, repeat(spec.ones), repeat(NoiseModel(spec.p)))
     with _naming(spec, trials):
         results = counts_one_sided(oracles, spec.delta)
     return [(result.value == spec.ones, result.queries) for result in results]
 
 
 def _counting2_block(spec: ExperimentSpec, trials: range) -> list[tuple[bool, int]]:
-    oracles = _each_trial(spec, _bit_oracle_for, trials, repeat(spec.ones))
+    oracles = _each_trial(spec, _bit_oracle_for, trials, repeat(spec.ones), repeat(NoiseModel(spec.p)))
     rngs = [derive_rng(spec.seed, spec.kind, "presample", trial) for trial in trials]
     with _naming(spec, trials):
         results = counts_two_sided(oracles, spec.delta, rngs, asymptotic_presample=spec.asymptotic_presample)
     return [(result.value == spec.ones, result.queries) for result in results]
 
 
-def _connectivity_case(spec: ExperimentSpec, trial: int):
-    """A connectivity trial's oracle, its truth, and its terminals (None without)."""
+def _connectivity_case(spec: ExperimentSpec, trial: int, noise: NoiseModel, frac: Fraction):
+    """A connectivity trial's oracle, its truth, and its terminals (None without).
+
+    The oracle's edges are the tree's (child, parent) pairs, less the cut
+    child's; for st-connectivity, s and t are drawn after the instance and
+    lie apart iff exactly one of them is under the cut.
+    """
     instance_rng = derive_rng(spec.seed, spec.kind, "instance", trial)
+    parent, order, removed, label = _hard_tree(spec.n, instance_rng, frac)
+    children = np.array(order)
+    if removed is not None:
+        children = children[children != removed]
+    pairs = np.column_stack((children, np.array(parent)[children]))
     if spec.kind == "connectivity":
-        instance = sample_hard_instance(spec.n, instance_rng, beta=BETA.of(spec))
-        graph, truth, terminals = instance.graph, instance.connected, None
+        truth, terminals = label == 1, None
     else:
-        st = sample_st_instance(spec.n, instance_rng, beta=BETA.of(spec))
-        graph, terminals = st.instance.graph, (st.s, st.t)
-        truth = components_of(spec.n, graph).connected(st.s, st.t)
-    oracle = EdgeOracle(spec.n, graph, NoiseModel(spec.p), seed_sequence(spec.seed, spec.kind, "noise", trial))
+        terminals = int(instance_rng.integers(0, spec.n)), int(instance_rng.integers(0, spec.n))
+        truth = removed is None or _under(parent, terminals[0], removed) == _under(parent, terminals[1], removed)
+    oracle = EdgeOracle(spec.n, pairs, noise, seed_sequence(spec.seed, spec.kind, "noise", trial))
     return oracle, truth, terminals
 
 
 def _connectivity_block(spec: ExperimentSpec, trials: range) -> list[tuple[bool, int]]:
-    cases = _each_trial(spec, _connectivity_case, trials)
+    frac = check_balance_feasible(spec.n, BETA.of(spec))
+    cases = _each_trial(spec, _connectivity_case, trials, repeat(NoiseModel(spec.p)), repeat(frac))
     oracles = [oracle for oracle, _, _ in cases]
     with _naming(spec, trials):
         labels = _reconstruct(oracles, spec.delta).tolist()

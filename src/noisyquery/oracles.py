@@ -213,23 +213,30 @@ class EdgeOracle(_CounterChannel):
     slots, numbered in the order of ``numpy.triu_indices(n, 1)``.
     """
 
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]], noise: NoiseModel | float, rng) -> None:
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]] | np.ndarray, noise: NoiseModel | float, rng) -> None:
         self._n = _vertex_count(n)
         bits = np.zeros(self._n * (self._n - 1) // 2, dtype=np.uint8)
-        bits[self._slots(list(edges))] = 1
+        # an (m, 2) integer array is read as it is; other iterables are listed first
+        bits[self._slots(edges if isinstance(edges, np.ndarray) else list(edges))] = 1
         super().__init__(noise, bits)
         self._key = stream_key(rng)
 
     def _slots(self, pairs) -> np.ndarray:
-        """Slots of vertex pairs in either order, for the constructor and ``query``. The first bad pair
-        raises: ValueError for a vertex that is not an integer or a self-loop, IndexError out of range."""
-        pairs = np.array(pairs)
+        """Slots of vertex pairs in either order, for the constructor and ``query``: an array, or a
+        list of pairs. The first bad pair raises: ValueError for a vertex that is not an integer
+        (a bool too) or a self-loop, IndexError out of range."""
+        listed = None if isinstance(pairs, np.ndarray) else pairs
+        pairs = np.asarray(pairs)
         if pairs.size == 0:
             pairs = pairs.reshape(0, 2).astype(np.int64)
         if pairs.ndim != 2 or pairs.shape[1] != 2:
             raise ValueError(f"edges must be vertex pairs, got an array of shape {pairs.shape}")
         if pairs.dtype.kind not in "iu":
             raise ValueError(f"vertex pairs must hold integers, got {pairs.dtype} vertices")
+        # a list's array reads a bool beside an int as the int it equals, so the list's own vertices are read
+        bad = [] if listed is None else [x for pair in listed for x in pair if not _is_integer(x)]
+        if bad:
+            raise ValueError(f"vertex pairs must hold integers, got {type(bad[0]).__name__} vertices")
         pairs = pairs.astype(np.int64, copy=False)
         us = np.minimum(pairs[:, 0], pairs[:, 1])
         vs = np.maximum(pairs[:, 0], pairs[:, 1])

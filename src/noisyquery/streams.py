@@ -11,6 +11,7 @@ reproduce bit-for-bit.
 
 from __future__ import annotations
 
+import functools
 import numbers
 
 import numpy as np
@@ -31,7 +32,10 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def _entropy_words(part: int | str) -> list[int]:
+# a trial derives its streams from the same seed and string tags each time,
+# so each tag's words are kept; typed, so that True and 1.0 never find 1's
+@functools.lru_cache(maxsize=1024, typed=True)
+def _entropy_words(part: int | str) -> tuple[int, ...]:
     """Map a tag to 32-bit words suitable for SeedSequence entropy.
 
     Every tag starts with a header word, 4 * length + type: the type
@@ -49,7 +53,7 @@ def _entropy_words(part: int | str) -> list[int]:
         data = part.encode("utf-8")
         padded = data + bytes(-len(data) % 4)
         payload = [int.from_bytes(padded[i : i + 4], "little") for i in range(0, len(padded), 4)]
-        return [4 * len(data) + _TAG_STR, *payload]
+        return (4 * len(data) + _TAG_STR, *payload)
     if _is_integer(part):
         value = int(part)
         kind = _TAG_NONNEGATIVE if value >= 0 else _TAG_NEGATIVE
@@ -58,7 +62,7 @@ def _entropy_words(part: int | str) -> list[int]:
         while value:
             payload.append(value & 0xFFFFFFFF)
             value >>= 32
-        return [4 * len(payload) + kind, *payload]
+        return (4 * len(payload) + kind, *payload)
     raise TypeError(f"stream tag must be int or str, got {type(part).__name__}")
 
 

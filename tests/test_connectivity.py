@@ -33,7 +33,7 @@ from noisyquery import (
     seed_sequence,
     theory_bound,
 )
-from noisyquery import connectivity
+from noisyquery import connectivity, harness
 from noisyquery.connectivity import HardInstance, _component_labels, _reconstruct, pair_barriers
 from noisyquery.walks import barrier
 
@@ -123,6 +123,30 @@ def test_hard_instance_matches_tree_route_through_redraws():
     # of these streams redraw the tree, and must redraw it identically
     draws = [assert_same_as_tree_route(n, Fraction(1, 3), (91, "redraw", n, j)) for n in range(4, 9) for j in range(10)]
     assert max(draws) > 1
+
+
+@pytest.mark.parametrize("kind", ["connectivity", "st-connectivity"])
+@pytest.mark.parametrize("beta", [Fraction(1, 21), Fraction(1, 5), Fraction(1, 3)])
+@pytest.mark.parametrize("n", [2, 3, 12, 50])
+def test_parent_array_trials_match_the_public_samplers(n, beta, kind):
+    # a harness trial draws from the parent array, never through the public
+    # samplers; its graph, truth and terminals are theirs, draw for draw
+    noise = NoiseModel(0.2)
+    for seed in (0, 57, 2**40 + 3):
+        spec = ExperimentSpec(kind, n=n, p=0.2, delta=0.1, beta=beta, trials=10, seed=seed)
+        for trial in range(spec.trials):
+            oracle, truth, terminals = harness._connectivity_case(spec, trial, noise, beta)
+            twin = derive_rng(seed, kind, "instance", trial)
+            if kind == "connectivity":
+                instance = sample_hard_instance(n, twin, beta=beta)
+                assert terminals is None and truth == (instance.label == 1)
+            else:
+                st = sample_st_instance(n, twin, beta=beta)
+                instance = st.instance
+                assert terminals == (st.s, st.t)
+                assert truth == components_of(n, instance.graph).connected(st.s, st.t)
+            assert oracle.edges == instance.graph
+            assert oracle.noise is noise
 
 
 # sha256 of repr((sorted graph edges, label, removed edge)) of

@@ -25,12 +25,11 @@ from noisyquery import (
     reports_to_json,
     run_experiment,
     run_trial,
-    sample_hard_instance,
     theory_bound,
     validate_spec,
     wilson_interval,
 )
-from noisyquery.connectivity import pair_barriers
+from noisyquery.connectivity import _hard_tree, pair_barriers
 from noisyquery.counting import counting_levels, threshold_barriers
 from noisyquery.walks import barrier
 
@@ -405,10 +404,10 @@ def test_validation_rejects_bool_run_fields(field, value):
 def test_trial_failures_name_the_trial(monkeypatch):
     # a sampler that exhausts its restart budget inside a trial; specs
     # that no tree can satisfy are already refused by validate_spec
-    def exhausted(n, rng, **kwargs):
+    def exhausted(n, rng, frac):
         raise RejectionCapExceeded(f"no balanced edge found on {n} vertices")
 
-    monkeypatch.setattr(harness, "sample_hard_instance", exhausted)
+    monkeypatch.setattr(harness, "_hard_tree", exhausted)
     spec = ExperimentSpec(kind="connectivity", n=11, p=0.2, delta=0.1, trials=3, seed=98)
     with pytest.raises(RuntimeError, match="trial 0"):
         run_experiment(spec)
@@ -417,12 +416,12 @@ def test_trial_failures_name_the_trial(monkeypatch):
     spec = dataclasses.replace(spec, trials=7)
     poisoned = derive_rng(spec.seed, spec.kind, "instance", 4).bit_generator.state
 
-    def fails_at_trial_4(n, rng, **kwargs):
+    def fails_at_trial_4(n, rng, frac):
         if rng.bit_generator.state == poisoned:
-            exhausted(n, rng)
-        return sample_hard_instance(n, rng, **kwargs)
+            exhausted(n, rng, frac)
+        return _hard_tree(n, rng, frac)
 
-    monkeypatch.setattr(harness, "sample_hard_instance", fails_at_trial_4)
+    monkeypatch.setattr(harness, "_hard_tree", fails_at_trial_4)
     with pytest.raises(RuntimeError, match="connectivity trial 4 failed: no balanced edge"):
         run_experiment(spec)
 
@@ -430,7 +429,7 @@ def test_trial_failures_name_the_trial(monkeypatch):
     def broken(oracles, delta):
         raise ValueError("walk failed")
 
-    monkeypatch.setattr(harness, "sample_hard_instance", sample_hard_instance)
+    monkeypatch.setattr(harness, "_hard_tree", _hard_tree)
     monkeypatch.setattr(harness, "_reconstruct", broken)
     with pytest.raises(RuntimeError, match="connectivity trials 0-6 failed: walk failed"):
         run_experiment(spec)
@@ -574,23 +573,19 @@ def test_every_bit_oracle_is_built_by_its_harness_name(monkeypatch, kind, extra)
 
 
 def test_every_connectivity_oracle_is_built_by_its_harness_name(monkeypatch):
-    # perfbench's --trace 1 wraps harness.sample_hard_instance and
-    # harness.EdgeOracle, and checks that the ledgers of the oracles it saw
-    # built hold every query the reports count
-    built, sampled = [], []
+    # perfbench's --trace 1 wraps harness.EdgeOracle, and checks that the
+    # ledgers of the oracles it saw built hold every query the reports count
+    built = []
+    real_oracle = harness.EdgeOracle
 
-    def recording(real, seen):
-        def wrapper(*args, **kwargs):
-            seen.append(real(*args, **kwargs))
-            return seen[-1]
+    def recording(*args, **kwargs):
+        built.append(real_oracle(*args, **kwargs))
+        return built[-1]
 
-        return wrapper
-
-    monkeypatch.setattr(harness, "EdgeOracle", recording(harness.EdgeOracle, built))
-    monkeypatch.setattr(harness, "sample_hard_instance", recording(harness.sample_hard_instance, sampled))
+    monkeypatch.setattr(harness, "EdgeOracle", recording)
     spec = ExperimentSpec("connectivity", n=12, p=0.2, delta=0.1, trials=9, seed=33)
     report = run_experiment(spec)
-    assert len(built) == len(sampled) == 9
+    assert len(built) == 9
     assert sum(oracle.ledger.total_queries for oracle in built) == round(report.mean_queries * spec.trials)
 
 

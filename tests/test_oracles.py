@@ -127,6 +127,15 @@ def test_edge_oracle_validation():
         EdgeOracle(0, [], 0.2, 0)
     with pytest.raises(ValueError):
         EdgeOracle(3, [(0, 0)], 0.2, 0)
+    # a bool vertex is refused beside an int as it is beside a bool, though
+    # the array of such a list reads it as the int it equals
+    for pairs in ([(0, True)], [(True, False)], [(2, 0), (np.bool_(True), 2)]):
+        with pytest.raises(ValueError, match="got bool vertices"):
+            EdgeOracle(3, pairs, 0.2, 0)
+    for key in ((0, True), (True, False), (np.bool_(False), 2)):
+        with pytest.raises(ValueError, match="got bool vertices"):
+            oracle.query(key)
+    assert oracle.ledger.total_queries == 0
 
 
 def per_edge_bits(n, edges):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from noisyquery import BitOracle, derive_rng, seed_sequence
-from noisyquery.streams import as_generator, stream_key
+from noisyquery.streams import _entropy_words, as_generator, stream_key
 
 tags = st.one_of(st.integers(-(2**70), 2**70), st.text(max_size=6))
 
@@ -62,3 +62,28 @@ def test_a_bool_never_names_a_stream(name_stream):
 def test_seed_sequence_needs_a_part():
     with pytest.raises(ValueError, match="at least one entropy part"):
         seed_sequence()
+
+
+def test_the_tag_cache_keeps_every_tag_apart():
+    # the tag words are cached by value and type: a bool must not find the
+    # words of the int it equals, and numpy integers find the words of theirs
+    seed_sequence(5, "x", 1)
+    with pytest.raises(TypeError):
+        seed_sequence(5, "x", True)
+    with pytest.raises(TypeError):
+        seed_sequence(5, "x", 1.0)
+    for value in (0, 1, 7, 2**32, -(2**40)):
+        assert _entropy_words(np.int64(value)) == _entropy_words(value)
+        assert derive_rng(5, np.int64(value)).random() == derive_rng(5, value).random()
+    assert _entropy_words(np.int32(7)) == _entropy_words(np.uint8(7)) == _entropy_words(7)
+    # a string's header word has type 3 and an int's 1 or 2, so they never share words
+    for text, number in (("1", 1), ("", 0), ("a", 97), ("\x00", 0)):
+        assert _entropy_words(text) != _entropy_words(number)
+        assert _entropy_words(text)[0] % 4 == 3 and _entropy_words(number)[0] % 4 in (1, 2)
+
+
+def test_the_tag_cache_is_bounded():
+    assert _entropy_words.cache_info().maxsize == 1024
+    for tag in range(3000):
+        seed_sequence(tag)
+    assert _entropy_words.cache_info().currsize <= 1024

@@ -11,7 +11,9 @@ The tracer reads the walks under a ``counting.threshold`` span, and
 raises ``KeyError`` for one with none. It opens that span only around
 ``harness.threshold_count``, which no experiment calls: every kind runs
 its block function, so the single-oracle names it wraps in ``harness``
-are never reached and a threshold scan need call no wrapped walk.
+are never reached and a threshold scan need call no wrapped walk. The
+connectivity trials draw from the sampler's parent-array core, so
+``harness.sample_hard_instance`` is one of those names too.
 
 No linter runs on ``src/``, so the last two tests here stand in for one:
 every name a module imports must be read in that module, unless its
@@ -74,7 +76,9 @@ def test_benchmark_imports_resolve():
 
 
 # the harness names the tracer wraps that no experiment calls
-TRACER_ONLY = ("threshold_count", "counting_one_sided", "counting_two_sided", "naive_connectivity")
+TRACER_ONLY = (
+    "threshold_count", "counting_one_sided", "counting_two_sided", "naive_connectivity", "sample_hard_instance"
+)
 
 
 @pytest.mark.parametrize(
