@@ -224,18 +224,15 @@ def _reconstruct(oracles: Sequence, delta: float) -> np.ndarray:
     components: row t, column v is the least vertex of v's component in
     the graph declared for ``oracles[t]``. The graph's connectivity, and
     whether any one pair s, t is connected, inherit their guarantee; the
-    edge set as a whole does not. The oracles must share n and p, as
-    :func:`~noisyquery.walks.stack` checks; every pair of every oracle is
-    walked in one :func:`~noisyquery.walks.walk_rounds` loop on their
-    stacked block, and every vertex of every graph is labelled in one
-    :func:`_component_labels` call. Anything but an
-    :class:`~noisyquery.oracles.EdgeOracle` raises TypeError first.
+    edge set as a whole does not. The oracles must be EdgeOracles of one
+    n and p, as :func:`~noisyquery.walks.stack` checks before any walk;
+    every pair of every oracle is walked in one
+    :func:`~noisyquery.walks.walk_rounds` loop on their stacked block,
+    and every vertex of every graph is labelled in one
+    :func:`_component_labels` call.
     """
     delta = _check_delta(delta, "delta")
-    for oracle in oracles:
-        if not isinstance(oracle, EdgeOracle):
-            raise TypeError(f"connectivity needs EdgeOracles, got {type(oracle).__name__}")
-    block = stack(oracles)
+    block = stack(oracles, EdgeOracle)
     n = oracles[0].n
     if n == 1:
         return np.zeros((len(oracles), 1), dtype=np.int64)

@@ -19,13 +19,14 @@ Three procedures over a :class:`~noisyquery.oracles.BitOracle`, and no other ora
 Each procedure also runs on a block of oracles of one size and one p
 (``threshold_counts``, ``counts_one_sided``, ``counts_two_sided``); a
 single oracle is the block of one. The oracles are stacked once into one
-channel (:func:`~noisyquery.walks.stack`), which is the only check of
-the block, and each procedure reads, flips, walks and charges only that
-channel: the kernel walks its keys many per call, and a complement is
-its bits flipped. One :func:`~noisyquery.walks.unstack` writes the rows
-back and gives each oracle's queries. Answers are
-counter-based, so this gives the same answers, counts and ledgers as
-checking each oracle's keys one at a time in the order described.
+channel (:func:`~noisyquery.walks.stack` with ``BitOracle``), which is
+the only check of the block, their class included, and each procedure
+reads, flips, walks and charges only that channel: the kernel walks its
+keys many per call, and a complement is its bits flipped. One
+:func:`~noisyquery.walks.unstack` writes the rows back and gives each
+oracle's queries. Answers are counter-based, so this gives the same
+answers, counts and ledgers as checking each oracle's keys one at a
+time in the order described.
 """
 
 from __future__ import annotations
@@ -95,7 +96,7 @@ def threshold_counts(oracles, k: int, delta: float) -> list[ThresholdResult]:
     row as its complement view would, and the scans look for n - k + 1
     zeros. Unstacking the block once gives each oracle's queries.
     """
-    block = _stack_bits(oracles)
+    block = stack(oracles, BitOracle)
     n = oracles[0].n
     if not _is_integer(k) or not 1 <= k <= n:
         raise ValueError(f"threshold k must be an integer in [1, {n}], got {k!r}")
@@ -108,14 +109,6 @@ def threshold_counts(oracles, k: int, delta: float) -> list[ThresholdResult]:
     else:
         values = _threshold_scans(block, len(oracles), n, k, delta)
     return [ThresholdResult(v, int(q)) for v, q in zip(values, unstack(block, oracles))]
-
-
-def _stack_bits(oracles):
-    # stack, of BitOracles only: an EdgeOracle's n counts vertices, not slots
-    for oracle in oracles:
-        if not isinstance(oracle, BitOracle):
-            raise TypeError(f"counting needs BitOracles, got {type(oracle).__name__}")
-    return stack(oracles)
 
 
 def threshold_barriers(noise, n: int, k: int, delta: float) -> tuple[int, int]:
@@ -224,7 +217,7 @@ def counts_one_sided(oracles, delta: float) -> list[CountResult]:
     and one p: stacked once into a block (:func:`~noisyquery.walks.stack`),
     counted row by row in lockstep by :func:`_count_rows`, and unstacked
     once, which gives each oracle's queries."""
-    block = _stack_bits(oracles)
+    block = stack(oracles, BitOracle)
     delta = _check_delta(delta, "delta")
     n = oracles[0].n
     if n == 0:
@@ -294,7 +287,7 @@ def counts_two_sided(oracles, delta: float, rngs, *, asymptotic_presample: bool 
     counts every row's minority bit. Unstacking the block once gives
     each oracle's queries over both phases.
     """
-    block = _stack_bits(oracles)
+    block = stack(oracles, BitOracle)
     delta = _check_delta(delta, "delta")
     n = oracles[0].n
     if len(rngs) != len(oracles):

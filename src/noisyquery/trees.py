@@ -21,8 +21,8 @@ subtree sizes, the balanced edges and the sum of smaller sides.
 ``sample_ust`` wraps the parent array in a :class:`LabeledTree`;
 ``balanced_edges`` recovers parents of any tree by BFS;
 ``structure_scaling_report`` and the hard connectivity instances
-(``connectivity.sample_hard_instance``) go from ``_wilson`` to
-``_balance`` without building a tree object at all.
+(``connectivity._hard_tree``) go from ``_wilson`` to ``_balance``
+without building a tree object at all.
 
 Prufer decoding (each sequence in [n]^(n-2) maps to its own labeled
 tree) enumerates all trees for small n.
@@ -143,7 +143,7 @@ class LabeledTree:
 
 
 def _wilson(n: int, gen) -> tuple[list[int], list[int]]:
-    """Uniform spanning tree of K_n (n >= 1) via Wilson's algorithm, rooted at 0.
+    """Uniform spanning tree of K_n (n >= 1, as callers check) via Wilson's algorithm, rooted at 0.
 
     Returns ``(parent, order)``: ``parent[v]`` is v's neighbour on its
     path to vertex 0 (``parent[0]`` is 0), and ``order`` lists the other
@@ -156,8 +156,6 @@ def _wilson(n: int, gen) -> tuple[list[int], list[int]]:
     (n-1)/|tree|: while |tree| * _LONG_WALK < n-1 a walk is read a chunk
     at a time in numpy (``_chunk_walk``), after that one draw at a time.
     """
-    if n < 1:
-        raise ValueError(f"vertex count must be >= 1, got {n}")
     parent = [0] * n
     if n <= 2:
         # one tree, no draw

@@ -268,36 +268,39 @@ def walks(oracle, keys, a, b) -> tuple[np.ndarray, np.ndarray]:
     return decided, steps
 
 
-def stack(oracles) -> _CounterChannel:
+def stack(oracles, cls) -> _CounterChannel:
     """One channel, a block, whose row t holds every slot of ``oracles[t]``:
     block slot t * size + s is slot s of ``oracles[t]``.
 
     The block holds copies of the oracles' bits and answer counters and
     has its own ledger, so walks on it give each slot the answers its
     own oracle would give next, and change no oracle until
-    :func:`unstack` writes the rows back. The counters of every oracle
-    not read yet are formed first, in one
-    :func:`~noisyquery.oracles._read_counters` call. The oracles must
-    share p and their slot count, and no two may hold one counter array
-    (a view beside its inner oracle), or writing back would count some
-    answers twice.
+    :func:`unstack` writes the rows back. This is the one check of a
+    block: every oracle must be a ``cls``, the class its algorithm reads
+    (an EdgeOracle's n counts vertices, not slots), or TypeError; they
+    must share p and their slot count, and no two may hold one counter
+    array (a view beside its inner oracle), or writing back would count
+    some answers twice. Only then are the counters of every oracle not
+    read yet formed, in one :func:`~noisyquery.oracles._read_counters` call.
     """
-    channels = [_channel(oracle) for oracle in oracles]
-    if not channels:
+    for oracle in oracles:
+        if not isinstance(oracle, cls):
+            raise TypeError(f"this block needs {cls.__name__}s, got {type(oracle).__name__}")
+    if not oracles:
         raise ValueError("walks of several oracles need at least one oracle")
-    first = channels[0]
-    if any(c.noise.p != first.noise.p for c in channels):
+    first = oracles[0]
+    if any(o.noise.p != first.noise.p for o in oracles):
         raise ValueError("oracles walked together must share their flip probability p")
-    if any(c._bits.size != first._bits.size for c in channels):
+    if any(o._bits.size != first._bits.size for o in oracles):
         raise ValueError("oracles walked together must have the same number of slots")
-    _read_counters(channels)
-    if len({id(c._counters) for c in channels}) < len(channels):
+    _read_counters(oracles)
+    if len({id(o._counters) for o in oracles}) < len(oracles):
         # an oracle listed twice, or a complement view beside its inner oracle
         raise ValueError("oracles walked together must not share answer counters")
-    block = _CounterChannel(first.noise, np.concatenate([c._bits for c in channels]))
+    block = _CounterChannel(first.noise, np.concatenate([o._bits for o in oracles]))
     # copied, not recomputed from p, so a channel whose flip bound was set by hand walks as it would alone
     block._flip_below = first._flip_below
-    block._counters = np.concatenate([c._counters for c in channels])
+    block._counters = np.concatenate([o._counters for o in oracles])
     return block
 
 
@@ -495,21 +498,25 @@ class PassageTally:
         return math.sqrt(max(var, 0.0))
 
 
-def simulate_hitting(p: float, x: int, count: int, rng, *, precision: float = 1e-6) -> HitTally:
+# simulate_hitting's truncation: its estimate is biased low by at most this
+HIT_PRECISION = 1e-6
+
+
+def simulate_hitting(p: float, x: int, count: int, rng) -> HitTally:
     """Monte Carlo estimate of the probability of ever reaching +x.
 
     Runs :func:`walks` on ``count`` zero bits of a :class:`BitOracle`
     keyed by ``rng``, so each walk steps +1 w.p. p and -1 w.p. 1-p. A
     walk is abandoned as a non-hit once it falls to
-    x - ceil(log(1/precision)/log((1-p)/p)), from where the chance of
-    still reaching +x is below ``precision``; the estimate is therefore
-    biased low by at most ``precision``.
+    x - ceil(log(1/HIT_PRECISION)/log((1-p)/p)), from where the chance
+    of still reaching +x is below :data:`HIT_PRECISION`; the estimate is
+    therefore biased low by at most that.
     """
     _check_simulation(p, x, count)
     if x == 0:
         return HitTally(walks=count, hits=count)
     noise = NoiseModel(p)
-    far = barrier(noise, 1, precision) - x
+    far = barrier(noise, 1, HIT_PRECISION) - x
     if far <= 0:
         # hitting probability below the truncation precision
         return HitTally(walks=count, hits=0)

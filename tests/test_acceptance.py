@@ -41,6 +41,7 @@ from noisyquery import (
     structure_scaling_report,
 )
 from noisyquery.harness import error_bound, gate_failures, scaling_gate_failures
+from noisyquery.walks import HIT_PRECISION
 
 pytestmark = pytest.mark.acceptance
 
@@ -60,15 +61,14 @@ def _finish(name, failures, notes, started, budget_seconds=None):
 def test_criterion_01_gamblers_ruin_laws():
     started = time.perf_counter()
     walks = 10**6
-    precision = 1e-6
     failures = []
     worst_hit = 0.0
     worst_mean = 0.0
     for p in (0.1, 0.25, 0.4):
         for x in range(1, 7):
-            tally = simulate_hitting(p, x, walks, derive_rng(SEED, "c1-hit", int(p * 100), x), precision=precision)
+            tally = simulate_hitting(p, x, walks, derive_rng(SEED, "c1-hit", int(p * 100), x))
             law = hitting_probability(p, x)
-            band = 3.0 * math.sqrt(law * (1.0 - law) / walks) + precision
+            band = 3.0 * math.sqrt(law * (1.0 - law) / walks) + HIT_PRECISION
             gap = abs(tally.fraction - law)
             worst_hit = max(worst_hit, gap / band)
             if gap > band:

@@ -341,7 +341,7 @@ def test_answer_counts_tally_every_path_to_the_counters(kind, size, seed, moves)
             if move == "block walk":
                 # the block of the oracle or, on odd steps, of its view
                 walked = [view if step % 2 else oracle]
-                block = stack(walked)
+                block = stack(walked, BitOracle if kind == "bits" else EdgeOracle)
                 _, steps = walks(block, keys, a, b)
                 assert unstack(block, walked).tolist() == [int(steps.sum())]
             else:

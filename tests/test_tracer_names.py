@@ -15,12 +15,14 @@ are never reached and a threshold scan need call no wrapped walk. The
 connectivity trials draw from the sampler's parent-array core, so
 ``harness.sample_hard_instance`` is one of those names too.
 
-No linter runs on ``src/``, so the last two tests here stand in for one:
-every name a module imports must be read in that module, unless its
+No linter runs on ``src/``, so the last three tests here stand in for
+one: every name a module imports must be read in that module, unless its
 import statement carries ``# noqa: F401`` and the tracer wraps the name
-there; and the integer and real-number rules, ``streams._is_integer``
-and ``streams._is_real``, are the only numeric type tests outside the
-spec-field rule and the CSV cell formatter.
+there; the integer and real-number rules, ``streams._is_integer`` and
+``streams._is_real``, are the only numeric type tests outside the
+spec-field rule and the CSV cell formatter; and ``walks.stack`` is the
+only block check of an oracle's class, beside the single-oracle walks'
+``walks._channel`` and the complement view's own check.
 """
 
 import ast
@@ -140,17 +142,17 @@ def test_src_imports_are_read_or_traced():
 OWN_NUMBER_TESTS = {("harness", "Param.admits"), ("harness", "_cell")}
 
 
-def number_type_tests(path):
+def type_tests(path, types):
     """Qualified names of the functions of a module that call ``isinstance``
-    against ``bool``, ``int`` or ``float``, once per call."""
+    or ``issubclass`` against any of ``types``, once per call."""
     found = []
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             inner = (*scope, child.name) if isinstance(child, (ast.ClassDef, ast.FunctionDef)) else scope
-            if isinstance(child, ast.Call) and getattr(child.func, "id", None) == "isinstance" and len(child.args) == 2:
-                types = {name.id for name in ast.walk(child.args[1]) if isinstance(name, ast.Name)}
-                if types & {"bool", "int", "float"}:
+            called = getattr(child.func, "id", None) if isinstance(child, ast.Call) else None
+            if called in ("isinstance", "issubclass") and len(child.args) == 2:
+                if types & {name.id for name in ast.walk(child.args[1]) if isinstance(name, ast.Name)}:
                     found.append(".".join(scope))
             visit(child, inner)
 
@@ -163,7 +165,21 @@ def test_number_rules_live_in_streams():
         (path.stem, name)
         for path in sorted(SRC.glob("*.py"))
         if path.name != "streams.py"
-        for name in number_type_tests(path)
+        for name in type_tests(path, {"bool", "int", "float"})
     }
     assert OWN_NUMBER_TESTS <= found
     assert sorted(found - OWN_NUMBER_TESTS) == []
+
+
+# the only functions that test an oracle's class: the block check (by
+# its cls argument), the single-oracle walks' check, and the complement
+# view of a BitOracle
+ORACLE_CLASS_TESTS = {("walks", "stack"), ("walks", "_channel"), ("oracles", "ComplementBitOracle.__init__")}
+
+
+def test_oracle_class_rules_live_in_the_block_check():
+    # a block algorithm names its oracle class in its stack call and
+    # never tests it itself
+    classes = {"BitOracle", "ComplementBitOracle", "EdgeOracle", "_CounterChannel", "cls"}
+    found = {(path.stem, name) for path in sorted(SRC.glob("*.py")) for name in type_tests(path, classes)}
+    assert found == ORACLE_CLASS_TESTS

@@ -141,6 +141,15 @@ def test_sample_ust_rejects_non_integer_sizes(n):
     assert gen.bit_generator.state == state
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_sample_ust_rejects_sizes_below_one(n):
+    gen = derive_rng(0, "size")
+    state = gen.bit_generator.state
+    with pytest.raises(ValueError, match=">= 1"):
+        sample_ust(n, gen)
+    assert gen.bit_generator.state == state
+
+
 def test_sample_ust_accepts_numpy_integers():
     tree = sample_ust(np.int64(5), derive_rng(0, "size"))
     assert type(tree.n) is int

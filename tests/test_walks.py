@@ -26,7 +26,7 @@ from noisyquery import (
     threshold_count,
 )
 from noisyquery import walks as walks_module
-from noisyquery.walks import barrier, block_width, stack, unstack, walk_rounds, walks
+from noisyquery.walks import HIT_PRECISION, barrier, block_width, stack, unstack, walk_rounds, walks
 
 from conftest import exact_check, log_up_first, query_walk, small_rounds
 
@@ -166,11 +166,11 @@ def test_simulated_laws_walk_the_kernel(p, x):
     # the laws are tallies of the walk kernel on all-zero bits: a twin
     # oracle from the same stream, walked key by key through query(),
     # gives the same hits and the same step sums
-    count, precision = 200, 1e-6
-    far = barrier(NoiseModel(p), 1, precision) - x
+    count = 200
+    far = barrier(NoiseModel(p), 1, HIT_PRECISION) - x
     twin = BitOracle([0] * count, p, seed_sequence(41, "hit", int(p * 100), x))
     hits = sum(query_walk(twin, i, far, x)[0] for i in range(count))
-    tally = simulate_hitting(p, x, count, seed_sequence(41, "hit", int(p * 100), x), precision=precision)
+    tally = simulate_hitting(p, x, count, seed_sequence(41, "hit", int(p * 100), x))
     assert tally.hits == hits
     twin = BitOracle([0] * count, p, seed_sequence(41, "passage", int(p * 100), x))
     steps = [query_walk(twin, i, x, 1 << 62)[1] for i in range(count)]
@@ -485,7 +485,7 @@ def test_walk_rounds_yield_the_ended_prefix():
     # result, and the count only grows until it covers every key
     oracle = BitOracle(derive_rng(8, "bits").integers(0, 2, size=500), 0.25, seed_sequence(8, "noise"))
     keys = np.arange(500)
-    decided, steps = walks(stack([oracle]), keys, 6, 9)
+    decided, steps = walks(stack([oracle], BitOracle), keys, 6, 9)
     got_decided = np.full(500, -1, dtype=np.int8)
     got_steps = np.zeros(500, dtype=np.int64)
     ended = []
@@ -504,7 +504,7 @@ def test_interleaved_walk_rounds_match_walks_alone():
     for p, a, b, size in ((0.25, 6, 9, 700), (0.1, 3, 4, 300)):
         oracle = BitOracle(derive_rng(9, "bits", size).integers(0, 2, size=size), p, seed_sequence(9, "noise", size))
         keys = np.arange(size)
-        alone = walks(stack([oracle]), keys, a, b)
+        alone = walks(stack([oracle], BitOracle), keys, a, b)
         got = np.full(size, -1, dtype=np.int8), np.zeros(size, dtype=np.int64)
         runs.append((alone, got, walk_rounds(oracle, keys, a, b, *got)))
     with small_rounds(40 * block_width(0.25, 6, 9)):
@@ -589,7 +589,7 @@ def test_walk_oracles_equals_walking_each_alone(n, count, on_edges, p, a, b, see
             if earlier:
                 walks(oracles[i], earlier, a, b)
     before = [oracle.ledger.total_queries for oracle in twins[0]]
-    block = stack(twins[0])
+    block = stack(twins[0], EdgeOracle if on_edges else BitOracle)
     decided, steps = walks(block, np.arange(count * slots), a, b)
     answered = unstack(block, twins[0])
     assert answered.tolist() == [o.ledger.total_queries - q for o, q in zip(twins[0], before)]
@@ -637,7 +637,7 @@ def test_blocks_of_fresh_used_and_viewed_oracles_match_each_alone(n, p, a, b, se
     # building a view forms its inner oracle's counters
     assert [("_counters" in vars(base)) for base, _ in twins[0]] == [s != "fresh" for s in states]
     before = [view.ledger.total_queries for view in together]
-    block = stack(together)
+    block = stack(together, BitOracle)
     decided, steps = walks(block, np.arange(len(states) * n), a, b)
     answered = unstack(block, together)
     assert answered.tolist() == [view.ledger.total_queries - q for view, q in zip(together, before)]
@@ -679,8 +679,24 @@ def test_walk_oracles_refuses_what_it_cannot_stack(case):
     oracles, message = _refused_stacks()[case]
     before = [(oracle._counters.tolist(), oracle.ledger.total_queries) for oracle in oracles]
     with pytest.raises(ValueError, match=message):
-        stack(oracles)
+        stack(oracles, BitOracle)
     assert [(oracle._counters.tolist(), oracle.ledger.total_queries) for oracle in oracles] == before
+
+
+def test_stack_refuses_oracles_of_another_class():
+    # three bits and the three pairs of three vertices have one slot count,
+    # yet a bit oracle and an edge oracle are never one block: in either
+    # order, under either class, stack raises TypeError before it forms
+    # any counters, and no ledger moves
+    for first, cls in ((0, BitOracle), (1, EdgeOracle)):
+        pair = [BitOracle([1, 0, 1], 0.2, 1), EdgeOracle(3, [(0, 1)], 0.2, 2)]
+        oracles = pair[first:] + pair[:first]
+        with pytest.raises(TypeError, match=f"needs {cls.__name__}s, got {type(oracles[1]).__name__}"):
+            stack(oracles, cls)
+        assert ["_counters" in vars(o) for o in oracles] == [False, False]
+        assert [o.ledger.total_queries for o in oracles] == [0, 0]
+    with pytest.raises(TypeError, match="needs BitOracles, got str"):
+        stack(["101"], BitOracle)
 
 
 @pytest.mark.parametrize(
