@@ -12,14 +12,12 @@ from .connectivity import (
     HardInstance,
     InfeasibleBalance,
     RejectionCapExceeded,
-    STInstance,
     check_balance_feasible,
     components_of,
     is_connected_graph,
     naive_connectivity,
     naive_st_connectivity,
     sample_hard_instance,
-    sample_st_instance,
 )
 from .counting import CountResult, ThresholdResult, counting_one_sided, counting_two_sided, threshold_count
 from .harness import (
@@ -75,14 +73,12 @@ __all__ = [
     "HardInstance",
     "InfeasibleBalance",
     "RejectionCapExceeded",
-    "STInstance",
     "check_balance_feasible",
     "components_of",
     "is_connected_graph",
     "naive_connectivity",
     "naive_st_connectivity",
     "sample_hard_instance",
-    "sample_st_instance",
     "CountResult",
     "ThresholdResult",
     "counting_one_sided",

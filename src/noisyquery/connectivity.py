@@ -11,8 +11,7 @@ n^2 log n queries, which is also optimal.
 Instances come straight from Wilson's parent array (``trees._wilson``)
 and its balanced edges (``trees._balance``): :func:`_hard_tree` gives
 the parent array, the cut child and the label, and the harness builds
-its trials from those, with no edge set. No :class:`LabeledTree` is
-built unless ``base_tree`` is read, and each read rebuilds it.
+its trials from those, with no edge set.
 
 The reconstruction stacks a sequence of oracles into one block
 (:func:`~noisyquery.walks.stack`) and walks every pair of every oracle
@@ -35,7 +34,7 @@ import numpy as np
 
 from .oracles import EdgeOracle
 from .streams import _is_integer, as_generator
-from .trees import Edge, LabeledTree, _balance, _vertex_count, _wilson, as_balance_threshold
+from .trees import Edge, _balance, _vertex_count, _wilson, as_balance_threshold
 from .unionfind import UnionFind
 from .walks import _check_delta, barrier, stack, unstack, walk_rounds
 
@@ -81,11 +80,7 @@ def check_balance_feasible(n: int, beta) -> Fraction:
 
 @dataclass(frozen=True)
 class HardInstance:
-    """Connectivity input: a tree, or a tree minus one balanced edge.
-
-    ``base_tree``, the tree before the cut, is rebuilt from ``graph`` and
-    ``removed_edge`` on each read.
-    """
+    """Connectivity input: a tree, or a tree minus one balanced edge."""
 
     n: int
     graph: frozenset[Edge]
@@ -95,20 +90,6 @@ class HardInstance:
     @property
     def connected(self) -> bool:
         return self.label == 1
-
-    @property
-    def base_tree(self) -> LabeledTree:
-        cut = () if self.removed_edge is None else (self.removed_edge,)
-        return LabeledTree(self.n, (*self.graph, *cut))
-
-
-@dataclass(frozen=True)
-class STInstance:
-    """Hard instance plus i.i.d. uniform terminals (s == t allowed)."""
-
-    instance: HardInstance
-    s: int
-    t: int
 
 
 def _hard_tree(n: int, gen: np.random.Generator, frac: Fraction) -> tuple[list[int], list[int], int | None, int]:
@@ -157,15 +138,6 @@ def sample_hard_instance(n: int, rng, *, beta=HARD_BALANCE) -> HardInstance:
     edges = frozenset((v, parent[v]) if v < parent[v] else (parent[v], v) for v in order if v != removed)
     cut = None if removed is None else tuple(sorted((removed, parent[removed])))
     return HardInstance(n, edges, label, cut)
-
-
-def sample_st_instance(n: int, rng, *, beta=HARD_BALANCE) -> STInstance:
-    """Hard instance together with two independent uniform vertices."""
-    gen = as_generator(rng)
-    instance = sample_hard_instance(n, gen, beta=beta)
-    s = int(gen.integers(0, n))
-    t = int(gen.integers(0, n))
-    return STInstance(instance, s, t)
 
 
 def components_of(n: int, edges: Iterable[Edge]) -> UnionFind:

@@ -200,10 +200,6 @@ class BitOracle(_CounterChannel):
     def n(self) -> int:
         return self._bits.size
 
-    @property
-    def hidden(self) -> tuple[int, ...]:
-        return tuple(self._bits.tolist())
-
 
 class EdgeOracle(_CounterChannel):
     """Noisy membership queries over the edge set of a hidden graph on [n].
@@ -261,12 +257,6 @@ class EdgeOracle(_CounterChannel):
     @property
     def n(self) -> int:
         return self._n
-
-    @property
-    def edges(self) -> frozenset[tuple[int, int]]:
-        """The hidden edges, as pairs (u, v) with u < v."""
-        us, vs = self._pairs(np.flatnonzero(self._bits))
-        return frozenset(zip(us.tolist(), vs.tolist()))
 
     def _slot(self, key) -> int:
         return int(self._slots([key])[0])

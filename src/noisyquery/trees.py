@@ -18,8 +18,9 @@ each edge's removal leaves, in one children-first pass that also checks
 the pair is a tree. It is the one home of the split and balance rules:
 the same pass classifies each edge as it reaches it, and returns the
 subtree sizes, the balanced edges and the sum of smaller sides.
-``sample_ust`` wraps the parent array in a :class:`LabeledTree`;
-``balanced_edges`` recovers parents of any tree by BFS;
+``sample_ust`` wraps the parent array in a :class:`LabeledTree`, which
+checks on construction, by BFS, that its edges form a tree;
+``balanced_edges`` reads the parents that BFS found;
 ``structure_scaling_report`` and the hard connectivity instances
 (``connectivity._hard_tree``) go from ``_wilson`` to ``_balance``
 without building a tree object at all.
@@ -39,6 +40,7 @@ import math
 import statistics
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, product
 from typing import Iterable, Iterator, Sequence
 
@@ -93,7 +95,8 @@ def _normalize_edge(u: int, v: int, n: int) -> Edge:
 
 @dataclass(frozen=True)
 class LabeledTree:
-    """Spanning tree on vertices 0..n-1, edges stored sorted and normalized."""
+    """Spanning tree on vertices 0..n-1, edges stored sorted and normalized;
+    construction raises ValueError unless they form a tree."""
 
     n: int
     edges: tuple[Edge, ...]
@@ -104,28 +107,24 @@ class LabeledTree:
         if len(set(normalized)) != len(normalized):
             raise ValueError("duplicate edge in tree")
         object.__setattr__(self, "edges", normalized)
+        # the tree check; balanced_edges reads the parents it keeps
+        self._rooted
 
-    def adjacency(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return adj
-
-    def validate(self) -> None:
-        """Raise ValueError unless this is a connected acyclic tree."""
-        self._rooted()
-
+    @cached_property
     def _rooted(self) -> tuple[list[int], list[int]]:
         """BFS from vertex 0: ``(parent, order)`` in the form ``_wilson`` returns.
 
         n-1 edges that reach every vertex form a tree, so this is also
-        the validity check; it raises ValueError otherwise.
+        the validity check; it raises ValueError otherwise. It is formed
+        once, on construction, and its lists must not be changed.
         """
         n = self.n
         if len(self.edges) != n - 1:
             raise ValueError(f"tree on {n} vertices needs {n - 1} edges, got {len(self.edges)}")
-        adj = self.adjacency()
+        adj: list[list[int]] = [[] for _ in range(n)]
+        for u, v in self.edges:
+            adj[u].append(v)
+            adj[v].append(u)
         parent = [0] * n
         order = [0]
         seen = bytearray(n)
@@ -285,7 +284,7 @@ def _balance(n: int, parent: Sequence[int], order: Sequence[int], frac: Fraction
     vertices to the root, which holds exactly when the parents form a
     tree rooted at 0 and ``order`` puts each vertex after its parent.
     The vertices must be ints, not bools, as ``_wilson`` and
-    ``LabeledTree._rooted`` give them: a bool would pass as the vertex
+    ``LabeledTree._rooted`` gives them: a bool would pass as the vertex
     it equals, and a check for one costs about a quarter of the pass.
     """
     if len(parent) != n or len(order) != n - 1:
@@ -413,7 +412,7 @@ def balanced_edges(tree: LabeledTree, beta) -> BalancedEdgeReport:
     """
     frac = as_balance_threshold(beta)
     n = tree.n
-    parent, order = tree._rooted()
+    parent, order = tree._rooted
     subtree, balanced, s_sum = _balance(n, parent, order, frac)
     s_values = {
         (v, parent[v]) if v < parent[v] else (parent[v], v): min(subtree[v], n - subtree[v]) for v in order

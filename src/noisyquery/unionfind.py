@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+from .streams import _is_integer
+
 
 class UnionFind:
     def __init__(self, n: int) -> None:
+        if not _is_integer(n):
+            raise ValueError(f"element count must be an integer, got {n!r}")
         if n < 0:
             raise ValueError(f"element count must be non-negative, got {n}")
+        n = int(n)
         self._parent = list(range(n))
         self._size = [1] * n
         self._components = n

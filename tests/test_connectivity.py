@@ -14,6 +14,7 @@ from noisyquery import (
     ExperimentSpec,
     HARD_BALANCE,
     InfeasibleBalance,
+    LabeledTree,
     NoiseModel,
     RejectionCapExceeded,
     UnionFind,
@@ -24,17 +25,15 @@ from noisyquery import (
     is_connected_graph,
     naive_connectivity,
     naive_st_connectivity,
-    prufer_to_tree,
     reports_to_csv,
     run_experiment,
     sample_hard_instance,
-    sample_st_instance,
     sample_ust,
     seed_sequence,
     theory_bound,
 )
 from noisyquery import connectivity, harness
-from noisyquery.connectivity import HardInstance, _component_labels, _reconstruct, pair_barriers
+from noisyquery.connectivity import _component_labels, _reconstruct, pair_barriers
 from noisyquery.walks import barrier
 
 from conftest import exact_check
@@ -63,6 +62,19 @@ def test_union_find_basics():
     assert sorted(uf.component_sizes()) == [1, 1, 1, 3]
     with pytest.raises(ValueError):
         UnionFind(-1)
+    numpy_sized = UnionFind(np.int64(3))
+    assert type(numpy_sized.component_count) is int and numpy_sized.component_sizes() == [1, 1, 1]
+
+
+@pytest.mark.parametrize("n", [True, False, 2.5, 2.0, "3", None])
+def test_union_find_rejects_non_integer_sizes(n):
+    # the integer rule: no bool, float or other non-integer size, at every entry point
+    with pytest.raises(ValueError, match="integer"):
+        UnionFind(n)
+    with pytest.raises(ValueError, match="integer"):
+        components_of(n, [(0, 1)])
+    with pytest.raises(ValueError, match="integer"):
+        is_connected_graph(n, [])
 
 
 def test_hard_instance_label_matches_connectivity():
@@ -70,12 +82,13 @@ def test_hard_instance_label_matches_connectivity():
     for seed in range(200):
         instance = sample_hard_instance(n, derive_rng(67, "hard", seed))
         assert instance.connected == is_connected_graph(n, instance.graph)
+        cut = () if instance.removed_edge is None else (instance.removed_edge,)
+        # the graph and its cut edge form a tree, as the tree's construction checks
+        LabeledTree(n, (*instance.graph, *cut))
         if instance.label == 1:
             assert instance.removed_edge is None
-            assert instance.graph == frozenset(instance.base_tree.edges)
         else:
             assert instance.removed_edge is not None
-            assert instance.graph | {instance.removed_edge} == frozenset(instance.base_tree.edges)
             # both live components clear the exact rational balance bar
             sizes = components_of(n, instance.graph).component_sizes()
             assert len(sizes) == 2
@@ -104,7 +117,8 @@ def assert_same_as_tree_route(n, beta, stream):
     instance = sample_hard_instance(n, new_gen, beta=beta)
     tree, graph, label, removed, draws = tree_route_instance(n, old_gen, beta)
     assert (instance.graph, instance.label, instance.removed_edge) == (graph, label, removed)
-    assert instance.base_tree.edges == tree.edges
+    cut = () if removed is None else (removed,)
+    assert LabeledTree(n, (*instance.graph, *cut)) == tree
     assert new_gen.bit_generator.state == old_gen.bit_generator.state
     return draws
 
@@ -130,22 +144,22 @@ def test_hard_instance_matches_tree_route_through_redraws():
 @pytest.mark.parametrize("n", [2, 3, 12, 50])
 def test_parent_array_trials_match_the_public_samplers(n, beta, kind):
     # a harness trial draws from the parent array, never through the public
-    # samplers; its graph, truth and terminals are theirs, draw for draw
+    # sampler; its graph and truth are the sampler's, draw for draw, and an
+    # st trial's terminals are the next two draws of the sampler's stream
     noise = NoiseModel(0.2)
     for seed in (0, 57, 2**40 + 3):
         spec = ExperimentSpec(kind, n=n, p=0.2, delta=0.1, beta=beta, trials=10, seed=seed)
         for trial in range(spec.trials):
             oracle, truth, terminals = harness._connectivity_case(spec, trial, noise, beta)
             twin = derive_rng(seed, kind, "instance", trial)
+            instance = sample_hard_instance(n, twin, beta=beta)
             if kind == "connectivity":
-                instance = sample_hard_instance(n, twin, beta=beta)
                 assert terminals is None and truth == (instance.label == 1)
             else:
-                st = sample_st_instance(n, twin, beta=beta)
-                instance = st.instance
-                assert terminals == (st.s, st.t)
-                assert truth == components_of(n, instance.graph).connected(st.s, st.t)
-            assert oracle.edges == instance.graph
+                s, t = int(twin.integers(0, n)), int(twin.integers(0, n))
+                assert terminals == (s, t)
+                assert truth == components_of(n, instance.graph).connected(s, t)
+            assert np.array_equal(oracle._bits, EdgeOracle(n, instance.graph, noise, 0)._bits)
             assert oracle.noise is noise
 
 
@@ -178,21 +192,20 @@ def test_hard_instance_rejection_cap(monkeypatch):
     # beta = 5/11 is feasible on 11 vertices (a 5/6 split), but the first
     # tree of this stream has no such edge: the cap itself gives up
     beta = Fraction(5, 11)
-    for sampler in (sample_hard_instance, sample_st_instance):
-        monkeypatch.setattr(connectivity, "DEFAULT_REJECTION_CAP", 1)
-        with pytest.raises(RejectionCapExceeded, match="in 1 sampled trees") as raised:
-            sampler(11, derive_rng(71, "cap", 3), beta=beta)
-        assert not isinstance(raised.value, InfeasibleBalance)
-        monkeypatch.undo()
-        assert sampler(11, derive_rng(71, "cap", 3), beta=beta)
+    monkeypatch.setattr(connectivity, "DEFAULT_REJECTION_CAP", 1)
+    with pytest.raises(RejectionCapExceeded, match="in 1 sampled trees") as raised:
+        sample_hard_instance(11, derive_rng(71, "cap", 3), beta=beta)
+    assert not isinstance(raised.value, InfeasibleBalance)
+    monkeypatch.undo()
+    assert sample_hard_instance(11, derive_rng(71, "cap", 3), beta=beta)
 
 
 def balance_check(n, gen):
-    # check_balance_feasible in the samplers' signature; it draws nothing
+    # check_balance_feasible in the sampler's signature; it draws nothing
     return check_balance_feasible(n, HARD_BALANCE)
 
 
-@pytest.mark.parametrize("sampler", [sample_hard_instance, sample_st_instance, balance_check])
+@pytest.mark.parametrize("sampler", [sample_hard_instance, balance_check])
 @pytest.mark.parametrize("n", [True, 5.0, 5.5])
 def test_instance_samplers_reject_non_integer_sizes(sampler, n):
     gen = derive_rng(0, "size")
@@ -202,12 +215,11 @@ def test_instance_samplers_reject_non_integer_sizes(sampler, n):
     assert gen.bit_generator.state == state
 
 
-@pytest.mark.parametrize("sampler", [sample_hard_instance, sample_st_instance])
+@pytest.mark.parametrize("sampler", [sample_hard_instance])
 def test_instance_samplers_accept_numpy_integers(sampler):
     drawn = sampler(np.int64(50), derive_rng(0, "size"))
     assert drawn == sampler(50, derive_rng(0, "size"))
-    instance = getattr(drawn, "instance", drawn)
-    assert type(instance.n) is int
+    assert type(drawn.n) is int
 
 
 def test_infeasible_balance_fails_before_sampling(monkeypatch):
@@ -250,17 +262,23 @@ def test_balance_thresholds_that_are_not_reals_in_range_raise_value_error(call, 
         call(50, beta) if call is check_balance_feasible else call(50, derive_rng(79, "beta"), beta=beta)
 
 
+def st_trials(n, samples, seed):
+    """``(oracle, truth, terminals)`` of each of an st-connectivity experiment's trials."""
+    spec = ExperimentSpec("st-connectivity", n=n, p=0.2, delta=0.1, trials=samples, seed=seed)
+    frac = check_balance_feasible(n, HARD_BALANCE)
+    noise = NoiseModel(spec.p)
+    return (harness._connectivity_case(spec, trial, noise, frac) for trial in range(samples))
+
+
 def test_st_instance_terminals_uniform():
     n, samples = 20, 20000
-    rng = derive_rng(73, "st")
     counts_s = [0] * n
     counts_t = [0] * n
     equal = 0
-    for _ in range(samples):
-        st = sample_st_instance(n, rng)
-        counts_s[st.s] += 1
-        counts_t[st.t] += 1
-        equal += st.s == st.t
+    for _, _, (s, t) in st_trials(n, samples, 73):
+        counts_s[s] += 1
+        counts_t[t] += 1
+        equal += s == t
     expected = samples / n
     for counts in (counts_s, counts_t):
         stat = sum((c - expected) ** 2 / expected for c in counts)
@@ -273,19 +291,19 @@ def test_st_split_crossing_probability():
     # conditioned on a disconnected instance with sides (A, B), the
     # terminals straddle the cut with probability 2|A||B|/n^2
     n, samples = 50, 4000
-    rng = derive_rng(75, "cross")
     crossings = 0
     predicted = 0.0
     disconnected = 0
-    for _ in range(samples):
-        st = sample_st_instance(n, rng)
-        if st.instance.label == 1:
+    for oracle, truth, (s, t) in st_trials(n, samples, 75):
+        us, vs = oracle._pairs(np.flatnonzero(oracle._bits))
+        comps = components_of(n, zip(us.tolist(), vs.tolist()))
+        assert truth == comps.connected(s, t)
+        if comps.component_count == 1:
             continue
         disconnected += 1
-        comps = components_of(n, st.instance.graph)
         a, b = comps.component_sizes()
         predicted += 2 * a * b / n**2
-        crossings += not comps.connected(st.s, st.t)
+        crossings += not truth
     rate = crossings / disconnected
     assert abs(rate - predicted / disconnected) <= 3.0 * math.sqrt(0.25 / disconnected)
 
@@ -373,10 +391,12 @@ def test_naive_connectivity_complete_graph_always_connected():
 
 def test_naive_st_connectivity():
     for seed in range(30):
-        st = sample_st_instance(25, derive_rng(83, "st-noiseless", seed))
-        oracle = NoiselessEdgeOracle(25, st.instance.graph)
-        truth = components_of(25, st.instance.graph).connected(st.s, st.t)
-        assert naive_st_connectivity(oracle, st.s, st.t, 0.05) == truth
+        gen = derive_rng(83, "st-noiseless", seed)
+        instance = sample_hard_instance(25, gen)
+        s, t = int(gen.integers(0, 25)), int(gen.integers(0, 25))
+        oracle = NoiselessEdgeOracle(25, instance.graph)
+        truth = components_of(25, instance.graph).connected(s, t)
+        assert naive_st_connectivity(oracle, s, t, 0.05) == truth
     with pytest.raises(ValueError):
         naive_st_connectivity(NoiselessEdgeOracle(5, []), 0, 5, 0.05)
 
@@ -450,20 +470,6 @@ def test_naive_connectivity_validation():
         naive_connectivity(oracle, 0.0)
     with pytest.raises(ValueError):
         naive_connectivity(oracle, 1.0)
-
-
-@hypothesis.given(
-    st.integers(2, 40).flatmap(lambda n: st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2).map(
-        lambda seq: prufer_to_tree(seq, n)
-    )),
-    st.data(),
-)
-def test_hard_instance_base_tree_property(tree, data):
-    # any tree, kept whole (label 1) or less any one edge (label 0)
-    removed = data.draw(st.one_of(st.none(), st.sampled_from(tree.edges)))
-    graph = frozenset(e for e in tree.edges if e != removed)
-    instance = HardInstance(tree.n, graph, 1 if removed is None else 0, removed)
-    assert instance.base_tree == tree
 
 
 # sha256 of reports_to_csv for the benchmark's connectivity spec and a

@@ -121,8 +121,8 @@ def chi_square_pvalue(observed, expected_count, support):
 def test_sample_ust_valid_trees():
     for n in (1, 2, 3, 7, 40, 200):
         for seed in range(5):
+            # a LabeledTree checks on construction that its edges form a tree
             tree = sample_ust(n, derive_rng(51, "valid", n, seed))
-            tree.validate()
             assert tree.n == n
             assert len(tree.edges) == n - 1
 
@@ -233,12 +233,13 @@ def test_wilson_uniformity_n4():
 
 
 def test_tree_validation_rejects_malformed():
-    with pytest.raises(ValueError):
-        LabeledTree(3, ((0, 1), (1, 2), (0, 2))).validate()  # cycle
-    with pytest.raises(ValueError):
-        LabeledTree(4, ((0, 1), (2, 3))).validate()  # too few edges
-    with pytest.raises(ValueError):
-        LabeledTree(4, ((0, 1), (1, 2), (0, 2))).validate()  # cycle + isolated vertex
+    # each is refused by the constructor, not by a later check
+    with pytest.raises(ValueError, match="needs 2 edges"):
+        LabeledTree(3, ((0, 1), (1, 2), (0, 2)))  # cycle
+    with pytest.raises(ValueError, match="needs 3 edges"):
+        LabeledTree(4, ((0, 1), (2, 3)))  # forest: too few edges
+    with pytest.raises(ValueError, match="not connected"):
+        LabeledTree(4, ((0, 1), (1, 2), (0, 2)))  # cycle + isolated vertex
     with pytest.raises(ValueError):
         LabeledTree(3, ((0, 1), (0, 1), (1, 2)))  # duplicate edge
     with pytest.raises(ValueError):
@@ -446,9 +447,9 @@ def test_balance_matches_two_pass_reference(n, seed, source, beta, m):
         parent, order = _wilson(n, derive_rng(seed, "balance-ref", n))
     elif source == "prufer":
         seq = derive_rng(seed, "balance-ref", n).integers(0, n, size=max(n - 2, 0)).tolist()
-        parent, order = prufer_to_tree(seq, n)._rooted()
+        parent, order = prufer_to_tree(seq, n)._rooted
     else:
-        parent, order = path_tree(n)._rooted()
+        parent, order = path_tree(n)._rooted
     if beta == "exact":
         # m/n with m < n/2 puts the balance bound on an integer side, m
         if n < 3:
